@@ -101,12 +101,14 @@ def cmd_solve(config_path, out_path):
             design, trace = run_algorithm1(system, h_hat, eps, cfg.solver, rng)
             trace_len = trace.n_iters
         cert = certificate(design, h_hat, eps, system.noise_var)
-    except AirCompError as exc:
+        doc = _design_document(design, cert, trace_len, system.P)
+        # ValueError: a non-finite number, which JSON cannot represent
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except (AirCompError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    doc = _design_document(design, cert, trace_len, system.P)
     try:
-        _atomic_write(out_path, json.dumps(doc, indent=2) + "\n")
+        _atomic_write(out_path, text)
     except IOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -132,11 +132,15 @@ def parse_cvector(pairs):
     return np.array([complex(re, im) for re, im in pairs])
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token} is not valid JSON")
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(raw)
 
@@ -163,6 +167,9 @@ def parse_config(raw):
         if lengths != {system.N}:
             raise ConfigError("instance channel vectors must have length N")
         instance = (np.stack(h_hat), np.array(eps))
+        # numbers too large for a double parse as inf
+        if not all(np.isfinite(x).all() for x in instance):
+            raise ConfigError("instance values must be finite")
 
     sweep_dict = raw.get("sweep")
     if sweep_dict is not None:

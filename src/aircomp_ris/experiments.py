@@ -51,6 +51,8 @@ class SweepSpec:
                 raise ValueError(f"unknown scheme {s!r}")
         if self.s_values is not None and not self.s_values:
             raise ValueError("s_values must be non-empty when given")
+        if not np.isfinite(list(self.values) + list(self.s_values or [])).all():
+            raise ValueError("values and s_values must be finite")
 
 
 @dataclass
@@ -107,11 +109,20 @@ def run_trial(config, scheme, options, trial_seed, channel_seed=None):
 def run_trial_full(config, scheme, options, trial_seed, channel_seed=None):
     if channel_seed is None:
         channel_seed = trial_seed
-    rng_ch = np.random.default_rng(np.random.SeedSequence(channel_seed))
-    rng_solver = np.random.default_rng(np.random.SeedSequence(trial_seed))
-    inst, deltas = synthesize_instance(config, rng_ch)
+    inst, deltas = synthesize_instance(config, _seeded_rng(channel_seed))
+    return _design_and_score(
+        config, scheme, options, inst, deltas, _seeded_rng(trial_seed)
+    )
+
+
+def _seeded_rng(seed):
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def _design_and_score(config, scheme, options, inst, deltas, rng):
+    """Design a scheme on one channel draw; returns (NMSE, iterations)."""
     design, iters = design_for_scheme(
-        config, scheme, options, inst.h_hat, inst.eps, rng_solver
+        config, scheme, options, inst.h_hat, inst.eps, rng
     )
     if config.eval_mode == "worst":
         mse = worst_case_objective(design, inst.h_hat, inst.eps, config.noise_var)
@@ -159,7 +170,8 @@ def trial_seed_pair(master_seed, kind, value_index, s_index, scheme, trial):
 def run_sweep(spec):
     """Run every (value, s, scheme) cell of the sweep; returns records
     ordered by (value, scheme label). Trial seeds are derived by index so
-    execution order and parallelism cannot change the results."""
+    execution order and parallelism cannot change the results. Each trial
+    draws its channels once and designs every scheme on them."""
     s_values = spec.s_values if spec.s_values is not None else [spec.base.s]
     multiple_s = len(s_values) > 1
     records = []
@@ -167,25 +179,31 @@ def run_sweep(spec):
         row = []
         for si, s in enumerate(s_values):
             config = _config_at(spec.base, spec.kind, value, s)
-            for scheme in spec.schemes:
-                nmses = np.empty(spec.trials)
-                iters = np.empty(spec.trials)
-                for trial in range(spec.trials):
-                    tseed, cseed = trial_seed_pair(
-                        spec.master_seed, spec.kind, vi, si, scheme, trial
+            nmses = np.empty((len(spec.schemes), spec.trials))
+            iters = np.empty_like(nmses)
+            for trial in range(spec.trials):
+                seeds = [
+                    trial_seed_pair(spec.master_seed, spec.kind, vi, si, scheme, trial)
+                    for scheme in spec.schemes
+                ]
+                # the channel seed is the same for every scheme
+                inst, deltas = synthesize_instance(config, _seeded_rng(seeds[0][1]))
+                for j, (scheme, (tseed, _)) in enumerate(zip(spec.schemes, seeds)):
+                    # the non-robust design draws no random numbers
+                    rng = None if scheme == "nonrobust" else _seeded_rng(tseed)
+                    nmses[j, trial], iters[j, trial] = _design_and_score(
+                        config, scheme, spec.solver, inst, deltas, rng
                     )
-                    nmses[trial], iters[trial] = run_trial_full(
-                        config, scheme, spec.solver, tseed, cseed
-                    )
+            for j, scheme in enumerate(spec.schemes):
                 row.append(
                     AggregateRecord(
                         kind=spec.kind,
                         value=value,
                         scheme=scheme_label(scheme, s, multiple_s),
-                        nmse_mean=float(np.mean(nmses)),
-                        nmse_std=float(np.std(nmses)),
+                        nmse_mean=float(np.mean(nmses[j])),
+                        nmse_std=float(np.std(nmses[j])),
                         trials=spec.trials,
-                        mean_iters=float(np.mean(iters)),
+                        mean_iters=float(np.mean(iters[j])),
                     )
                 )
         row.sort(key=lambda rec: rec.scheme)

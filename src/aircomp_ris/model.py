@@ -3,8 +3,9 @@ error model, and the nominal MSE evaluators.
 
 Conventions used throughout the package:
 
-* Column vectors are 1-D complex ndarrays. The Hermitian inner product is
-  ``inner(a, b) = sum_i conj(a_i) * b_i`` (numpy's ``vdot``).
+* Column vectors are 1-D complex ndarrays; a (K, N) array holds one per
+  sensor row. The Hermitian inner product is
+  ``inner(a, b) = sum_i conj(a_i) * b_i`` over the last axis.
 * Row covectors (e.g. the CSI perturbation) are stored as plain 1-D complex
   ndarrays and applied to a column vector WITHOUT conjugation:
   ``row @ v = sum_i row_i * v_i``. ``hermitian_row(h)`` gives the row of
@@ -13,28 +14,34 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllZeroScalers,
-    DimensionMismatch,
-    InvalidDimension,
-    PerturbationOutOfBall,
-)
+from .errors import DimensionMismatch, InvalidDimension
 
 EVAL_MODES = ("worst", "realized")
 ERROR_SAMPLING_MODES = ("surface", "interior")
 
+# Doubles drawn per synthesis block: bounds the temporaries at large K*N.
+_DRAW_BLOCK = 1 << 14
+
 
 def inner(a, b):
-    """Hermitian inner product sum_i conj(a_i) b_i."""
+    """Hermitian inner product sum_i conj(a_i) b_i over the last axis, so
+    (K, N) operands give the K row products."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"inner: {a.shape} vs {b.shape}")
-    return np.vdot(a, b)
+    return np.vecdot(a, b)
+
+
+def row_norms(x):
+    """Euclidean norm over the last axis, summed as np.linalg.norm sums a
+    single complex vector (real and imaginary parts apart)."""
+    x = np.asarray(x)
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
 def hermitian_row(h):
@@ -157,8 +164,8 @@ def cascade_channel(g, r):
 
 
 def epsilon_from_coefficient(s, h):
-    """Uncertainty radius eps = s * ||h||_2."""
-    return s * np.linalg.norm(np.asarray(h))
+    """Uncertainty radius eps = s * ||h||_2, per row of a (K, N) array."""
+    return s * row_norms(h)
 
 
 def sample_bounded_error(n, eps, mode, rng):
@@ -191,12 +198,7 @@ def apply_error(h, delta_row):
 def closed_form_mse(design, channels, noise_var):
     """MSE of the computed sum for the channels actually applied:
     sum_k |m * inner(h_k, v_k) * t_k - 1|^2 + noise_var * m^2."""
-    gains = np.array(
-        [
-            design.m * inner(channels[k], design.v[k]) * design.t[k]
-            for k in range(design.K)
-        ]
-    )
+    gains = design.m * inner(channels, design.v) * design.t
     return float(np.sum(np.abs(gains - 1.0) ** 2) + noise_var * design.m**2)
 
 
@@ -205,14 +207,8 @@ def empirical_mse(design, channels, noise_var, trials, rng):
     Gaussian sensor signals and CN(0, noise_var) receiver noise."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    K = design.K
-    gains = np.array(
-        [
-            design.m * inner(channels[k], design.v[k]) * design.t[k]
-            for k in range(K)
-        ]
-    )
-    x = rng.normal(0.0, 1.0, (trials, K))
+    gains = design.m * inner(channels, design.v) * design.t
+    x = rng.normal(0.0, 1.0, (trials, design.K))
     noise = sample_rayleigh_vector(trials, noise_var, rng) if noise_var > 0 else 0.0
     err = x @ (gains - 1.0) + design.m * noise
     return float(np.mean(np.abs(err) ** 2))
@@ -220,20 +216,45 @@ def empirical_mse(design, channels, noise_var, trials, rng):
 
 def synthesize_instance(config, rng):
     """Draw one ChannelInstance: Rayleigh segments, cascaded true channels,
-    and estimates perturbed by a bounded error of radius s*||h_k||."""
+    and estimates perturbed by a bounded error of radius s*||h_k||.
+
+    Sensor by sensor, the stream yields N normals each for re(g_k), im(g_k),
+    re(r_k), im(r_k), and when s > 0 (so eps_k > 0) for the real and
+    imaginary parts of the error direction, then one uniform for an
+    interior error's radius. A block of sensors without uniforms is drawn
+    in one call, which fills in that same order."""
     K, N = config.K, config.N
+    robust = config.s > 0
+    interior = robust and config.error_sampling == "interior"
+    parts = 6 if robust else 4
+    step = max(1, _DRAW_BLOCK // (parts * N))
+    z = np.empty((min(step, K), parts, N))
+    seg_scale = np.sqrt(config.channel_var / 2.0)
     g = np.empty((K, N), dtype=complex)
-    r = np.empty((K, N), dtype=complex)
-    h = np.empty((K, N), dtype=complex)
-    h_hat = np.empty((K, N), dtype=complex)
+    r = np.empty_like(g)
+    h = np.empty_like(g)
+    h_hat = np.empty_like(g)
+    deltas = np.zeros_like(g)
     eps = np.empty(K)
-    deltas = np.empty((K, N), dtype=complex)
-    for k in range(K):
-        g[k] = sample_rayleigh_vector(N, config.channel_var, rng)
-        r[k] = sample_rayleigh_vector(N, config.channel_var, rng)
-        h[k] = cascade_channel(g[k], r[k])
-        eps[k] = epsilon_from_coefficient(config.s, h[k])
-        deltas[k] = sample_bounded_error(N, eps[k], config.error_sampling, rng)
-        h_hat[k] = apply_error(h[k], deltas[k])
+    for lo in range(0, K, step):
+        blk = slice(lo, min(lo + step, K))
+        zb = z[: blk.stop - lo]
+        radius = np.ones(len(zb))
+        if interior:
+            for i in range(len(zb)):
+                rng.standard_normal(out=zb[i])
+                # radius ~ U^(1/(2N)): uniform over the 2N-real-dim ball
+                radius[i] = rng.uniform() ** (1.0 / (2 * N))
+        else:
+            rng.standard_normal(out=zb)
+        g[blk] = (zb[:, 0] + 1j * zb[:, 1]) * seg_scale
+        r[blk] = (zb[:, 2] + 1j * zb[:, 3]) * seg_scale
+        h[blk] = cascade_channel(g[blk], r[blk])
+        eps[blk] = epsilon_from_coefficient(config.s, h[blk])
+        if robust:
+            d = (zb[:, 4] + 1j * zb[:, 5]) * np.sqrt(0.5)
+            d /= row_norms(d)[:, None]
+            deltas[blk] = (eps[blk] * radius)[:, None] * d
+        h_hat[blk] = apply_error(h[blk], deltas[blk])
     inst = ChannelInstance(g=g, r=r, h=h, h_hat=h_hat, eps=eps)
     return inst, deltas

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllZeroScalers, InvalidNoise, NoUncertainty
-from .model import Design, inner
-from .worst_case import lambda_worst, worst_case_term
+from .errors import AllZeroScalers, InvalidNoise
+from .model import Design
+from .worst_case import lambda_worst, worst_case_objective, worst_case_term
 
 MODES = ("paper", "exact")
 INIT_RULES = ("random_phase", "cophase")
@@ -65,12 +65,10 @@ class IterTrace:
 def update_phases(h_hat):
     """Co-phasing RIS vector: v_i = exp(j*arg(h_hat_i)) (zero entries get
     phase 0), which makes inner(h_hat, v) = sum_i |h_hat_i| real and maximal
-    among unit-modulus vectors."""
-    h_hat = np.asarray(h_hat)
-    v = np.ones_like(h_hat, dtype=complex)
-    nz = h_hat != 0
-    v[nz] = h_hat[nz] / np.abs(h_hat[nz])
-    return v
+    among unit-modulus vectors. Works row by row on a (K, N) array."""
+    h_hat = np.asarray(h_hat, dtype=complex)
+    ones = np.ones_like(h_hat)
+    return np.divide(h_hat, np.abs(h_hat), out=ones, where=h_hat != 0)
 
 
 def t_mag_paper(Q, lam, N, P, noise_var):
@@ -83,16 +81,20 @@ def t_mag_paper(Q, lam, N, P, noise_var):
 
 def t_exact(a, eps_rootN, noise_var, P):
     """Exact minimizer over tau >= 0 of
-    (|tau*a - 1| + eps_rootN*tau)^2 + (noise_var/P)*tau^2.
+    (|tau*a - 1| + eps_rootN*tau)^2 + (noise_var/P)*tau^2, per sensor.
 
     With b = a - eps_rootN and c = noise_var/P: tau = 0 when b <= 0
     (uncertainty dominates), otherwise min(b/(b^2 + c), 1/a)."""
-    b = a - eps_rootN
-    if b <= 0:
-        return 0.0
-    c = noise_var / P
-    interior = b / (b * b + c)
-    return float(min(interior, 1.0 / a)) if a > 0 else float(interior)
+    b = np.asarray(a - eps_rootN, dtype=float)
+    live = b > 0
+    tau = np.divide(b, b * b + noise_var / P, out=np.zeros_like(b), where=live)
+    np.minimum(tau, np.divide(1.0, a, out=np.full_like(b, np.inf), where=live), out=tau)
+    return float(tau) if tau.ndim == 0 else tau
+
+
+def _t_mmse(a, noise_over_P):
+    """Classical sum-power MMSE scaling a / (a^2 + sigma^2/P), 0 where a = 0."""
+    return np.divide(a, a * a + noise_over_P, out=np.zeros_like(a), where=a > 0)
 
 
 def recover_m_t(t_hat_set, P):
@@ -107,38 +109,25 @@ def recover_m_t(t_hat_set, P):
 
 
 def _per_sensor_objective(t_hat, h_hat, v, eps, noise_over_P):
-    """Worst-case term plus this sensor's share of the noise penalty, in
+    """Worst-case term plus each sensor's share of the noise penalty, in
     t_hat space (m eliminated via the active power constraint)."""
-    return worst_case_term(t_hat, h_hat, v, eps) + noise_over_P * abs(t_hat) ** 2
-
-
-def _objective_t_hat_space(t_hat_set, h_hat_set, v_set, eps_set, noise_over_P):
-    return sum(
-        _per_sensor_objective(t_hat_set[k], h_hat_set[k], v_set[k], eps_set[k], noise_over_P)
-        for k in range(len(t_hat_set))
-    )
+    return worst_case_term(t_hat, h_hat, v, eps) + noise_over_P * np.abs(t_hat) ** 2
 
 
 def nonrobust_design(config, h_hat_set):
     """Baseline ignoring CSI uncertainty: co-phased RIS vectors and the
     classical sum-power MMSE scaling t_hat_k = a_k / (a_k^2 + sigma^2/P)."""
     h_hat_set = np.asarray(h_hat_set)
-    K = h_hat_set.shape[0]
-    c = config.noise_var / config.P
-    v = np.empty_like(h_hat_set)
-    t_hat = np.empty(K)
-    for k in range(K):
-        v[k] = update_phases(h_hat_set[k])
-        a = float(np.sum(np.abs(h_hat_set[k])))
-        t_hat[k] = a / (a * a + c) if a > 0 else 0.0
+    a = np.abs(h_hat_set).sum(axis=1)
+    t_hat = _t_mmse(a, config.noise_var / config.P)
     m, t = recover_m_t(t_hat, config.P)
-    return Design(m=m, t=t, v=v)
+    return Design(m=m, t=t, v=update_phases(h_hat_set))
 
 
 def _init_state(config, h_hat_set, options, rng):
     K, N = config.K, config.N
     if options.init_rule == "cophase":
-        v = np.stack([update_phases(h_hat_set[k]) for k in range(K)])
+        v = update_phases(h_hat_set)
     else:
         phases = rng.uniform(0.0, 2.0 * np.pi, (K, N))
         v = np.exp(1j * phases)
@@ -154,12 +143,15 @@ def run_algorithm1(config, h_hat_set, eps_set, options, rng, init=None):
     step is bypassed (multiplier treated as +inf). With the safeguard on,
     any per-sensor block update that would increase the objective is
     reverted, making the objective trace non-increasing.
+
+    In t_hat space each sensor's block update depends on that sensor
+    alone, so every iteration updates all K sensors at once.
     """
     h_hat_set = np.asarray(h_hat_set)
     eps_set = np.asarray(eps_set, dtype=float)
     if np.all(h_hat_set == 0):
         raise AllZeroScalers("every channel estimate is zero")
-    K, N = config.K, config.N
+    N = config.N
     noise_over_P = config.noise_var / config.P
 
     if init is not None:
@@ -169,42 +161,43 @@ def run_algorithm1(config, h_hat_set, eps_set, options, rng, init=None):
     else:
         v, t_hat = _init_state(config, h_hat_set, options, rng)
 
-    trace = IterTrace()
-    m_prev, t_prev = _recover_or_zero(t_hat, config.P)
-    rootN = np.sqrt(N)
+    # the phase update and the non-robust and exact scalings do not change
+    # across iterations
+    v_co = update_phases(h_hat_set)
+    a = np.abs(h_hat_set).sum(axis=1)
+    t_mmse = _t_mmse(a, noise_over_P)
+    if options.mode == "exact":
+        t_robust = t_exact(a, eps_set * np.sqrt(N), config.noise_var, config.P)
+    # per-sensor objective at the current iterate
+    obj = _per_sensor_objective(t_hat, h_hat_set, v, eps_set, noise_over_P)
 
+    trace = IterTrace()
     for it in range(options.max_iters):
-        for k in range(K):
-            h_k = h_hat_set[k]
-            eps_k = eps_set[k]
-            lam = _multiplier(t_hat[k], h_k, v[k], eps_k)
-            v_new = update_phases(h_k)
-            a = float(np.sum(np.abs(h_k)))
-            if options.lambda_after_phase:
-                lam = _multiplier(t_hat[k], h_k, v_new, eps_k)
-            if eps_k == 0 or not np.isfinite(lam):
-                # no uncertainty: classical MMSE scaling in t_hat space
-                t_new = a / (a * a + noise_over_P) if a > 0 else 0.0
-            elif options.mode == "exact":
-                t_new = t_exact(a, eps_k * rootN, config.noise_var, config.P)
-            else:
-                # constant numerator: residual at the fresh phases and the
-                # previous effective scalar
-                Q = abs(t_hat[k] * a - 1.0) ** 2
-                t_sq = t_mag_paper(Q, lam, N, config.P, config.noise_var)
-                t_new = np.sqrt(t_sq)
-            _record_k(trace, k, lam, a)
-            if options.safeguard:
-                before = _per_sensor_objective(t_hat[k], h_k, v[k], eps_k, noise_over_P)
-                after = _per_sensor_objective(t_new, h_k, v_new, eps_k, noise_over_P)
-                if after > before:
-                    continue
-            v[k] = v_new
-            t_hat[k] = t_new
+        v_lam = v_co if options.lambda_after_phase else v
+        lam = _multiplier(t_hat, h_hat_set, v_lam, eps_set)
+        # lambda = inf (eps = 0 or t_hat = 0): classical MMSE scaling
+        mmse = ~np.isfinite(lam)
+        if options.mode == "exact":
+            t_new = np.where(mmse, t_mmse, t_robust)
+        elif mmse.all():
+            t_new = t_mmse
+        else:
+            # constant numerator: residual at the fresh phases and the
+            # previous effective scalar
+            Q = np.abs(t_hat * a - 1.0) ** 2
+            t_sq = t_mag_paper(Q, lam, N, config.P, config.noise_var)
+            t_new = np.where(mmse, t_mmse, np.sqrt(t_sq))
+        trace.lambdas.append(lam.tolist())
+        trace.a.append(a.tolist())
+        obj_new = _per_sensor_objective(t_new, h_hat_set, v_co, eps_set, noise_over_P)
+        # the safeguard reverts every update that would raise its sensor's objective
+        accept = ~(options.safeguard & (obj_new > obj))
+        np.copyto(t_hat, t_new, where=accept)
+        np.copyto(v, v_co, where=accept[:, None])
+        np.copyto(obj, obj_new, where=accept)
 
         m, t = _recover_or_zero(t_hat, config.P)
-        obj = _objective_t_hat_space(t_hat, h_hat_set, v, eps_set, noise_over_P)
-        trace.objective.append(obj)
+        trace.objective.append(float(np.sum(obj)))
         if it == 0:
             change = np.inf
         else:
@@ -215,31 +208,19 @@ def run_algorithm1(config, h_hat_set, eps_set, options, rng, init=None):
             )
         trace.change.append(change)
         v_prev = v.copy()
-        t_prev, m_prev = t.copy(), m
+        t_prev, m_prev = t, m
         if change <= options.delta_stop:
             break
     else:
         trace.hit_max_iters = True
-
-    m, t = _recover_or_zero(t_hat, config.P)
-    return Design(m=m, t=t, v=v.copy()), trace
+    return Design(m=m, t=t, v=v), trace
 
 
 def _multiplier(t_hat, h_hat, v, eps):
-    if eps == 0 or abs(t_hat) == 0:
-        return np.inf
-    try:
-        return lambda_worst(t_hat, h_hat, v, eps)
-    except NoUncertainty:
-        return np.inf
-
-
-def _record_k(trace, k, lam, a):
-    if k == 0:
-        trace.lambdas.append([])
-        trace.a.append([])
-    trace.lambdas[-1].append(float(lam))
-    trace.a[-1].append(float(a))
+    """lambda_worst per sensor, +inf where eps = 0 or t_hat = 0."""
+    live = (eps != 0) & (t_hat != 0)
+    lam = lambda_worst(t_hat, h_hat, v, np.where(live, eps, np.inf))
+    return np.where(live, lam, np.inf)
 
 
 def _recover_or_zero(t_hat, P):
@@ -259,8 +240,6 @@ def multi_start(config, h_hat_set, eps_set, options, rng):
     at the non-robust design plus the non-robust design itself as a
     candidate. Returns the candidate with the smallest worst-case objective
     (first index wins ties)."""
-    from .worst_case import worst_case_objective
-
     h_hat_set = np.asarray(h_hat_set)
     eps_set = np.asarray(eps_set, dtype=float)
     candidates = []

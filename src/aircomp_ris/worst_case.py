@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoUncertainty, PerturbationOutOfBall
-from .model import hermitian_row, inner
+from .model import hermitian_row, inner, row_norms
 
 
 @dataclass
@@ -45,14 +45,15 @@ def lambda_worst(t_hat, h_hat, v, eps):
     """KKT multiplier of the active ball constraint (maximizer branch).
 
     Root of ||delta(lambda)||^2 = eps^2 with lambda > |t_hat|^2 N:
-    lambda = |t_hat|^2 N + (sqrt(N)/eps) |t_hat| |rho|.
+    lambda = |t_hat|^2 N + (sqrt(N)/eps) |t_hat| |rho|. Broadcasts over a
+    leading sensor axis of h_hat and v.
     """
-    if eps == 0:
+    if np.any(np.asarray(eps) == 0):
         raise NoUncertainty("eps = 0: bypass the robust step")
-    N = len(h_hat)
+    N = np.shape(h_hat)[-1]
     rho = residual(t_hat, h_hat, v)
-    at = abs(t_hat)
-    return at**2 * N + (np.sqrt(N) / eps) * at * abs(rho)
+    at = np.abs(t_hat)
+    return at**2 * N + (np.sqrt(N) / eps) * at * np.abs(rho)
 
 
 def delta_worst(t_hat, h_hat, v, eps):
@@ -61,60 +62,50 @@ def delta_worst(t_hat, h_hat, v, eps):
     delta = (eps/sqrt(N)) * u * row(v^H) with u = conj(t_hat)*rho normalized;
     degenerate cases pick a deterministic phase (see below). For eps > 0 the
     result always has norm eps and attains (|rho| + |t_hat| eps sqrt(N))^2.
+    Broadcasts over a leading sensor axis of h_hat and v.
     """
-    N = len(h_hat)
-    row_vH = hermitian_row(v)
-    if eps == 0:
-        return np.zeros(N, dtype=complex)
+    N = np.shape(h_hat)[-1]
     rho = residual(t_hat, h_hat, v)
     w = np.conj(t_hat) * rho
-    if abs(w) > 0:
-        u = w / abs(w)
-    elif abs(t_hat) > 0:
-        # rho = 0: every phase attains the max; fix one for determinism
-        u = np.conj(t_hat) / abs(t_hat)
-    else:
-        # t_hat = 0: objective does not depend on delta at all
-        u = 1.0
-    return (eps / np.sqrt(N)) * u * row_vH
+    at = np.abs(t_hat)
+    aw = np.abs(w)
+    # u = w/|w|. Where rho = 0 every phase attains the max, so take that of
+    # conj(t_hat); where t_hat = 0 delta does not matter, so take u = 1.
+    ones = np.ones_like(w, dtype=complex)
+    u = np.divide(np.conj(t_hat), at, out=ones, where=at > 0, dtype=complex)
+    np.divide(w, aw, out=u, where=aw > 0)
+    return (eps / np.sqrt(N) * u)[..., None] * hermitian_row(v)
 
 
 def worst_case_term(t_hat, h_hat, v, eps):
-    """Per-sensor worst MSE term (|rho| + |t_hat| * eps * sqrt(N))^2."""
-    N = len(h_hat)
+    """Per-sensor worst MSE term (|rho| + |t_hat| * eps * sqrt(N))^2;
+    broadcasts over a leading sensor axis of h_hat and v."""
+    N = np.shape(h_hat)[-1]
     rho = residual(t_hat, h_hat, v)
-    return float((abs(rho) + abs(t_hat) * eps * np.sqrt(N)) ** 2)
+    term = (np.abs(rho) + np.abs(t_hat) * eps * np.sqrt(N)) ** 2
+    return float(term) if np.ndim(term) == 0 else term
 
 
 def worst_case_objective(design, h_hat_set, eps_set, noise_var):
     """Total worst-case MSE: sum_k worst term + noise_var * m^2."""
-    h_hat_set = np.asarray(h_hat_set)
-    eps_set = np.asarray(eps_set)
-    if h_hat_set.shape[0] != design.K or eps_set.shape[0] != design.K:
+    if np.shape(h_hat_set)[0] != design.K or np.shape(eps_set)[0] != design.K:
         raise DimensionMismatch("h_hat_set/eps_set must have K rows")
-    t_hat = design.t_hat
-    total = noise_var * design.m**2
-    for k in range(design.K):
-        total += worst_case_term(t_hat[k], h_hat_set[k], design.v[k], eps_set[k])
-    return float(total)
+    terms = worst_case_term(design.t_hat, h_hat_set, design.v, eps_set)
+    return float(noise_var * design.m**2 + np.sum(terms))
 
 
 def certificate(design, h_hat_set, eps_set, noise_var):
     """Assemble the full per-sensor worst-case certificate for a design."""
-    K = design.K
-    N = np.asarray(h_hat_set).shape[1]
     t_hat = design.t_hat
-    lambdas = np.empty(K)
-    deltas = np.empty((K, N), dtype=complex)
-    terms = np.empty(K)
-    for k in range(K):
-        eps = eps_set[k]
-        if eps == 0:
-            lambdas[k] = np.inf
-        else:
-            lambdas[k] = lambda_worst(t_hat[k], h_hat_set[k], design.v[k], eps)
-        deltas[k] = delta_worst(t_hat[k], h_hat_set[k], design.v[k], eps)
-        terms[k] = worst_case_term(t_hat[k], h_hat_set[k], design.v[k], eps)
+    eps_set = np.asarray(eps_set, dtype=float)
+    live = eps_set > 0
+    lambdas = np.where(
+        live,
+        lambda_worst(t_hat, h_hat_set, design.v, np.where(live, eps_set, np.inf)),
+        np.inf,
+    )
+    deltas = delta_worst(t_hat, h_hat_set, design.v, eps_set)
+    terms = worst_case_term(t_hat, h_hat_set, design.v, eps_set)
     total = float(np.sum(terms) + noise_var * design.m**2)
     return WorstCaseCert(lambdas=lambdas, deltas=deltas, terms=terms, total=total)
 
@@ -129,23 +120,22 @@ def mse_at_error(design, h_hat_set, delta_set, noise_var, eps_set=None):
     delta_set = np.asarray(delta_set)
     if h_hat_set.shape != delta_set.shape or h_hat_set.shape[0] != design.K:
         raise DimensionMismatch("h_hat_set/delta_set shape mismatch")
-    t_hat = design.t_hat
-    total = noise_var * design.m**2
-    for k in range(design.K):
-        if eps_set is not None:
-            nd = np.linalg.norm(delta_set[k])
-            if nd > eps_set[k] * (1 + 1e-9) + 1e-15:
-                raise PerturbationOutOfBall(
-                    f"||delta_{k}|| = {nd} > eps = {eps_set[k]}"
-                )
-        gain = inner(h_hat_set[k], design.v[k]) + delta_set[k] @ design.v[k]
-        total += abs(t_hat[k] * gain - 1.0) ** 2
-    return float(total)
+    if eps_set is not None:
+        nd = row_norms(delta_set)
+        out = nd > np.asarray(eps_set) * (1 + 1e-9) + 1e-15
+        if np.any(out):
+            k = int(np.argmax(out))
+            raise PerturbationOutOfBall(
+                f"||delta_{k}|| = {nd[k]} > eps = {eps_set[k]}"
+            )
+    values = _per_sensor_value(design.t_hat, h_hat_set, design.v, delta_set)
+    return float(noise_var * design.m**2 + np.sum(values))
 
 
 def _per_sensor_value(t_hat, h_hat, v, delta):
-    gain = inner(h_hat, v) + delta @ v
-    return abs(t_hat * gain - 1.0) ** 2
+    # row-wise delta @ v, unconjugated
+    gain = inner(h_hat, v) + (delta[..., None, :] @ v[..., :, None])[..., 0, 0]
+    return np.abs(t_hat * gain - 1.0) ** 2
 
 
 def brute_force_worst_case(t_hat, h_hat, v, eps, n_samples, refine_steps, rng):

@@ -87,6 +87,38 @@ class TestSolve:
                 assert -math.pi < phi <= math.pi
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("[[[1.0, 0.0]]]", "[[[NaN, 0.0]]]"),
+            ('"eps": [0.0]', '"eps": [Infinity]'),
+            ('"eps": [0.0]', '"eps": [-Infinity]'),
+            # overflows to inf when parsed as a double
+            ("[[[1.0, 0.0]]]", "[[[1e999, 0.0]]]"),
+        ],
+        ids=["nan_h_hat", "inf_eps", "minus_inf_eps", "overflow_h_hat"],
+    )
+    def test_solve_rejects(self, tmp_path, capsys, old, new):
+        text = json.dumps(golden_solve_config())
+        assert old in text
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text.replace(old, new))
+        out = tmp_path / "design.json"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "error" in capsys.readouterr().err
+
+    def test_sweep_rejects_overflowing_value(self, tmp_path):
+        text = json.dumps(sweep_config(values=[10.0]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text.replace("[10.0]", "[1e999]"))
+        out = tmp_path / "r.csv"
+        argv = ["sweep", "--kind", "snr", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 1
+        assert not out.exists()
+
+
 class TestSweep:
     def test_two_line_csv(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", sweep_config())
@@ -150,6 +182,21 @@ class TestVerifyCommand:
 
     def test_zero_trials_invalid(self):
         assert main(["verify", "--suite", "oracle", "--trials", "0"]) == 1
+
+    def test_kkt_reports_finite_difference_deviation(self, monkeypatch, capsys):
+        import aircomp_ris.verify as verify
+
+        real = verify.lagrangian_gradient
+        # a wrong analytic gradient fails only the finite-difference check
+        monkeypatch.setattr(
+            verify, "lagrangian_gradient", lambda *args: real(*args) + 1e-3
+        )
+        assert main(["verify", "--suite", "kkt", "--trials", "5", "--seed", "1"]) == 4
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL suite=kkt")
+        fields = dict(item.split("=") for item in out.split()[1:])
+        assert int(fields["failures"]) == 5
+        assert float(fields["worst_deviation"]) > float(fields["tolerance"])
 
 
 class TestConfigRoundTrip:

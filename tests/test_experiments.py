@@ -187,3 +187,135 @@ class TestRunSweep:
                 base=base_config(),
                 master_seed=0,
             )
+
+
+# (value, scheme label, nmse_mean, nmse_std, mean_iters) recorded with the
+# per-sensor loop implementation; the vectorised code must reproduce them.
+GOLDEN_SNR = [
+    (0.0, "multistart|s=0", 0.3477277458317682, 0.06633466734838742, 0.0),
+    (0.0, "multistart|s=0.5", 0.5285781665891226, 0.05191685532513472, 0.0),
+    (0.0, "nonrobust|s=0", 0.3477277458317682, 0.06633466734838742, 0.0),
+    (0.0, "nonrobust|s=0.5", 0.5443054737599274, 0.04450694747497382, 0.0),
+    (0.0, "robust_exact|s=0", 0.3477277458317682, 0.0663346673483874, 2.0),
+    (0.0, "robust_exact|s=0.5", 0.5285781665891226, 0.05191685532513472, 2.0),
+    (0.0, "robust_paper|s=0", 0.3477277458317682, 0.0663346673483874, 2.0),
+    (0.0, "robust_paper|s=0.5", 16.070082601202753, 6.323095844732623, 2.0),
+    (10.0, "multistart|s=0", 0.09937211954428206, 0.04339790379472357, 0.0),
+    (10.0, "multistart|s=0.5", 0.2821500106055122, 0.023498549970739233, 0.0),
+    (10.0, "nonrobust|s=0", 0.09937211954428206, 0.04339790379472357, 0.0),
+    (10.0, "nonrobust|s=0.5", 0.2967785155926476, 0.024182595446902357, 0.0),
+    (10.0, "robust_exact|s=0", 0.09937211954428206, 0.04339790379472357, 2.0),
+    (10.0, "robust_exact|s=0.5", 0.2821500106055122, 0.023498549970739233, 2.0),
+    (10.0, "robust_paper|s=0", 0.09937211954428206, 0.04339790379472357, 2.0),
+    (10.0, "robust_paper|s=0.5", 13.82098815799297, 5.276337605054646, 2.0),
+    (20.0, "multistart|s=0", 0.012157200854316442, 0.006996364899535695, 0.0),
+    (20.0, "multistart|s=0.5", 0.23932367905886734, 0.023549223327069848, 0.0),
+    (20.0, "nonrobust|s=0", 0.012157200854316442, 0.006996364899535695, 0.0),
+    (20.0, "nonrobust|s=0.5", 0.24130791253411124, 0.02302450696822623, 0.0),
+    (20.0, "robust_exact|s=0", 0.012157200854316442, 0.006996364899535695, 2.0),
+    (20.0, "robust_exact|s=0.5", 0.23932367905886734, 0.023549223327069848, 2.0),
+    (20.0, "robust_paper|s=0", 0.012157200854316442, 0.006996364899535695, 2.0),
+    (20.0, "robust_paper|s=0.5", 17.593922069070626, 5.789380618101076, 2.0),
+]
+
+GOLDEN_K = [
+    (1, "nonrobust", 0.11069788343765763, 0.03879686419020824, 0.0),
+    (1, "robust_exact", 0.11074638854201808, 0.0465089738104275, 2.0),
+    (3, "nonrobust", 0.08627292560184951, 0.014239889514908368, 0.0),
+    (3, "robust_exact", 0.0852254381517958, 0.01732506030310699, 2.0),
+]
+
+
+def golden_snr_spec():
+    return SweepSpec(
+        kind="snr",
+        values=[0.0, 10.0, 20.0],
+        trials=3,
+        schemes=["multistart", "nonrobust", "robust_exact", "robust_paper"],
+        base=SystemConfig(K=3, N=4, P=10.0, noise_var=1.0),
+        master_seed=11,
+        s_values=[0.0, 0.5],
+        solver=SolverOptions(starts=2),
+    )
+
+
+def golden_k_spec():
+    return SweepSpec(
+        kind="k",
+        values=[1, 3],
+        trials=3,
+        schemes=["robust_exact", "nonrobust"],
+        base=base_config(
+            K=2, N=5, s=0.4, eval_mode="realized", error_sampling="interior"
+        ),
+        master_seed=4,
+    )
+
+
+class TestGoldenSweeps:
+    @pytest.mark.parametrize(
+        "spec, golden",
+        [(golden_snr_spec(), GOLDEN_SNR), (golden_k_spec(), GOLDEN_K)],
+        ids=["snr", "k_realized_interior"],
+    )
+    def test_matches_recorded_results(self, spec, golden):
+        recs = run_sweep(spec)
+        assert [(r.value, r.scheme) for r in recs] == [g[:2] for g in golden]
+        for rec, (_, _, mean, std, iters) in zip(recs, golden):
+            assert rec.nmse_mean == pytest.approx(mean, rel=1e-12, abs=0)
+            assert rec.nmse_std == pytest.approx(std, rel=1e-12, abs=0)
+            assert rec.mean_iters == iters
+            assert rec.trials == spec.trials
+
+
+def test_one_synthesis_per_trial_shared_by_schemes(monkeypatch):
+    import aircomp_ris.experiments as experiments
+
+    synth_calls = []
+    solver_rngs = []
+    real_synth = experiments.synthesize_instance
+    real_design = experiments.design_for_scheme
+
+    def counting_synth(config, rng):
+        synth_calls.append(config.noise_var)
+        return real_synth(config, rng)
+
+    def recording_design(config, scheme, options, h_hat_set, eps_set, rng):
+        solver_rngs.append((scheme, rng is None))
+        return real_design(config, scheme, options, h_hat_set, eps_set, rng)
+
+    monkeypatch.setattr(experiments, "synthesize_instance", counting_synth)
+    monkeypatch.setattr(experiments, "design_for_scheme", recording_design)
+    spec = SweepSpec(
+        kind="snr",
+        values=[0.0, 10.0],
+        trials=3,
+        schemes=["multistart", "nonrobust", "robust_exact"],
+        base=base_config(),
+        master_seed=2,
+        s_values=[0.2, 0.4],
+    )
+    run_sweep(spec)
+    cells = len(spec.values) * len(spec.s_values)
+    assert len(synth_calls) == cells * spec.trials
+    assert len(solver_rngs) == cells * spec.trials * len(spec.schemes)
+    # only the schemes that draw random numbers get a solver stream
+    assert {(s, none) for s, none in solver_rngs} == {
+        ("multistart", False),
+        ("nonrobust", True),
+        ("robust_exact", False),
+    }
+
+
+def test_non_finite_sweep_values_rejected():
+    for values, s_values in (([float("inf")], None), ([1.0], [float("nan")])):
+        with pytest.raises(ValueError):
+            SweepSpec(
+                kind="snr",
+                values=values,
+                trials=1,
+                schemes=["nonrobust"],
+                base=base_config(),
+                master_seed=0,
+                s_values=s_values,
+            )

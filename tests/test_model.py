@@ -220,3 +220,57 @@ class TestSynthesize:
             assert np.allclose(
                 hermitian_row(inst.h[k]) - hermitian_row(inst.h_hat[k]), deltas[k]
             )
+
+
+def reference_synthesis(config, rng):
+    """Sensor-by-sensor draws: g_k, r_k, then for eps_k > 0 the error
+    direction and, for interior errors, one uniform for its radius."""
+    K, N = config.K, config.N
+    seg = np.sqrt(config.channel_var / 2.0)
+    g = np.empty((K, N), dtype=complex)
+    r = np.empty_like(g)
+    deltas = np.zeros_like(g)
+    eps = np.empty(K)
+    for k in range(K):
+        g[k] = rng.normal(0.0, 1.0, N) * seg + 1j * rng.normal(0.0, 1.0, N) * seg
+        r[k] = rng.normal(0.0, 1.0, N) * seg + 1j * rng.normal(0.0, 1.0, N) * seg
+        eps[k] = config.s * np.linalg.norm(g[k] * np.conj(r[k]))
+        if eps[k] > 0:
+            scale = np.sqrt(0.5)
+            d = rng.normal(0.0, 1.0, N) * scale + 1j * rng.normal(0.0, 1.0, N) * scale
+            d = d / np.linalg.norm(d)
+            if config.error_sampling == "interior":
+                d = eps[k] * rng.uniform() ** (1.0 / (2 * N)) * d
+            else:
+                d = eps[k] * d
+            deltas[k] = d
+    h = g * np.conj(r)
+    return g, r, h, h - np.conj(deltas), eps, deltas
+
+
+@pytest.mark.parametrize(
+    "K, N, s, sampling",
+    [
+        (1, 1, 0.3, "surface"),
+        (5, 7, 0.3, "surface"),
+        (5, 7, 0.3, "interior"),
+        (4, 3, 0.0, "surface"),
+        (4, 3, 0.0, "interior"),
+        # several draw blocks of a few sensors each
+        (9, 700, 0.4, "surface"),
+        (9, 700, 0.4, "interior"),
+    ],
+)
+def test_synthesis_matches_per_sensor_draws(K, N, s, sampling):
+    config = SystemConfig(
+        K=K, N=N, P=1.0, noise_var=0.1, channel_var=0.7, s=s, error_sampling=sampling
+    )
+    rng = np.random.default_rng(K * 1000 + N)
+    inst, deltas = synthesize_instance(config, rng)
+    ref_rng = np.random.default_rng(K * 1000 + N)
+    expected = reference_synthesis(config, ref_rng)
+    got = (inst.g, inst.r, inst.h, inst.h_hat, inst.eps, deltas)
+    for name, a, b in zip(("g", "r", "h", "h_hat", "eps", "deltas"), got, expected):
+        np.testing.assert_allclose(a, b, rtol=1e-13, atol=0, err_msg=name)
+    # both streams end at the same point
+    assert rng.uniform() == ref_rng.uniform()
