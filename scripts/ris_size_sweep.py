@@ -20,7 +20,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from aircomp_ris.cli import records_to_csv
 from aircomp_ris.experiments import SweepSpec, run_sweep, snr_to_noise_var
 from aircomp_ris.model import SystemConfig
-from aircomp_ris.optimizer import SolverOptions
 from aircomp_ris.svgplot import line_plot_svg, records_to_series
 
 
@@ -43,7 +42,6 @@ def main():
         schemes=["multistart", "nonrobust"],
         base=base,
         master_seed=args.seed,
-        solver=SolverOptions(mode="exact", starts=3),
     )
     records = run_sweep(spec)
 

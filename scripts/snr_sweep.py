@@ -18,7 +18,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from aircomp_ris.cli import records_to_csv
 from aircomp_ris.experiments import SweepSpec, run_sweep
 from aircomp_ris.model import SystemConfig
-from aircomp_ris.optimizer import SolverOptions
 from aircomp_ris.svgplot import line_plot_svg, records_to_series
 
 
@@ -38,7 +37,6 @@ def main():
         base=base,
         master_seed=args.seed,
         s_values=[0.4, 0.6],
-        solver=SolverOptions(mode="exact", starts=3),
     )
     records = run_sweep(spec)
 

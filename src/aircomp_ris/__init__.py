@@ -18,9 +18,9 @@ from .model import (
 from .optimizer import (
     IterTrace,
     SolverOptions,
-    multi_start,
     nonrobust_design,
     recover_m_t,
+    robust_design,
     run_algorithm1,
     t_exact,
     t_mag_paper,

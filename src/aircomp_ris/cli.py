@@ -26,7 +26,7 @@ from .config import load_config
 from .errors import AirCompError, ConfigError
 from .experiments import run_sweep
 from .model import synthesize_instance
-from .optimizer import multi_start, run_algorithm1
+from .optimizer import robust_design, run_algorithm1
 from .svgplot import line_plot_svg, records_to_series
 from .verify import SUITES, run_suite
 from .worst_case import certificate
@@ -94,9 +94,9 @@ def cmd_solve(config_path, out_path):
         else:
             inst, _ = synthesize_instance(system, rng)
             h_hat, eps = inst.h_hat, inst.eps
-        if cfg.solver.starts > 1 or cfg.solver.include_nonrobust_start:
-            design = multi_start(system, h_hat, eps, cfg.solver, rng)
-            trace_len = 0
+        if cfg.solver.mode == "exact":
+            # closed form: no iterations run
+            design, trace_len = robust_design(system, h_hat, eps), 0
         else:
             design, trace = run_algorithm1(system, h_hat, eps, cfg.solver, rng)
             trace_len = trace.n_iters

@@ -53,8 +53,6 @@ SCHEMA = {
                 "delta_stop": {"type": "number", "exclusiveMinimum": 0},
                 "max_iters": {"type": "integer", "minimum": 1},
                 "safeguard": {"type": "boolean"},
-                "starts": {"type": "integer", "minimum": 1},
-                "include_nonrobust_start": {"type": "boolean"},
                 "lambda_after_phase": {"type": "boolean"},
                 "init_rule": {"enum": list(INIT_RULES)},
             },
@@ -98,6 +96,11 @@ SCHEMA = {
         "master_seed": {"type": "integer", "minimum": 0},
     },
 }
+
+
+# built once; the constant SCHEMA is checked against its metaschema by a
+# test rather than on every load
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 
 class RunConfig:
@@ -146,10 +149,9 @@ def load_config(path):
 
 
 def parse_config(raw):
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"invalid config: {error.message}") from error
 
     try:
         system = SystemConfig(**raw["system"])
@@ -209,8 +211,6 @@ def serialize_config(config):
             "delta_stop": config.solver.delta_stop,
             "max_iters": config.solver.max_iters,
             "safeguard": config.solver.safeguard,
-            "starts": config.solver.starts,
-            "include_nonrobust_start": config.solver.include_nonrobust_start,
             "lambda_after_phase": config.solver.lambda_after_phase,
             "init_rule": config.solver.init_rule,
         },

@@ -10,12 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import SystemConfig, synthesize_instance
-from .optimizer import (
-    SolverOptions,
-    multi_start,
-    nonrobust_design,
-    run_algorithm1,
-)
+from .optimizer import SolverOptions, nonrobust_design, robust_design, run_algorithm1
 from .worst_case import mse_at_error, worst_case_objective
 
 SWEEP_KINDS = ("snr", "n", "k")
@@ -26,6 +21,8 @@ _SCHEME_CODE = {s: i for i, s in enumerate(SCHEMES)}
 # sentinel in the seed path where the scheme code would go, so channel
 # streams are shared by every scheme on the same trial
 _CHANNEL_STREAM = len(SCHEMES)
+# closed-form designs, which draw no random numbers
+_DETERMINISTIC_SCHEMES = ("nonrobust", "multistart")
 
 
 @dataclass
@@ -90,8 +87,8 @@ def design_for_scheme(config, scheme, options, h_hat_set, eps_set, rng):
         design, trace = run_algorithm1(config, h_hat_set, eps_set, opts, rng)
         return design, trace.n_iters
     if scheme == "multistart":
-        opts = dataclasses.replace(options, include_nonrobust_start=True)
-        return multi_start(config, h_hat_set, eps_set, opts, rng), 0
+        # the historical name of the closed-form global optimum
+        return robust_design(config, h_hat_set, eps_set), 0
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -189,8 +186,9 @@ def run_sweep(spec):
                 # the channel seed is the same for every scheme
                 inst, deltas = synthesize_instance(config, _seeded_rng(seeds[0][1]))
                 for j, (scheme, (tseed, _)) in enumerate(zip(spec.schemes, seeds)):
-                    # the non-robust design draws no random numbers
-                    rng = None if scheme == "nonrobust" else _seeded_rng(tseed)
+                    rng = None
+                    if scheme not in _DETERMINISTIC_SCHEMES:
+                        rng = _seeded_rng(tseed)
                     nmses[j, trial], iters[j, trial] = _design_and_score(
                         config, scheme, spec.solver, inst, deltas, rng
                     )

@@ -1,11 +1,16 @@
-"""Alternating joint design of RIS phases and transceiver scalings.
+"""Joint design of RIS phases and transceiver scalings.
 
-Per iteration, for each sensor: the ball-constraint multiplier is computed
-at the current iterate, the RIS phases are co-phased to the channel
-estimate, and the effective scalar t_hat is updated either by the
-cube-root stationarity formula ("paper" mode) or by the exact 1-D
-minimizer of the per-sensor worst-case objective ("exact" mode). m and
-t_k are then recovered so the sum power constraint holds with equality.
+`robust_design` is the closed-form global optimum: each sensor has its own
+RIS and the power constraint is active, so the problem splits into K scalar
+problems, each solved by co-phasing and the exact 1-D minimizer `t_exact`.
+
+`run_algorithm1` is the alternating loop. Per iteration, for each sensor:
+the ball-constraint multiplier is computed at the current iterate, the RIS
+phases are co-phased to the channel estimate, and the effective scalar
+t_hat is updated either by the cube-root stationarity formula ("paper"
+mode) or by the exact 1-D minimizer of the per-sensor worst-case objective
+("exact" mode). m and t_k are then recovered so the sum power constraint
+holds with equality.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .errors import AllZeroScalers, InvalidNoise
 from .model import Design
-from .worst_case import lambda_worst, worst_case_objective, worst_case_term
+from .worst_case import lambda_worst, worst_case_term
 
 MODES = ("paper", "exact")
 INIT_RULES = ("random_phase", "cophase")
@@ -28,8 +33,6 @@ class SolverOptions:
     delta_stop: float = 1e-9
     max_iters: int = 200
     safeguard: bool = True
-    starts: int = 1
-    include_nonrobust_start: bool = False
     # recompute the multiplier after the phase update instead of before
     lambda_after_phase: bool = False
     init_rule: str = "random_phase"
@@ -41,8 +44,6 @@ class SolverOptions:
             raise ValueError("delta_stop must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
         if self.init_rule not in INIT_RULES:
             raise ValueError(f"init_rule must be one of {INIT_RULES}")
 
@@ -121,6 +122,21 @@ def nonrobust_design(config, h_hat_set):
     a = np.abs(h_hat_set).sum(axis=1)
     t_hat = _t_mmse(a, config.noise_var / config.P)
     m, t = recover_m_t(t_hat, config.P)
+    return Design(m=m, t=t, v=update_phases(h_hat_set))
+
+
+def robust_design(config, h_hat_set, eps_set):
+    """Global optimum of the worst-case design: co-phased RIS vectors and
+    the exact per-sensor scaling t_hat_k = t_exact(a_k, eps_k sqrt(N)),
+    a_k = ||h_hat_k||_1. Yields the m = 0 design when every sensor is
+    silenced."""
+    h_hat_set = np.asarray(h_hat_set)
+    if np.all(h_hat_set == 0):
+        raise AllZeroScalers("every channel estimate is zero")
+    a = np.abs(h_hat_set).sum(axis=1)
+    eps_rootN = np.asarray(eps_set, dtype=float) * np.sqrt(config.N)
+    t_hat = t_exact(a, eps_rootN, config.noise_var, config.P)
+    m, t = _recover_or_zero(t_hat, config.P)
     return Design(m=m, t=t, v=update_phases(h_hat_set))
 
 
@@ -230,33 +246,3 @@ def _recover_or_zero(t_hat, P):
     if np.all(np.abs(t_hat) == 0):
         return 0.0, np.zeros_like(t_hat)
     return recover_m_t(t_hat, P)
-
-
-def multi_start(config, h_hat_set, eps_set, options, rng):
-    """Best-of-S restart wrapper around run_algorithm1.
-
-    Runs options.starts random initializations (independent child streams)
-    and, when include_nonrobust_start is set, an additional run warm-started
-    at the non-robust design plus the non-robust design itself as a
-    candidate. Returns the candidate with the smallest worst-case objective
-    (first index wins ties)."""
-    h_hat_set = np.asarray(h_hat_set)
-    eps_set = np.asarray(eps_set, dtype=float)
-    candidates = []
-    streams = rng.spawn(options.starts)
-    for child in streams:
-        design, _ = run_algorithm1(config, h_hat_set, eps_set, options, child)
-        candidates.append(design)
-    if options.include_nonrobust_start:
-        warm = nonrobust_design(config, h_hat_set)
-        candidates.append(warm)
-        init = (warm.v, warm.t_hat)
-        design, _ = run_algorithm1(
-            config, h_hat_set, eps_set, options, rng, init=init
-        )
-        candidates.append(design)
-    objs = [
-        worst_case_objective(d, h_hat_set, eps_set, config.noise_var)
-        for d in candidates
-    ]
-    return candidates[int(np.argmin(objs))]

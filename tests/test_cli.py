@@ -1,11 +1,18 @@
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
 from aircomp_ris.cli import main, records_to_csv
-from aircomp_ris.config import ConfigError, load_config, parse_config, serialize_config
+from aircomp_ris.config import (
+    SCHEMA,
+    ConfigError,
+    load_config,
+    parse_config,
+    serialize_config,
+)
 from aircomp_ris.experiments import AggregateRecord
 
 
@@ -64,6 +71,30 @@ class TestSolve:
         out = tmp_path / "design.json"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, iterations", [("exact", False), ("paper", True)]
+    )
+    def test_trace_length(self, tmp_path, mode, iterations):
+        raw = golden_solve_config()
+        raw["solver"]["mode"] = mode
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        out = tmp_path / "design.json"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        # exact mode is closed form and runs no iterations
+        assert (json.loads(out.read_text())["trace_length"] > 0) == iterations
+
+    @pytest.mark.parametrize(
+        "key, value", [("starts", 3), ("include_nonrobust_start", True)]
+    )
+    def test_removed_solver_keys_rejected(self, tmp_path, capsys, key, value):
+        raw = golden_solve_config()
+        raw["solver"][key] = value
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        out = tmp_path / "design.json"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"'{key}' was unexpected" in capsys.readouterr().err
 
     def test_solver_error_exit_code(self, tmp_path):
         raw = golden_solve_config()
@@ -200,6 +231,10 @@ class TestVerifyCommand:
 
 
 class TestConfigRoundTrip:
+    def test_schema_is_valid(self):
+        # parse_config validates with a cached validator that skips this check
+        jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+
     def test_round_trip(self, tmp_path):
         raw = sweep_config(trials=2, values=[1.0, 2.0])
         cfg = parse_config(raw)

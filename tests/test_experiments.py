@@ -66,14 +66,14 @@ class TestRunTrial:
 
     def test_shared_channel_seed_across_schemes(self):
         cfg = base_config()
-        opts = SolverOptions(mode="exact", starts=1)
+        opts = SolverOptions(mode="exact")
         t1, c1 = trial_seed_pair(0, "snr", 0, 0, "multistart", 5)
         t2, c2 = trial_seed_pair(0, "snr", 0, 0, "nonrobust", 5)
         assert c1 == c2 and t1 != t2
         robust = run_trial(cfg, "multistart", opts, t1, c1)
         nonrob = run_trial(cfg, "nonrobust", opts, t2, c2)
-        # multistart includes the nonrobust warm start, so on shared channels
-        # it can never do worse under the worst-case metric
+        # multistart is the global optimum, so on shared channels it can
+        # never do worse under the worst-case metric
         assert robust <= nonrob + 1e-12
 
     def test_returns_iters(self):
@@ -235,7 +235,6 @@ def golden_snr_spec():
         base=SystemConfig(K=3, N=4, P=10.0, noise_var=1.0),
         master_seed=11,
         s_values=[0.0, 0.5],
-        solver=SolverOptions(starts=2),
     )
 
 
@@ -301,7 +300,7 @@ def test_one_synthesis_per_trial_shared_by_schemes(monkeypatch):
     assert len(solver_rngs) == cells * spec.trials * len(spec.schemes)
     # only the schemes that draw random numbers get a solver stream
     assert {(s, none) for s, none in solver_rngs} == {
-        ("multistart", False),
+        ("multistart", True),
         ("nonrobust", True),
         ("robust_exact", False),
     }

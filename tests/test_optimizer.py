@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aircomp_ris.errors import AllZeroScalers, InvalidNoise
-from aircomp_ris.model import SystemConfig, inner, sample_rayleigh_vector, synthesize_instance
+from aircomp_ris.model import (
+    Design,
+    SystemConfig,
+    inner,
+    sample_rayleigh_vector,
+    synthesize_instance,
+)
 from aircomp_ris.optimizer import (
     SolverOptions,
-    multi_start,
     nonrobust_design,
     recover_m_t,
+    robust_design,
     run_algorithm1,
     t_exact,
     t_mag_paper,
@@ -182,7 +188,7 @@ class TestRunAlgorithm1:
 
     def test_deterministic_per_seed(self, rng):
         config, inst = _random_problem(rng, K=3, N=4, s=0.4)
-        options = SolverOptions(mode="exact", starts=1)
+        options = SolverOptions(mode="exact")
         d1, t1 = run_algorithm1(
             config, inst.h_hat, inst.eps, options, np.random.default_rng(5)
         )
@@ -249,45 +255,96 @@ class TestNonRobust:
             nonrobust_design(config, np.zeros((2, 2), dtype=complex))
 
 
-class TestMultiStart:
-    def test_beats_first_start(self, rng):
-        config, inst = _random_problem(rng, K=3, N=4, s=0.4)
-        options = SolverOptions(mode="exact", starts=4)
-        best = multi_start(
-            config, inst.h_hat, inst.eps, options, np.random.default_rng(11)
-        )
-        single, _ = run_algorithm1(
-            config,
-            inst.h_hat,
-            inst.eps,
-            options,
-            np.random.default_rng(11).spawn(1)[0],
-        )
-        bj = worst_case_objective(best, inst.h_hat, inst.eps, config.noise_var)
-        sj = worst_case_objective(single, inst.h_hat, inst.eps, config.noise_var)
-        assert bj <= sj + 1e-12
+def _flags(draw, n):
+    return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
 
-    def test_warm_start_dominates_nonrobust(self, rng):
-        config, inst = _random_problem(rng, K=3, N=4, s=0.5)
-        options = SolverOptions(mode="exact", starts=2, include_nonrobust_start=True)
-        best = multi_start(config, inst.h_hat, inst.eps, options, rng)
-        nr = nonrobust_design(config, inst.h_hat)
-        bj = worst_case_objective(best, inst.h_hat, inst.eps, config.noise_var)
-        nj = worst_case_objective(nr, inst.h_hat, inst.eps, config.noise_var)
-        assert bj <= nj + 1e-12
 
-    def test_single_start_equals_plain_run(self, rng):
-        config, inst = _random_problem(rng, K=2, N=3, s=0.3)
-        options = SolverOptions(mode="exact", starts=1, include_nonrobust_start=False)
-        best = multi_start(
-            config, inst.h_hat, inst.eps, options, np.random.default_rng(3)
+@st.composite
+def robust_problems(draw):
+    """An instance with some channel entries and radii forced to zero and
+    some sensors (or all of them) silenced: eps_k sqrt(N) >= ||h_hat_k||_1."""
+    K = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h_hat = rng.normal(size=(K, N)) + 1j * rng.normal(size=(K, N))
+    h_hat[_flags(draw, K * N).reshape(K, N)] = 0.0
+    assume(np.any(h_hat != 0))
+    # r >= 1 silences the sensor
+    r = rng.uniform(1.0, 1.5, K) if draw(st.booleans()) else rng.uniform(0.0, 1.5, K)
+    eps = r * np.abs(h_hat).sum(axis=1) / np.sqrt(N)
+    eps[_flags(draw, K)] = 0.0
+    config = SystemConfig(
+        K=K,
+        N=N,
+        P=draw(st.floats(0.5, 50.0)),
+        noise_var=draw(st.floats(0.05, 2.0)),
+    )
+    return config, h_hat, eps, rng
+
+
+def _objective(config, design, h_hat, eps):
+    return worst_case_objective(design, h_hat, eps, config.noise_var)
+
+
+def _random_feasible_designs(config, h_hat, rng, count):
+    """Designs with per-sensor |t_hat| from a dense grid, random phases of
+    t_hat and v, and sum power at most P."""
+    K, N = h_hat.shape
+    a = np.abs(h_hat).sum(axis=1)
+    grid = np.linspace(0.0, 2.0 / max(a.min(), 1e-3), 2001)
+    for _ in range(count):
+        tau = grid[rng.integers(len(grid), size=K)]
+        if not tau.any():
+            continue
+        t_hat = tau * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, K))
+        v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (K, N)))
+        power = config.P * rng.uniform(0.1, 1.0)
+        m = np.sqrt(np.sum(tau**2) / power)
+        yield Design(m=m, t=t_hat / m, v=v)
+
+
+class TestRobustDesign:
+    def test_scalar_instance(self):
+        config = SystemConfig(K=1, N=1, P=10.0, noise_var=1.0)
+        design = robust_design(config, np.array([[1.0 + 0j]]), np.array([0.0]))
+        assert design.t_hat[0] == pytest.approx(1 / 1.1, rel=1e-12)
+        assert _objective(config, design, np.array([[1.0 + 0j]]), [0.0]) == (
+            pytest.approx(1 / 11, rel=1e-12)
         )
-        plain, _ = run_algorithm1(
-            config,
-            inst.h_hat,
-            inst.eps,
-            options,
-            np.random.default_rng(3).spawn(1)[0],
-        )
-        assert np.array_equal(best.t, plain.t)
-        assert np.array_equal(best.v, plain.v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(robust_problems())
+    def test_equals_exact_alternating_loop(self, problem):
+        config, h_hat, eps, rng = problem
+        got = robust_design(config, h_hat, eps)
+        ref, _ = run_algorithm1(config, h_hat, eps, SolverOptions(mode="exact"), rng)
+        np.testing.assert_allclose(got.t_hat, ref.t_hat, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.v, ref.v, rtol=1e-12, atol=0)
+        assert got.m == pytest.approx(ref.m, rel=1e-12, abs=0)
+        silenced = eps * np.sqrt(config.N) >= np.abs(h_hat).sum(axis=1)
+        assert np.array_equal(got.t_hat == 0, silenced)
+        if silenced.all():
+            assert got.m == 0.0
+        else:
+            assert np.sum(np.abs(got.t) ** 2) == pytest.approx(config.P, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(robust_problems())
+    def test_never_worse_than_other_designs(self, problem):
+        config, h_hat, eps, rng = problem
+        best = _objective(config, robust_design(config, h_hat, eps), h_hat, eps)
+        others = [nonrobust_design(config, h_hat)]
+        for mode in ("exact", "paper"):
+            for _ in range(3):
+                design, _ = run_algorithm1(
+                    config, h_hat, eps, SolverOptions(mode=mode), rng
+                )
+                others.append(design)
+        others.extend(_random_feasible_designs(config, h_hat, rng, 200))
+        for design in others:
+            assert best <= _objective(config, design, h_hat, eps) * (1 + 1e-12)
+
+    def test_all_zero_channels_rejected(self):
+        config = SystemConfig(K=2, N=2, P=1.0, noise_var=0.5)
+        with pytest.raises(AllZeroScalers):
+            robust_design(config, np.zeros((2, 2), dtype=complex), np.zeros(2))
