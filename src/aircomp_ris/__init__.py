@@ -16,14 +16,11 @@ from .model import (
     synthesize_instance,
 )
 from .optimizer import (
-    IterTrace,
-    SolverOptions,
     nonrobust_design,
     recover_m_t,
     robust_design,
     run_algorithm1,
     t_exact,
-    t_mag_paper,
     update_phases,
 )
 from .worst_case import (

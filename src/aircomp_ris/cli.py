@@ -26,7 +26,7 @@ from .config import load_config
 from .errors import AirCompError, ConfigError
 from .experiments import run_sweep
 from .model import synthesize_instance
-from .optimizer import robust_design, run_algorithm1
+from .optimizer import robust_design
 from .svgplot import line_plot_svg, records_to_series
 from .verify import SUITES, run_suite
 from .worst_case import certificate
@@ -64,7 +64,7 @@ def _wrap_phase(phi):
     return phi
 
 
-def _design_document(design, cert, trace_len, P):
+def _design_document(design, cert, P):
     return {
         "m": design.m,
         "t": [[z.real, z.imag] for z in design.t],
@@ -76,7 +76,6 @@ def _design_document(design, cert, trace_len, P):
         "objective": cert.total,
         "sum_power": float(np.sum(np.abs(design.t) ** 2)),
         "power_budget": P,
-        "trace_length": trace_len,
     }
 
 
@@ -94,14 +93,9 @@ def cmd_solve(config_path, out_path):
         else:
             inst, _ = synthesize_instance(system, rng)
             h_hat, eps = inst.h_hat, inst.eps
-        if cfg.solver.mode == "exact":
-            # closed form: no iterations run
-            design, trace_len = robust_design(system, h_hat, eps), 0
-        else:
-            design, trace = run_algorithm1(system, h_hat, eps, cfg.solver, rng)
-            trace_len = trace.n_iters
+        design = robust_design(system, h_hat, eps)
         cert = certificate(design, h_hat, eps, system.noise_var)
-        doc = _design_document(design, cert, trace_len, system.P)
+        doc = _design_document(design, cert, system.P)
         # ValueError: a non-finite number, which JSON cannot represent
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     except (AirCompError, ValueError) as exc:

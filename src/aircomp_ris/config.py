@@ -14,7 +14,6 @@ import numpy as np
 from .errors import ConfigError
 from .experiments import SCHEMES, SweepSpec
 from .model import ERROR_SAMPLING_MODES, EVAL_MODES, SystemConfig
-from .optimizer import INIT_RULES, MODES, SolverOptions
 
 _COMPLEX_PAIR = {
     "type": "array",
@@ -43,18 +42,6 @@ SCHEMA = {
                 "s": {"type": "number", "minimum": 0},
                 "eval_mode": {"enum": list(EVAL_MODES)},
                 "error_sampling": {"enum": list(ERROR_SAMPLING_MODES)},
-            },
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": list(MODES)},
-                "delta_stop": {"type": "number", "exclusiveMinimum": 0},
-                "max_iters": {"type": "integer", "minimum": 1},
-                "safeguard": {"type": "boolean"},
-                "lambda_after_phase": {"type": "boolean"},
-                "init_rule": {"enum": list(INIT_RULES)},
             },
         },
         "sweep": {
@@ -106,9 +93,8 @@ _VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 class RunConfig:
     """Parsed and validated run configuration."""
 
-    def __init__(self, system, solver, sweep_dict, instance, master_seed):
+    def __init__(self, system, sweep_dict, instance, master_seed):
         self.system = system
-        self.solver = solver
         self.sweep_dict = sweep_dict
         self.instance = instance
         self.master_seed = master_seed
@@ -127,7 +113,6 @@ class RunConfig:
             base=self.system,
             master_seed=self.master_seed,
             s_values=self.sweep_dict.get("s_values"),
-            solver=self.solver,
         )
 
 
@@ -155,7 +140,6 @@ def parse_config(raw):
 
     try:
         system = SystemConfig(**raw["system"])
-        solver = SolverOptions(**raw.get("solver", {}))
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -185,12 +169,11 @@ def parse_config(raw):
                 base=system,
                 master_seed=raw["master_seed"],
                 s_values=sweep_dict.get("s_values"),
-                solver=solver,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    return RunConfig(system, solver, sweep_dict, instance, raw["master_seed"])
+    return RunConfig(system, sweep_dict, instance, raw["master_seed"])
 
 
 def serialize_config(config):
@@ -205,14 +188,6 @@ def serialize_config(config):
             "s": config.system.s,
             "eval_mode": config.system.eval_mode,
             "error_sampling": config.system.error_sampling,
-        },
-        "solver": {
-            "mode": config.solver.mode,
-            "delta_stop": config.solver.delta_stop,
-            "max_iters": config.solver.max_iters,
-            "safeguard": config.solver.safeguard,
-            "lambda_after_phase": config.solver.lambda_after_phase,
-            "init_rule": config.solver.init_rule,
         },
         "master_seed": config.master_seed,
     }

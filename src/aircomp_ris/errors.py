@@ -18,10 +18,6 @@ class NoUncertainty(AirCompError):
     must bypass the robust step instead."""
 
 
-class InvalidNoise(AirCompError):
-    """The cube-root scaling update has no finite root at zero noise."""
-
-
 class AllZeroScalers(AirCompError):
     """Every effective transmit scalar is zero; m and t_k cannot be recovered."""
 

@@ -4,25 +4,21 @@ per-trial seeding."""
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import SystemConfig, synthesize_instance
-from .optimizer import SolverOptions, nonrobust_design, robust_design, run_algorithm1
+from .optimizer import nonrobust_design, robust_design, run_algorithm1
 from .worst_case import mse_at_error, worst_case_objective
 
 SWEEP_KINDS = ("snr", "n", "k")
-SCHEMES = ("robust_paper", "robust_exact", "nonrobust", "multistart")
+SCHEMES = ("robust_exact", "nonrobust", "multistart")
 
 _KIND_CODE = {kind: i for i, kind in enumerate(SWEEP_KINDS)}
-_SCHEME_CODE = {s: i for i, s in enumerate(SCHEMES)}
-# sentinel in the seed path where the scheme code would go, so channel
-# streams are shared by every scheme on the same trial
-_CHANNEL_STREAM = len(SCHEMES)
-# closed-form designs, which draw no random numbers
-_DETERMINISTIC_SCHEMES = ("nonrobust", "multistart")
+# fixed code in every channel seed path: a recorded result depends on it,
+# so it stays 4 whatever the number of schemes
+_CHANNEL_STREAM = 4
 
 
 @dataclass
@@ -34,7 +30,6 @@ class SweepSpec:
     base: SystemConfig
     master_seed: int
     s_values: list | None = None
-    solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
@@ -77,14 +72,12 @@ def nmse(mse, K):
     return mse / K
 
 
-def design_for_scheme(config, scheme, options, h_hat_set, eps_set, rng):
+def design_for_scheme(config, scheme, h_hat_set, eps_set):
     """Run the designer a scheme refers to; returns (Design, iterations)."""
     if scheme == "nonrobust":
         return nonrobust_design(config, h_hat_set), 0
-    if scheme in ("robust_paper", "robust_exact"):
-        mode = "paper" if scheme == "robust_paper" else "exact"
-        opts = dataclasses.replace(options, mode=mode)
-        design, trace = run_algorithm1(config, h_hat_set, eps_set, opts, rng)
+    if scheme == "robust_exact":
+        design, trace = run_algorithm1(config, h_hat_set, eps_set)
         return design, trace.n_iters
     if scheme == "multistart":
         # the historical name of the closed-form global optimum
@@ -92,35 +85,20 @@ def design_for_scheme(config, scheme, options, h_hat_set, eps_set, rng):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def run_trial(config, scheme, options, trial_seed, channel_seed=None):
-    """One Monte Carlo trial: synthesize channels, design, evaluate NMSE.
-
-    channel_seed (default: trial_seed) controls the channel draw separately
-    from the solver stream, so different schemes can be compared on
-    identical channels while keeping distinct solver randomness.
-    """
-    nm, _ = run_trial_full(config, scheme, options, trial_seed, channel_seed)
-    return nm
-
-
-def run_trial_full(config, scheme, options, trial_seed, channel_seed=None):
-    if channel_seed is None:
-        channel_seed = trial_seed
+def run_trial(config, scheme, channel_seed):
+    """One Monte Carlo trial: synthesize channels from channel_seed, design,
+    evaluate; returns (NMSE, iterations)."""
     inst, deltas = synthesize_instance(config, _seeded_rng(channel_seed))
-    return _design_and_score(
-        config, scheme, options, inst, deltas, _seeded_rng(trial_seed)
-    )
+    return _design_and_score(config, scheme, inst, deltas)
 
 
 def _seeded_rng(seed):
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def _design_and_score(config, scheme, options, inst, deltas, rng):
+def _design_and_score(config, scheme, inst, deltas):
     """Design a scheme on one channel draw; returns (NMSE, iterations)."""
-    design, iters = design_for_scheme(
-        config, scheme, options, inst.h_hat, inst.eps, rng
-    )
+    design, iters = design_for_scheme(config, scheme, inst.h_hat, inst.eps)
     if config.eval_mode == "worst":
         mse = worst_case_objective(design, inst.h_hat, inst.eps, config.noise_var)
     else:
@@ -154,14 +132,10 @@ def scheme_label(scheme, s, multiple_s):
     return f"{scheme}|s={s:g}" if multiple_s else scheme
 
 
-def trial_seed_pair(master_seed, kind, value_index, s_index, scheme, trial):
-    """Solver and channel seed tuples for one sweep cell trial. The channel
-    seed omits the scheme so schemes compete on identical channel draws."""
-    kind_code = _KIND_CODE[kind]
-    scode = _SCHEME_CODE[scheme]
-    tseed = (master_seed, kind_code, value_index, s_index, scode, trial)
-    cseed = (master_seed, kind_code, value_index, s_index, _CHANNEL_STREAM, trial)
-    return tseed, cseed
+def channel_seed(master_seed, kind, value_index, s_index, trial):
+    """Seed tuple of one sweep cell trial's channel draw. It omits the
+    scheme, so schemes compete on identical channels."""
+    return (master_seed, _KIND_CODE[kind], value_index, s_index, _CHANNEL_STREAM, trial)
 
 
 def run_sweep(spec):
@@ -179,18 +153,11 @@ def run_sweep(spec):
             nmses = np.empty((len(spec.schemes), spec.trials))
             iters = np.empty_like(nmses)
             for trial in range(spec.trials):
-                seeds = [
-                    trial_seed_pair(spec.master_seed, spec.kind, vi, si, scheme, trial)
-                    for scheme in spec.schemes
-                ]
-                # the channel seed is the same for every scheme
-                inst, deltas = synthesize_instance(config, _seeded_rng(seeds[0][1]))
-                for j, (scheme, (tseed, _)) in enumerate(zip(spec.schemes, seeds)):
-                    rng = None
-                    if scheme not in _DETERMINISTIC_SCHEMES:
-                        rng = _seeded_rng(tseed)
+                seed = channel_seed(spec.master_seed, spec.kind, vi, si, trial)
+                inst, deltas = synthesize_instance(config, _seeded_rng(seed))
+                for j, scheme in enumerate(spec.schemes):
                     nmses[j, trial], iters[j, trial] = _design_and_score(
-                        config, scheme, spec.solver, inst, deltas, rng
+                        config, scheme, inst, deltas
                     )
             for j, scheme in enumerate(spec.schemes):
                 row.append(

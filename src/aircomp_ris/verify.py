@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemConfig, sample_rayleigh_vector, synthesize_instance
-from .optimizer import SolverOptions, run_algorithm1
+from .optimizer import run_algorithm1
 from .worst_case import (
     brute_force_worst_case,
     delta_worst,
@@ -140,7 +140,6 @@ def run_monotone_suite(trials, seed):
     failures = 0
     worst = 0.0
     tol = 1e-12
-    options = SolverOptions(mode="exact", safeguard=True, max_iters=50)
     for _ in range(trials):
         K = int(rng.integers(1, 5))
         N = int(rng.integers(1, 9))
@@ -152,9 +151,7 @@ def run_monotone_suite(trials, seed):
             s=float(rng.uniform(0.0, 0.7)),
         )
         inst, _ = synthesize_instance(config, rng)
-        _, trace = run_algorithm1(
-            config, inst.h_hat, inst.eps, options, rng
-        )
+        _, trace = run_algorithm1(config, inst.h_hat, inst.eps)
         obj = np.asarray(trace.objective)
         rise = float(np.max(np.diff(obj), initial=0.0))
         worst = max(worst, rise)

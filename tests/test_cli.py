@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -13,7 +14,10 @@ from aircomp_ris.config import (
     parse_config,
     serialize_config,
 )
-from aircomp_ris.experiments import AggregateRecord
+from aircomp_ris.experiments import AggregateRecord, snr_to_noise_var
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_json(path, obj):
@@ -24,7 +28,6 @@ def write_json(path, obj):
 def golden_solve_config():
     return {
         "system": {"K": 1, "N": 1, "P": 10.0, "noise_var": 1.0, "s": 0.0},
-        "solver": {"mode": "exact"},
         "instance": {"h_hat": [[[1.0, 0.0]]], "eps": [0.0]},
         "master_seed": 0,
     }
@@ -33,7 +36,6 @@ def golden_solve_config():
 def sweep_config(trials=1, values=None, schemes=None):
     return {
         "system": {"K": 2, "N": 3, "P": 10.0, "noise_var": 1.0, "s": 0.4},
-        "solver": {"mode": "exact", "max_iters": 30},
         "sweep": {
             "values": values or [10.0],
             "trials": trials,
@@ -56,6 +58,8 @@ class TestSolve:
         assert doc["v_phases"][0][0] == pytest.approx(0.0, abs=1e-12)
         assert doc["objective"] == pytest.approx(1 / 11, rel=1e-9)
         assert doc["lambda"] == [None]  # eps = 0
+        # the closed form runs no iterations, so there is no trace to report
+        assert "trace_length" not in doc
 
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -73,28 +77,34 @@ class TestSolve:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "mode, iterations", [("exact", False), ("paper", True)]
-    )
-    def test_trace_length(self, tmp_path, mode, iterations):
-        raw = golden_solve_config()
-        raw["solver"]["mode"] = mode
-        cfg = write_json(tmp_path / "cfg.json", raw)
-        out = tmp_path / "design.json"
-        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        # exact mode is closed form and runs no iterations
-        assert (json.loads(out.read_text())["trace_length"] > 0) == iterations
-
-    @pytest.mark.parametrize(
-        "key, value", [("starts", 3), ("include_nonrobust_start", True)]
+        "key, value",
+        [
+            ("starts", 3),
+            ("include_nonrobust_start", True),
+            ("mode", "exact"),
+            ("delta_stop", 1e-9),
+            ("max_iters", 200),
+            ("safeguard", True),
+            ("lambda_after_phase", False),
+            ("init_rule", "cophase"),
+        ],
     )
     def test_removed_solver_keys_rejected(self, tmp_path, capsys, key, value):
         raw = golden_solve_config()
-        raw["solver"][key] = value
+        raw["solver"] = {key: value}
         cfg = write_json(tmp_path / "cfg.json", raw)
         out = tmp_path / "design.json"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
         assert not out.exists()
-        assert f"'{key}' was unexpected" in capsys.readouterr().err
+        assert "'solver' was unexpected" in capsys.readouterr().err
+
+    def test_removed_scheme_rejected(self, tmp_path, capsys):
+        raw = sweep_config(schemes=["robust_paper"])
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "'robust_paper' is not one of" in capsys.readouterr().err
 
     def test_solver_error_exit_code(self, tmp_path):
         raw = golden_solve_config()
@@ -234,6 +244,15 @@ class TestConfigRoundTrip:
     def test_schema_is_valid(self):
         # parse_config validates with a cached validator that skips this check
         jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+
+    @pytest.mark.parametrize("kind, snr_db", [("snr", None), ("n", 0.0), ("k", 10.0)])
+    def test_figure_configs(self, kind, snr_db):
+        cfg = load_config(CONFIGS / f"fig_{kind}.json")
+        spec = cfg.sweep_spec(kind)
+        assert (spec.trials, spec.master_seed) == (200, 20240823)
+        if snr_db is not None:
+            # the SNR of the figure, written as its exact noise variance
+            assert cfg.system.noise_var == snr_to_noise_var(snr_db, cfg.system.P)
 
     def test_round_trip(self, tmp_path):
         raw = sweep_config(trials=2, values=[1.0, 2.0])

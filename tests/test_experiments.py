@@ -1,20 +1,16 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from aircomp_ris.experiments import (
     AggregateRecord,
     SweepSpec,
+    channel_seed,
     nmse,
     run_sweep,
     run_trial,
-    run_trial_full,
     snr_to_noise_var,
-    trial_seed_pair,
 )
 from aircomp_ris.model import SystemConfig
-from aircomp_ris.optimizer import SolverOptions
 
 
 def base_config(**kw):
@@ -42,45 +38,40 @@ class TestSnrNmse:
 class TestRunTrial:
     def test_deterministic(self):
         cfg = base_config()
-        opts = SolverOptions(mode="exact")
-        a = run_trial(cfg, "robust_exact", opts, (1, 2, 3))
-        b = run_trial(cfg, "robust_exact", opts, (1, 2, 3))
+        a = run_trial(cfg, "robust_exact", (1, 2, 3))
+        b = run_trial(cfg, "robust_exact", (1, 2, 3))
         assert a == b
 
     def test_worst_dominates_realized(self):
         cfg_w = base_config(eval_mode="worst")
         cfg_r = base_config(eval_mode="realized")
-        opts = SolverOptions(mode="exact")
         for trial in range(10):
             seed = (9, trial)
-            w = run_trial(cfg_w, "robust_exact", opts, seed)
-            r = run_trial(cfg_r, "robust_exact", opts, seed)
+            w, _ = run_trial(cfg_w, "robust_exact", seed)
+            r, _ = run_trial(cfg_r, "robust_exact", seed)
             assert w >= r - 1e-12
 
     def test_zero_s_realized_equals_nominal(self):
         # with s = 0 the estimate is the true channel
         cfg = base_config(s=0.0, eval_mode="realized")
-        opts = SolverOptions(mode="exact")
-        val = run_trial(cfg, "nonrobust", opts, (4, 2))
+        val, _ = run_trial(cfg, "nonrobust", (4, 2))
         assert val >= 0
 
     def test_shared_channel_seed_across_schemes(self):
         cfg = base_config()
-        opts = SolverOptions(mode="exact")
-        t1, c1 = trial_seed_pair(0, "snr", 0, 0, "multistart", 5)
-        t2, c2 = trial_seed_pair(0, "snr", 0, 0, "nonrobust", 5)
-        assert c1 == c2 and t1 != t2
-        robust = run_trial(cfg, "multistart", opts, t1, c1)
-        nonrob = run_trial(cfg, "nonrobust", opts, t2, c2)
+        seed = channel_seed(0, "snr", 0, 0, 5)
+        # (master seed, kind code, value index, s index, channel stream, trial)
+        assert seed == (0, 0, 0, 0, 4, 5)
+        robust, _ = run_trial(cfg, "multistart", seed)
+        nonrob, _ = run_trial(cfg, "nonrobust", seed)
         # multistart is the global optimum, so on shared channels it can
         # never do worse under the worst-case metric
         assert robust <= nonrob + 1e-12
 
     def test_returns_iters(self):
         cfg = base_config()
-        opts = SolverOptions(mode="exact")
-        val, iters = run_trial_full(cfg, "robust_exact", opts, (0,))
-        assert val >= 0 and iters >= 1
+        val, iters = run_trial(cfg, "robust_exact", (0,))
+        assert val >= 0 and iters == 2
 
 
 class TestRunSweep:
@@ -96,9 +87,9 @@ class TestRunSweep:
         recs = run_sweep(spec)
         assert len(recs) == 1
         rec = recs[0]
-        tseed, cseed = trial_seed_pair(3, "snr", 0, 0, "nonrobust", 0)
         cfg = base_config(noise_var=snr_to_noise_var(10.0, 10.0))
-        assert rec.nmse_mean == run_trial(cfg, "nonrobust", SolverOptions(), tseed, cseed)
+        seed = channel_seed(3, "snr", 0, 0, 0)
+        assert rec.nmse_mean == run_trial(cfg, "nonrobust", seed)[0]
         assert rec.nmse_std == 0.0
         assert rec.trials == 1
 
@@ -198,24 +189,18 @@ GOLDEN_SNR = [
     (0.0, "nonrobust|s=0.5", 0.5443054737599274, 0.04450694747497382, 0.0),
     (0.0, "robust_exact|s=0", 0.3477277458317682, 0.0663346673483874, 2.0),
     (0.0, "robust_exact|s=0.5", 0.5285781665891226, 0.05191685532513472, 2.0),
-    (0.0, "robust_paper|s=0", 0.3477277458317682, 0.0663346673483874, 2.0),
-    (0.0, "robust_paper|s=0.5", 16.070082601202753, 6.323095844732623, 2.0),
     (10.0, "multistart|s=0", 0.09937211954428206, 0.04339790379472357, 0.0),
     (10.0, "multistart|s=0.5", 0.2821500106055122, 0.023498549970739233, 0.0),
     (10.0, "nonrobust|s=0", 0.09937211954428206, 0.04339790379472357, 0.0),
     (10.0, "nonrobust|s=0.5", 0.2967785155926476, 0.024182595446902357, 0.0),
     (10.0, "robust_exact|s=0", 0.09937211954428206, 0.04339790379472357, 2.0),
     (10.0, "robust_exact|s=0.5", 0.2821500106055122, 0.023498549970739233, 2.0),
-    (10.0, "robust_paper|s=0", 0.09937211954428206, 0.04339790379472357, 2.0),
-    (10.0, "robust_paper|s=0.5", 13.82098815799297, 5.276337605054646, 2.0),
     (20.0, "multistart|s=0", 0.012157200854316442, 0.006996364899535695, 0.0),
     (20.0, "multistart|s=0.5", 0.23932367905886734, 0.023549223327069848, 0.0),
     (20.0, "nonrobust|s=0", 0.012157200854316442, 0.006996364899535695, 0.0),
     (20.0, "nonrobust|s=0.5", 0.24130791253411124, 0.02302450696822623, 0.0),
     (20.0, "robust_exact|s=0", 0.012157200854316442, 0.006996364899535695, 2.0),
     (20.0, "robust_exact|s=0.5", 0.23932367905886734, 0.023549223327069848, 2.0),
-    (20.0, "robust_paper|s=0", 0.012157200854316442, 0.006996364899535695, 2.0),
-    (20.0, "robust_paper|s=0.5", 17.593922069070626, 5.789380618101076, 2.0),
 ]
 
 GOLDEN_K = [
@@ -231,7 +216,7 @@ def golden_snr_spec():
         kind="snr",
         values=[0.0, 10.0, 20.0],
         trials=3,
-        schemes=["multistart", "nonrobust", "robust_exact", "robust_paper"],
+        schemes=["multistart", "nonrobust", "robust_exact"],
         base=SystemConfig(K=3, N=4, P=10.0, noise_var=1.0),
         master_seed=11,
         s_values=[0.0, 0.5],
@@ -271,17 +256,17 @@ def test_one_synthesis_per_trial_shared_by_schemes(monkeypatch):
     import aircomp_ris.experiments as experiments
 
     synth_calls = []
-    solver_rngs = []
+    designs = []
     real_synth = experiments.synthesize_instance
     real_design = experiments.design_for_scheme
 
     def counting_synth(config, rng):
-        synth_calls.append(config.noise_var)
+        synth_calls.append((config.noise_var, config.s))
         return real_synth(config, rng)
 
-    def recording_design(config, scheme, options, h_hat_set, eps_set, rng):
-        solver_rngs.append((scheme, rng is None))
-        return real_design(config, scheme, options, h_hat_set, eps_set, rng)
+    def recording_design(config, scheme, h_hat_set, eps_set):
+        designs.append((config.noise_var, config.s, scheme))
+        return real_design(config, scheme, h_hat_set, eps_set)
 
     monkeypatch.setattr(experiments, "synthesize_instance", counting_synth)
     monkeypatch.setattr(experiments, "design_for_scheme", recording_design)
@@ -297,13 +282,10 @@ def test_one_synthesis_per_trial_shared_by_schemes(monkeypatch):
     run_sweep(spec)
     cells = len(spec.values) * len(spec.s_values)
     assert len(synth_calls) == cells * spec.trials
-    assert len(solver_rngs) == cells * spec.trials * len(spec.schemes)
-    # only the schemes that draw random numbers get a solver stream
-    assert {(s, none) for s, none in solver_rngs} == {
-        ("multistart", True),
-        ("nonrobust", True),
-        ("robust_exact", False),
-    }
+    # every scheme is designed on each trial's one draw, right after it
+    assert designs == [
+        (*cell, scheme) for cell in synth_calls for scheme in spec.schemes
+    ]
 
 
 def test_non_finite_sweep_values_rejected():

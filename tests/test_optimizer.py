@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aircomp_ris.errors import AllZeroScalers, InvalidNoise
+from aircomp_ris.errors import AllZeroScalers
 from aircomp_ris.model import (
     Design,
     SystemConfig,
@@ -12,13 +12,11 @@ from aircomp_ris.model import (
     synthesize_instance,
 )
 from aircomp_ris.optimizer import (
-    SolverOptions,
     nonrobust_design,
     recover_m_t,
     robust_design,
     run_algorithm1,
     t_exact,
-    t_mag_paper,
     update_phases,
 )
 from aircomp_ris.worst_case import worst_case_objective
@@ -50,40 +48,6 @@ class TestUpdatePhases:
         for _ in range(1000):
             u = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
             assert a.real >= abs(inner(h, u)) - 1e-12
-
-
-class TestTMagPaper:
-    def test_q_zero(self):
-        assert t_mag_paper(0.0, 3.0, 4, 10.0, 1.0) == pytest.approx(3.0 / 4)
-
-    def test_stationarity_example(self):
-        tsq = t_mag_paper(0.04, 3.0, 1, 10.0, 1.0)
-        assert tsq == pytest.approx(4.931, abs=2e-3)
-        # plug back into the derivative equation
-        lam_inv_N = 1.0 / 3.0
-        resid = 2 * lam_inv_N * 0.04 / (1 - lam_inv_N * tsq) ** 3 + 1.0 / 10.0
-        assert abs(resid) <= 1e-9
-
-    def test_second_difference_positive(self, rng):
-        for _ in range(50):
-            Q = rng.uniform(0.01, 2.0)
-            lam = rng.uniform(0.5, 5.0)
-            N = int(rng.integers(1, 32))
-            P = rng.uniform(1.0, 50.0)
-            nv = rng.uniform(0.1, 2.0)
-            tsq = t_mag_paper(Q, lam, N, P, nv)
-
-            def f(u):
-                return Q / (1 - N * u / lam) ** 2 + nv / P * u
-
-            c = abs(1 - N * tsq / lam)
-            step = 0.01 * c * lam / N
-            second = (f(tsq + step) - 2 * f(tsq) + f(tsq - step)) / step**2
-            assert second > 0
-
-    def test_zero_noise_rejected(self):
-        with pytest.raises(InvalidNoise):
-            t_mag_paper(0.1, 1.0, 2, 1.0, 0.0)
 
 
 class TestTExact:
@@ -165,11 +129,10 @@ def _random_problem(rng, K=None, N=None, s=None):
 
 
 class TestRunAlgorithm1:
-    def test_golden_scalar_instance(self, rng):
+    def test_golden_scalar_instance(self):
         config = SystemConfig(K=1, N=1, P=10.0, noise_var=1.0)
-        options = SolverOptions(mode="exact")
         h_hat = np.array([[1.0 + 0j]])
-        design, trace = run_algorithm1(config, h_hat, np.array([0.0]), options, rng)
+        design, trace = run_algorithm1(config, h_hat, np.array([0.0]))
         assert np.allclose(design.v, [[1.0]])
         assert design.t_hat[0] == pytest.approx(1 / 1.1, rel=1e-9)
         assert trace.objective[-1] == pytest.approx(1 / 11, rel=1e-9)
@@ -177,24 +140,17 @@ class TestRunAlgorithm1:
         assert abs(design.t[0]) == pytest.approx(np.sqrt(10), rel=1e-9)
         assert np.sum(np.abs(design.t) ** 2) == pytest.approx(10.0, rel=1e-12)
 
-    @pytest.mark.parametrize("mode", ["exact", "paper"])
-    def test_safeguarded_trace_non_increasing(self, rng, mode):
+    def test_safeguarded_trace_non_increasing(self, rng):
         for _ in range(20):
             config, inst = _random_problem(rng)
-            options = SolverOptions(mode=mode, safeguard=True, max_iters=60)
-            _, trace = run_algorithm1(config, inst.h_hat, inst.eps, options, rng)
+            _, trace = run_algorithm1(config, inst.h_hat, inst.eps)
             obj = np.asarray(trace.objective)
             assert np.all(np.diff(obj) <= 1e-12)
 
     def test_deterministic_per_seed(self, rng):
         config, inst = _random_problem(rng, K=3, N=4, s=0.4)
-        options = SolverOptions(mode="exact")
-        d1, t1 = run_algorithm1(
-            config, inst.h_hat, inst.eps, options, np.random.default_rng(5)
-        )
-        d2, t2 = run_algorithm1(
-            config, inst.h_hat, inst.eps, options, np.random.default_rng(5)
-        )
+        d1, t1 = run_algorithm1(config, inst.h_hat, inst.eps)
+        d2, t2 = run_algorithm1(config, inst.h_hat, inst.eps)
         assert np.array_equal(d1.t, d2.t)
         assert np.array_equal(d1.v, d2.v)
         assert d1.m == d2.m
@@ -202,25 +158,15 @@ class TestRunAlgorithm1:
 
     def test_power_equality_after_run(self, rng):
         config, inst = _random_problem(rng, K=4, N=6, s=0.3)
-        options = SolverOptions(mode="exact")
-        design, _ = run_algorithm1(config, inst.h_hat, inst.eps, options, rng)
+        design, _ = run_algorithm1(config, inst.h_hat, inst.eps)
         assert np.sum(np.abs(design.t) ** 2) == pytest.approx(config.P, rel=1e-12)
         assert np.allclose(np.abs(design.v), 1.0)
 
     def test_final_objective_matches_evaluator(self, rng):
         config, inst = _random_problem(rng, K=3, N=5, s=0.5)
-        options = SolverOptions(mode="exact")
-        design, trace = run_algorithm1(config, inst.h_hat, inst.eps, options, rng)
+        design, trace = run_algorithm1(config, inst.h_hat, inst.eps)
         obj = worst_case_objective(design, inst.h_hat, inst.eps, config.noise_var)
         assert obj == pytest.approx(trace.objective[-1], rel=1e-10)
-
-    def test_lambda_trace_recorded(self, rng):
-        config, inst = _random_problem(rng, K=2, N=3, s=0.4)
-        options = SolverOptions(mode="paper", max_iters=30)
-        _, trace = run_algorithm1(config, inst.h_hat, inst.eps, options, rng)
-        assert len(trace.lambdas) == trace.n_iters
-        assert all(len(row) == 2 for row in trace.lambdas)
-        assert len(trace.a) == trace.n_iters
 
 
 class TestNonRobust:
@@ -231,8 +177,7 @@ class TestNonRobust:
 
     def test_matches_algorithm_at_zero_eps(self, rng):
         config, inst = _random_problem(rng, K=3, N=4, s=0.0)
-        options = SolverOptions(mode="exact")
-        design, _ = run_algorithm1(config, inst.h_hat, inst.eps, options, rng)
+        design, _ = run_algorithm1(config, inst.h_hat, inst.eps)
         baseline = nonrobust_design(config, inst.h_hat)
         assert np.allclose(design.t_hat, baseline.t_hat, rtol=1e-10)
         assert np.allclose(design.v, baseline.v)
@@ -317,10 +262,12 @@ class TestRobustDesign:
     def test_equals_exact_alternating_loop(self, problem):
         config, h_hat, eps, rng = problem
         got = robust_design(config, h_hat, eps)
-        ref, _ = run_algorithm1(config, h_hat, eps, SolverOptions(mode="exact"), rng)
+        ref, trace = run_algorithm1(config, h_hat, eps)
         np.testing.assert_allclose(got.t_hat, ref.t_hat, rtol=1e-12, atol=0)
         np.testing.assert_allclose(got.v, ref.v, rtol=1e-12, atol=0)
         assert got.m == pytest.approx(ref.m, rel=1e-12, abs=0)
+        # one pass reaches the optimum and the second changes nothing
+        assert trace.n_iters == 2
         silenced = eps * np.sqrt(config.N) >= np.abs(h_hat).sum(axis=1)
         assert np.array_equal(got.t_hat == 0, silenced)
         if silenced.all():
@@ -334,12 +281,7 @@ class TestRobustDesign:
         config, h_hat, eps, rng = problem
         best = _objective(config, robust_design(config, h_hat, eps), h_hat, eps)
         others = [nonrobust_design(config, h_hat)]
-        for mode in ("exact", "paper"):
-            for _ in range(3):
-                design, _ = run_algorithm1(
-                    config, h_hat, eps, SolverOptions(mode=mode), rng
-                )
-                others.append(design)
+        others.append(run_algorithm1(config, h_hat, eps)[0])
         others.extend(_random_feasible_designs(config, h_hat, rng, 200))
         for design in others:
             assert best <= _objective(config, design, h_hat, eps) * (1 + 1e-12)

@@ -1,4 +1,4 @@
-"""The row-wise evaluators and one solver iteration against per-sensor
+"""The row-wise evaluators and every solver iteration against per-sensor
 loops written here with np.vdot, including the degenerate cases: eps = 0,
 t_hat = 0, zero channel entries and K = 1."""
 
@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aircomp_ris.model import Design, SystemConfig
-from aircomp_ris.optimizer import SolverOptions, run_algorithm1
+from aircomp_ris.optimizer import run_algorithm1
 from aircomp_ris.worst_case import certificate, mse_at_error, worst_case_objective
 
 RTOL = 1e-12
@@ -94,76 +94,69 @@ def test_mse_at_error_matches_loop(problem, fill):
     close(mse_at_error(design, h_hat, delta, noise_var, eps_set=eps), expected)
 
 
-def ref_iteration(config, h_hat, eps, options, v, t_hat):
-    """One pass of the per-sensor block updates of the alternating loop."""
+def ref_iteration(config, h_hat, eps, v, t_hat):
+    """One pass of the per-sensor block updates of the alternating loop:
+    co-phase, then the exact scaling (MMSE where eps_k = 0 or t_hat_k = 0),
+    reverted where it would raise the sensor's objective."""
     N = config.N
     c = config.noise_var / config.P
     v, t_hat = v.copy(), t_hat.copy()
-    lambdas = []
-
-    def multiplier(t, h, vk, e):
-        if e == 0 or abs(t) == 0:
-            return np.inf
-        rho = t * np.vdot(h, vk) - 1.0
-        return abs(t) ** 2 * N + np.sqrt(N) / e * abs(t) * abs(rho)
-
     for k in range(config.K):
         h = h_hat[k]
-        lam = multiplier(t_hat[k], h, v[k], eps[k])
         nz = h != 0
         v_new = np.ones(N, dtype=complex)
         v_new[nz] = h[nz] / np.abs(h[nz])
         a = float(np.sum(np.abs(h)))
-        if options.lambda_after_phase:
-            lam = multiplier(t_hat[k], h, v_new, eps[k])
-        if eps[k] == 0 or not np.isfinite(lam):
+        if eps[k] == 0 or t_hat[k] == 0:
             t_new = a / (a * a + c) if a > 0 else 0.0
-        elif options.mode == "exact":
+        else:
             b = a - eps[k] * np.sqrt(N)
             t_new = 0.0 if b <= 0 else min(b / (b * b + c), 1.0 / a)
-        else:
-            Q = abs(t_hat[k] * a - 1.0) ** 2
-            root = np.cbrt(2 * N * config.P * Q / (lam * config.noise_var))
-            t_new = np.sqrt(lam * (1.0 + root) / N)
-        lambdas.append(lam)
-        if options.safeguard:
-            before = ref_term(t_hat[k], h, v[k], eps[k]) + c * abs(t_hat[k]) ** 2
-            after = ref_term(t_new, h, v_new, eps[k]) + c * abs(t_new) ** 2
-            if after > before:
-                continue
+        before = ref_term(t_hat[k], h, v[k], eps[k]) + c * abs(t_hat[k]) ** 2
+        after = ref_term(t_new, h, v_new, eps[k]) + c * abs(t_new) ** 2
+        if after > before:
+            continue
         v[k] = v_new
         t_hat[k] = t_new
-    return v, t_hat, lambdas
+    return v, t_hat
+
+
+def ref_loop(config, h_hat, eps):
+    """The alternating loop from co-phased phases and t_hat_k = sqrt(P/K),
+    pass by pass until a pass changes nothing; returns the final (v, t_hat)
+    and the objective after each pass."""
+    K, N = config.K, config.N
+    c = config.noise_var / config.P
+    v = np.ones((K, N), dtype=complex)
+    v[h_hat != 0] = h_hat[h_hat != 0] / np.abs(h_hat[h_hat != 0])
+    t_hat = np.full(K, np.sqrt(config.P / K), dtype=complex)
+    objectives = []
+    for _ in range(200):
+        v_new, t_new = ref_iteration(config, h_hat, eps, v, t_hat)
+        objectives.append(
+            sum(
+                ref_term(t_new[k], h_hat[k], v_new[k], eps[k]) + c * abs(t_new[k]) ** 2
+                for k in range(K)
+            )
+        )
+        done = len(objectives) > 1 and np.array_equal(t_new, t_hat)
+        v, t_hat = v_new, t_new
+        if done:
+            return v, t_hat, objectives
+    raise AssertionError("the reference loop did not settle in 200 passes")
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    problems(),
-    st.sampled_from(["exact", "paper"]),
-    st.booleans(),
-    st.booleans(),
-)
-def test_one_iteration_matches_loop(problem, mode, safeguard, lambda_after_phase):
+@given(problems())
+def test_one_iteration_matches_loop(problem):
     design, h_hat, eps, noise_var, _ = problem
     assume(np.any(h_hat != 0))
     K, N = h_hat.shape
     config = SystemConfig(K=K, N=N, P=4.0, noise_var=noise_var)
-    options = SolverOptions(
-        mode=mode,
-        safeguard=safeguard,
-        lambda_after_phase=lambda_after_phase,
-        max_iters=1,
-    )
-    t0 = design.t.astype(complex)
-    v_ref, t_ref, lam_ref = ref_iteration(config, h_hat, eps, options, design.v, t0)
-    got, trace = run_algorithm1(
-        config, h_hat, eps, options, rng=None, init=(design.v, t0)
-    )
-    assert trace.n_iters == 1
-    close(trace.a[0], np.sum(np.abs(h_hat), axis=1))
-    assert np.array_equal(np.isinf(trace.lambdas[0]), np.isinf(lam_ref))
-    finite = np.isfinite(lam_ref)
-    close(np.array(trace.lambdas[0])[finite], np.array(lam_ref)[finite])
+    v_ref, t_ref, obj_ref = ref_loop(config, h_hat, eps)
+    got, trace = run_algorithm1(config, h_hat, eps)
+    assert trace.n_iters == len(obj_ref)
+    close(trace.objective, obj_ref)
     close(got.v, v_ref)
     if np.any(t_ref != 0):
         close(got.t_hat, t_ref)
@@ -182,10 +175,9 @@ def test_single_sensor_loop_and_rows_agree():
     cert = certificate(design, h, np.array([0.3]), 0.1)
     assert cert.total == pytest.approx(expected)
     assert np.linalg.norm(cert.deltas[0]) == pytest.approx(0.3)
-    options = SolverOptions(max_iters=1)
     config = SystemConfig(K=1, N=2, P=1.0, noise_var=0.1)
     eps = np.array([0.3])
-    got, _ = run_algorithm1(config, h, eps, options, None, init=(v, [0.5]))
-    v_ref, t_ref, _ = ref_iteration(config, h, eps, options, v, np.array([0.5 + 0j]))
+    got, _ = run_algorithm1(config, h, eps)
+    v_ref, t_ref, _ = ref_loop(config, h, eps)
     close(got.t_hat, t_ref)
     close(got.v, v_ref)
