@@ -15,15 +15,6 @@ from .errors import ConfigError
 from .experiments import SCHEMES, SweepSpec
 from .model import ERROR_SAMPLING_MODES, EVAL_MODES, SystemConfig
 
-_COMPLEX_PAIR = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 2,
-    "maxItems": 2,
-}
-
-_CVECTOR = {"type": "array", "items": _COMPLEX_PAIR, "minItems": 1}
-
 SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -72,12 +63,9 @@ SCHEMA = {
             "additionalProperties": False,
             "required": ["h_hat", "eps"],
             "properties": {
-                "h_hat": {"type": "array", "items": _CVECTOR, "minItems": 1},
-                "eps": {
-                    "type": "array",
-                    "items": {"type": "number", "minimum": 0},
-                    "minItems": 1,
-                },
+                # checked as whole arrays by _instance_arrays
+                "h_hat": {"type": "array"},
+                "eps": {"type": "array"},
             },
         },
         "master_seed": {"type": "integer", "minimum": 0},
@@ -102,22 +90,15 @@ class RunConfig:
     def sweep_spec(self, kind):
         if self.sweep_dict is None:
             raise ConfigError("config has no 'sweep' section")
-        values = self.sweep_dict["values"]
-        if kind in ("n", "k"):
-            values = [int(v) for v in values]
         return SweepSpec(
             kind=kind,
-            values=values,
+            values=list(self.sweep_dict["values"]),
             trials=self.sweep_dict["trials"],
             schemes=list(self.sweep_dict["schemes"]),
             base=self.system,
             master_seed=self.master_seed,
             s_values=self.sweep_dict.get("s_values"),
         )
-
-
-def parse_cvector(pairs):
-    return np.array([complex(re, im) for re, im in pairs])
 
 
 def _reject_constant(token):
@@ -138,42 +119,54 @@ def parse_config(raw):
     if error is not None:
         raise ConfigError(f"invalid config: {error.message}") from error
 
+    # JSON Schema counts 2.0 as an integer; the code needs ints
+    fields = raw["system"]
+    master_seed = int(raw["master_seed"])
     try:
-        system = SystemConfig(**raw["system"])
+        system = SystemConfig(**dict(fields, K=int(fields["K"]), N=int(fields["N"])))
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
     instance = None
     if "instance" in raw:
-        h_hat = [parse_cvector(vec) for vec in raw["instance"]["h_hat"]]
-        eps = list(raw["instance"]["eps"])
-        if len(h_hat) != system.K or len(eps) != system.K:
-            raise ConfigError("instance must supply K channel vectors and radii")
-        lengths = {len(v) for v in h_hat}
-        if lengths != {system.N}:
-            raise ConfigError("instance channel vectors must have length N")
-        instance = (np.stack(h_hat), np.array(eps))
-        # numbers too large for a double parse as inf
-        if not all(np.isfinite(x).all() for x in instance):
-            raise ConfigError("instance values must be finite")
+        instance = _instance_arrays(raw["instance"], system.K, system.N)
 
     sweep_dict = raw.get("sweep")
     if sweep_dict is not None:
+        sweep_dict = dict(sweep_dict, trials=int(sweep_dict["trials"]))
+    config = RunConfig(system, sweep_dict, instance, master_seed)
+    if sweep_dict is not None:
         try:
             # validate everything except the kind, which the CLI supplies
-            SweepSpec(
-                kind="snr",
-                values=list(sweep_dict["values"]),
-                trials=sweep_dict["trials"],
-                schemes=list(sweep_dict["schemes"]),
-                base=system,
-                master_seed=raw["master_seed"],
-                s_values=sweep_dict.get("s_values"),
-            )
+            config.sweep_spec("snr")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    return config
 
-    return RunConfig(system, sweep_dict, instance, raw["master_seed"])
+
+def _instance_arrays(instance, K, N):
+    """(h_hat, eps) from the instance section: K rows of N [re, im] pairs,
+    as a (K, N) complex array, and K radii >= 0; every number finite."""
+    arrays = []
+    for name, shape in (("h_hat", (K, N, 2)), ("eps", (K,))):
+        raw = np.asarray(instance[name], dtype=object)
+        if raw.shape != shape or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw.flat
+        ):
+            raise ConfigError(f"instance {name} must be numbers of shape {shape}")
+        try:
+            values = raw.astype(float)
+        except OverflowError as exc:
+            raise ConfigError(f"instance {name}: {exc}") from exc
+        # numbers too large for a double parse as inf
+        if not np.isfinite(values).all():
+            raise ConfigError(f"instance {name} values must be finite")
+        arrays.append(values)
+    h_hat, eps = arrays
+    if (eps < 0).any():
+        raise ConfigError("instance eps must be >= 0")
+    # viewing the pairs keeps their bits; re + 1j * im can flip a zero's sign
+    return h_hat.view(complex).reshape(K, N), eps
 
 
 def serialize_config(config):

@@ -45,6 +45,10 @@ class SweepSpec:
             raise ValueError("s_values must be non-empty when given")
         if not np.isfinite(list(self.values) + list(self.s_values or [])).all():
             raise ValueError("values and s_values must be finite")
+        if self.kind in ("n", "k"):
+            if not all(float(v).is_integer() and v >= 1 for v in self.values):
+                raise ValueError(f"{self.kind} sweep values must be integers >= 1")
+            self.values = [int(v) for v in self.values]
 
 
 @dataclass
@@ -122,9 +126,9 @@ def _config_at(base, kind, value, s):
     if kind == "snr":
         fields["noise_var"] = snr_to_noise_var(value, base.P)
     elif kind == "n":
-        fields["N"] = int(value)
+        fields["N"] = value
     elif kind == "k":
-        fields["K"] = int(value)
+        fields["K"] = value
     return SystemConfig(**fields)
 
 

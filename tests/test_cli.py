@@ -5,6 +5,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aircomp_ris.cli import main, records_to_csv
 from aircomp_ris.config import (
@@ -128,6 +130,10 @@ class TestSolve:
                 assert -math.pi < phi <= math.pi
 
 
+_P = [1.0, -0.5]
+_EPS = [0.1, 0.2]
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "old, new",
@@ -147,6 +153,60 @@ class TestNonFiniteInput:
         cfg.write_text(text.replace(old, new))
         out = tmp_path / "design.json"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "h_hat, eps",
+        [
+            ([[[True, 0.0], _P], [_P, _P]], _EPS),
+            ([[["1.0", 0.0], _P], [_P, _P]], _EPS),
+            ([[[None, 0.0], _P], [_P, _P]], _EPS),
+            ([[[[1.0], 0.0], _P], [_P, _P]], _EPS),
+            ([[[1.0], _P], [_P, _P]], _EPS),
+            ([[[1.0, 0.0, 0.0], _P], [_P, _P]], _EPS),
+            ([[], [_P, _P]], _EPS),
+            ([[_P, _P], [_P]], _EPS),
+            ([[_P, _P]], _EPS),
+            ([[_P, _P], [_P, _P], [_P, _P]], _EPS),
+            ([[_P, _P, _P], [_P, _P, _P]], _EPS),
+            ([_P, _P], _EPS),
+            ([[_P, _P], [_P, _P]], [0.1]),
+            ([[_P, _P], [_P, _P]], [0.1, -0.2]),
+            ([[_P, _P], [_P, _P]], [0.1, True]),
+            ([[_P, _P], [_P, _P]], [[0.1], [0.2]]),
+            # integers too large for a double
+            ([[[10**400, 0.0], _P], [_P, _P]], _EPS),
+            ([[_P, _P], [_P, _P]], [0.1, 10**400]),
+        ],
+        ids=[
+            "true_entry",
+            "string_entry",
+            "null_entry",
+            "list_entry",
+            "one_number_pair",
+            "three_number_pair",
+            "empty_row",
+            "ragged_rows",
+            "too_few_rows",
+            "too_many_rows",
+            "rows_longer_than_N",
+            "missing_row_axis",
+            "too_few_eps",
+            "negative_eps",
+            "boolean_eps",
+            "nested_eps",
+            "huge_int_h_hat",
+            "huge_int_eps",
+        ],
+    )
+    def test_solve_rejects_malformed_instance(self, tmp_path, capsys, h_hat, eps):
+        raw = golden_solve_config()
+        raw["system"].update(K=2, N=2)
+        raw["instance"] = {"h_hat": h_hat, "eps": eps}
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        out = tmp_path / "design.json"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
         assert not out.exists()
         assert "error" in capsys.readouterr().err
 
@@ -200,6 +260,47 @@ class TestSweep:
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    @pytest.mark.parametrize(
+        "kind, values", [("n", [16.5, 32]), ("k", [0, 2]), ("n", [-4, 8])]
+    )
+    def test_size_values_must_be_integers(self, tmp_path, capsys, kind, values):
+        cfg = write_json(tmp_path / "cfg.json", sweep_config(values=values))
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--kind", kind, "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "integers >= 1" in capsys.readouterr().err
+
+    def test_integral_float_size_values(self, tmp_path):
+        outs = []
+        for values in ([16, 32], [16.0, 32.0]):
+            cfg = write_json(tmp_path / "cfg.json", sweep_config(values=values))
+            outs.append(tmp_path / f"{values[0]!r}.csv")
+            argv = ["sweep", "--kind", "n", "--config", cfg, "--out", str(outs[-1])]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[1].read_text().split("\n")[1].startswith("n,16,")
+
+    @pytest.mark.parametrize(
+        "path",
+        [("system", "K"), ("system", "N"), ("sweep", "trials"), ("master_seed",)],
+    )
+    def test_integral_float_integer_keys(self, tmp_path, path):
+        """JSON Schema counts 2.0 as an integer: it must act as 2."""
+        outputs = []
+        for as_float in (False, True):
+            raw = sweep_config(trials=2)
+            section = raw if len(path) == 1 else raw[path[0]]
+            if as_float:
+                section[path[-1]] = float(section[path[-1]])
+            cfg = write_json(tmp_path / f"{as_float}.json", raw)
+            csv_out = tmp_path / f"{as_float}.csv"
+            design = tmp_path / f"{as_float}.design.json"
+            argv = ["sweep", "--kind", "snr", "--config", cfg, "--out", str(csv_out)]
+            assert main(argv) == 0
+            assert main(["solve", "--config", cfg, "--out", str(design)]) == 0
+            outputs.append((csv_out.read_bytes(), design.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_missing_sweep_section(self, tmp_path):
         raw = golden_solve_config()
         cfg = write_json(tmp_path / "cfg.json", raw)
@@ -240,6 +341,36 @@ class TestVerifyCommand:
         assert float(fields["worst_deviation"]) > float(fields["tolerance"])
 
 
+# ints, +-0.0, subnormals, +-1e308 and any other finite double
+_NUMBERS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+    ),
+    st.integers(-(2**64), 2**64),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_RADII = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e308]),
+    st.integers(0, 2**64),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+
+
+@st.composite
+def instance_configs(draw):
+    K = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 4))
+    pair = st.lists(_NUMBERS, min_size=2, max_size=2)
+    row = st.lists(pair, min_size=N, max_size=N)
+    raw = golden_solve_config()
+    raw["system"].update(K=K, N=N)
+    raw["instance"] = {
+        "h_hat": draw(st.lists(row, min_size=K, max_size=K)),
+        "eps": draw(st.lists(_RADII, min_size=K, max_size=K)),
+    }
+    return raw
+
+
 class TestConfigRoundTrip:
     def test_schema_is_valid(self):
         # parse_config validates with a cached validator that skips this check
@@ -260,12 +391,27 @@ class TestConfigRoundTrip:
         again = parse_config(serialize_config(cfg))
         assert serialize_config(cfg) == serialize_config(again)
 
-    def test_instance_round_trip(self):
-        cfg = parse_config(golden_solve_config())
-        again = parse_config(serialize_config(cfg))
-        h1, e1 = cfg.instance
-        h2, e2 = again.instance
-        assert np.array_equal(h1, h2) and e1 == e2
+    @given(raw=instance_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_instance_parsed_exactly(self, raw):
+        h_hat, eps = parse_config(raw).instance
+        pairs = raw["instance"]["h_hat"]
+        ref_h = np.array([[complex(re, im) for re, im in row] for row in pairs])
+        ref_eps = np.array([float(e) for e in raw["instance"]["eps"]])
+        assert h_hat.dtype == np.complex128 and eps.dtype == np.float64
+        assert h_hat.shape == ref_h.shape and eps.shape == ref_eps.shape
+        # bit for bit, so the sign of each zero counts
+        assert h_hat.tobytes() == ref_h.tobytes()
+        assert eps.tobytes() == ref_eps.tobytes()
+
+    @given(raw=instance_configs())
+    @example(raw=golden_solve_config())
+    @settings(max_examples=200, deadline=None)
+    def test_instance_round_trip(self, raw):
+        cfg = parse_config(raw)
+        again = parse_config(json.loads(json.dumps(serialize_config(cfg))))
+        for first, second in zip(cfg.instance, again.instance):
+            assert first.tobytes() == second.tobytes()
 
     def test_instance_dimension_checks(self):
         raw = golden_solve_config()

@@ -300,3 +300,16 @@ def test_non_finite_sweep_values_rejected():
                 master_seed=0,
                 s_values=s_values,
             )
+
+
+def test_size_sweep_values_stored_as_ints():
+    spec = SweepSpec(
+        kind="n",
+        values=[2.0, 4.0],
+        trials=1,
+        schemes=["nonrobust"],
+        base=base_config(),
+        master_seed=0,
+    )
+    assert spec.values == [2, 4]
+    assert all(type(v) is int for v in spec.values)
