@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -56,23 +55,17 @@ def _atomic_write(path, data):
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def _wrap_phase(phi):
-    """Map an angle into (-pi, pi]."""
-    phi = math.remainder(phi, 2 * math.pi)
-    if phi <= -math.pi:
-        phi += 2 * math.pi
-    return phi
-
-
 def _design_document(design, cert, P):
+    # phases in (-pi, pi]: np.angle gives -pi for a negative real with a
+    # negative-zero imaginary part
+    phases = np.angle(design.v)
+    phases[phases == -np.pi] = np.pi
     return {
         "m": design.m,
-        "t": [[z.real, z.imag] for z in design.t],
-        "v_phases": [
-            [_wrap_phase(float(np.angle(z))) for z in row] for row in design.v
-        ],
-        "lambda": [None if not np.isfinite(l) else float(l) for l in cert.lambdas],
-        "worst_case_terms": [float(x) for x in cert.terms],
+        "t": np.stack([design.t.real, design.t.imag], axis=-1).tolist(),
+        "v_phases": phases.tolist(),
+        "lambda": np.where(np.isfinite(cert.lambdas), cert.lambdas, None).tolist(),
+        "worst_case_terms": cert.terms.tolist(),
         "objective": cert.total,
         "sum_power": float(np.sum(np.abs(design.t) ** 2)),
         "power_budget": P,

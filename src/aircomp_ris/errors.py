@@ -13,11 +13,6 @@ class DimensionMismatch(AirCompError):
     """Two operands that must share a length do not."""
 
 
-class NoUncertainty(AirCompError):
-    """A robust-step computation was requested with eps = 0; the caller
-    must bypass the robust step instead."""
-
-
 class AllZeroScalers(AirCompError):
     """Every effective transmit scalar is zero; m and t_k cannot be recovered."""
 

@@ -43,7 +43,11 @@ class SweepSpec:
                 raise ValueError(f"unknown scheme {s!r}")
         if self.s_values is not None and not self.s_values:
             raise ValueError("s_values must be non-empty when given")
-        if not np.isfinite(list(self.values) + list(self.s_values or [])).all():
+        try:
+            numbers = np.array(list(self.values) + list(self.s_values or []), float)
+        except OverflowError as exc:
+            raise ValueError(f"values and s_values must be finite: {exc}") from exc
+        if not np.isfinite(numbers).all():
             raise ValueError("values and s_values must be finite")
         if self.kind in ("n", "k"):
             if not all(float(v).is_integer() and v >= 1 for v in self.values):

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoUncertainty, PerturbationOutOfBall
-from .model import hermitian_row, inner, row_norms
+from .errors import DimensionMismatch, PerturbationOutOfBall
+from .model import inner, row_norms
 
 
 @dataclass
@@ -26,12 +26,11 @@ class WorstCaseCert:
     """Per-sensor worst-case certificate for a fixed design.
 
     lambdas[k] is the KKT multiplier of the ball constraint (inf when
-    eps_k = 0), deltas[k] the worst-case row perturbation, terms[k] the
-    attained per-sensor worst MSE term; total adds the noise term.
+    eps_k = 0), terms[k] the attained per-sensor worst MSE term; total adds
+    the noise term. delta_worst gives the perturbations that attain them.
     """
 
     lambdas: np.ndarray
-    deltas: np.ndarray
     terms: np.ndarray
     total: float
 
@@ -45,15 +44,18 @@ def lambda_worst(t_hat, h_hat, v, eps):
     """KKT multiplier of the active ball constraint (maximizer branch).
 
     Root of ||delta(lambda)||^2 = eps^2 with lambda > |t_hat|^2 N:
-    lambda = |t_hat|^2 N + (sqrt(N)/eps) |t_hat| |rho|. Broadcasts over a
-    leading sensor axis of h_hat and v.
+    lambda = |t_hat|^2 N + (sqrt(N)/eps) |t_hat| |rho|. Where eps = 0 the
+    ball is a point and lambda is inf. Broadcasts over a leading sensor
+    axis of h_hat and v.
     """
-    if np.any(np.asarray(eps) == 0):
-        raise NoUncertainty("eps = 0: bypass the robust step")
+    eps = np.asarray(eps, dtype=float)
+    live = eps != 0
     N = np.shape(h_hat)[-1]
     rho = residual(t_hat, h_hat, v)
     at = np.abs(t_hat)
-    return at**2 * N + (np.sqrt(N) / eps) * at * np.abs(rho)
+    scale = np.divide(np.sqrt(N), eps, out=np.zeros_like(eps), where=live)
+    lam = np.where(live, at**2 * N + scale * at * np.abs(rho), np.inf)
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def delta_worst(t_hat, h_hat, v, eps):
@@ -74,7 +76,7 @@ def delta_worst(t_hat, h_hat, v, eps):
     ones = np.ones_like(w, dtype=complex)
     u = np.divide(np.conj(t_hat), at, out=ones, where=at > 0, dtype=complex)
     np.divide(w, aw, out=u, where=aw > 0)
-    return (eps / np.sqrt(N) * u)[..., None] * hermitian_row(v)
+    return (eps / np.sqrt(N) * u)[..., None] * np.conj(v)
 
 
 def worst_case_term(t_hat, h_hat, v, eps):
@@ -95,19 +97,12 @@ def worst_case_objective(design, h_hat_set, eps_set, noise_var):
 
 
 def certificate(design, h_hat_set, eps_set, noise_var):
-    """Assemble the full per-sensor worst-case certificate for a design."""
+    """Assemble the per-sensor worst-case certificate for a design."""
     t_hat = design.t_hat
-    eps_set = np.asarray(eps_set, dtype=float)
-    live = eps_set > 0
-    lambdas = np.where(
-        live,
-        lambda_worst(t_hat, h_hat_set, design.v, np.where(live, eps_set, np.inf)),
-        np.inf,
-    )
-    deltas = delta_worst(t_hat, h_hat_set, design.v, eps_set)
+    lambdas = lambda_worst(t_hat, h_hat_set, design.v, eps_set)
     terms = worst_case_term(t_hat, h_hat_set, design.v, eps_set)
     total = float(np.sum(terms) + noise_var * design.m**2)
-    return WorstCaseCert(lambdas=lambdas, deltas=deltas, terms=terms, total=total)
+    return WorstCaseCert(lambdas=lambdas, terms=terms, total=total)
 
 
 def mse_at_error(design, h_hat_set, delta_set, noise_var, eps_set=None):
@@ -161,7 +156,7 @@ def brute_force_worst_case(t_hat, h_hat, v, eps, n_samples, refine_steps, rng):
     for _ in range(refine_steps):
         # gradient wrt conj(delta) is w * conj(t_hat) * row(v^H)
         w = rho + t_hat * (delta @ v)
-        grad = w * np.conj(t_hat) * hermitian_row(v)
+        grad = w * np.conj(t_hat) * np.conj(v)
         gn = np.linalg.norm(grad)
         if gn == 0:
             break
@@ -179,7 +174,7 @@ def lagrangian_value(t_hat, h_hat, v, eps, delta, lam):
 def lagrangian_gradient(t_hat, h_hat, v, delta, lam):
     """Wirtinger gradient of the Lagrangian wrt conj(delta) (a row vector)."""
     w = residual(t_hat, h_hat, v) + t_hat * (delta @ v)
-    return -np.conj(t_hat) * w * hermitian_row(v) + lam * delta
+    return -np.conj(t_hat) * w * np.conj(v) + lam * delta
 
 
 def kkt_residual(t_hat, h_hat, v, eps, delta, lam):

@@ -129,6 +129,15 @@ class TestSolve:
             for phi in row:
                 assert -math.pi < phi <= math.pi
 
+    def test_minus_pi_phase_written_as_pi(self, tmp_path):
+        # co-phasing -1 - 0j gives a v whose np.angle is -pi
+        raw = golden_solve_config()
+        raw["instance"]["h_hat"] = [[[-1.0, -0.0]]]
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        out = tmp_path / "design.json"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["v_phases"] == [[math.pi]]
+
 
 _P = [1.0, -0.5]
 _EPS = [0.1, 0.2]
@@ -218,6 +227,17 @@ class TestNonFiniteInput:
         argv = ["sweep", "--kind", "snr", "--config", str(cfg), "--out", str(out)]
         assert main(argv) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["values", "s_values"])
+    def test_sweep_rejects_huge_integer(self, tmp_path, capsys, key):
+        raw = sweep_config()
+        raw["sweep"][key] = [10**400]  # too large for a double
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        out = tmp_path / "r.csv"
+        argv = ["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]
+        assert main(argv) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSweep:

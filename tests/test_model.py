@@ -3,26 +3,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import closed_form_mse, empirical_mse
+
 from aircomp_ris.errors import DimensionMismatch, InvalidDimension
 from aircomp_ris.model import (
+    ChannelInstance,
     Design,
     SystemConfig,
-    apply_error,
-    cascade_channel,
-    closed_form_mse,
-    empirical_mse,
     epsilon_from_coefficient,
-    hermitian_row,
     inner,
-    sample_bounded_error,
+    row_norms,
     sample_rayleigh_vector,
     synthesize_instance,
 )
+from aircomp_ris.worst_case import mse_at_error
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+class FixedNormals:
+    """Stands in for a Generator whose normal stream is the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def standard_normal(self, out):
+        out[...] = self.values.reshape(out.shape)
+
+
+def draw(rng, K=4, N=6, s=0.3, sampling="surface"):
+    config = SystemConfig(K=K, N=N, P=1.0, noise_var=0.1, s=s, error_sampling=sampling)
+    return synthesize_instance(config, rng)
 
 
 class TestSampleRayleigh:
@@ -47,28 +61,40 @@ class TestSampleRayleigh:
 
 
 class TestCascade:
+    """The synthesized true channel is the cascade row(h) = conj(g) * r."""
+
+    # channel_var 2 makes the segments the raw normals: g = re + 1j * im
+    unit = dict(K=1, P=1.0, noise_var=0.1, channel_var=2.0)
+
     def test_hand_example(self):
-        h = cascade_channel(np.array([1j]), np.array([2.0 + 0j]))
-        assert h[0] == pytest.approx(2j)
+        # g = 1j, r = 2
+        config = SystemConfig(N=1, **self.unit)
+        inst, _ = synthesize_instance(config, FixedNormals([0.0, 1.0, 2.0, 0.0]))
+        assert inst.h[0, 0] == pytest.approx(2j)
         # row(h) must be conj(g)*r
-        assert hermitian_row(h)[0] == pytest.approx(-2j)
+        assert np.conj(inst.h)[0, 0] == pytest.approx(-2j)
 
     def test_all_ones_reflector(self, rng):
-        g = sample_rayleigh_vector(5, 1.0, rng)
-        assert np.allclose(cascade_channel(g, np.ones(5)), g)
+        g = rng.normal(size=(2, 5))
+        config = SystemConfig(N=5, **self.unit)
+        normals = np.concatenate([g, np.ones((1, 5)), np.zeros((1, 5))])
+        inst, _ = synthesize_instance(config, FixedNormals(normals))
+        assert np.allclose(inst.h[0], g[0] + 1j * g[1])
 
     def test_inner_product_expansion(self, rng):
-        g = sample_rayleigh_vector(4, 1.0, rng)
-        r = sample_rayleigh_vector(4, 1.0, rng)
-        h = cascade_channel(g, r)
+        config = SystemConfig(K=3, N=4, P=1.0, noise_var=0.1, s=0.2)
+        inst, _ = synthesize_instance(config, np.random.default_rng(5))
+        g, r = reference_synthesis(config, np.random.default_rng(5))[:2]
         for _ in range(100):
-            v = sample_rayleigh_vector(4, 1.0, rng)
-            direct = np.sum(np.conj(g) * r * v)
-            assert abs(inner(h, v) - direct) < 1e-12
+            v = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+            direct = np.sum(np.conj(g) * r * v, axis=1)
+            assert np.max(np.abs(inner(inst.h, v) - direct)) < 1e-12
 
+
+class TestChannelInstance:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            cascade_channel(np.ones(3), np.ones(2))
+            ChannelInstance(h=np.ones((2, 3)), h_hat=np.ones((2, 2)), eps=np.zeros(2))
 
 
 class TestEpsilon:
@@ -85,72 +111,64 @@ class TestEpsilon:
 
 
 class TestBoundedError:
+    """The row perturbations synthesize_instance draws: delta_k on the
+    eps_k-sphere ("surface") or uniform over the eps_k-ball ("interior")."""
+
     def test_zero_radius(self, rng):
-        assert np.all(sample_bounded_error(4, 0.0, "surface", rng) == 0)
+        inst, deltas = draw(rng, s=0.0)
+        assert np.all(inst.eps == 0) and np.all(deltas == 0)
 
     def test_surface_norm(self, rng):
-        d = sample_bounded_error(5, 0.8, "surface", rng)
-        assert np.linalg.norm(d) == pytest.approx(0.8, rel=1e-12)
+        inst, deltas = draw(rng, K=6, N=5, s=0.8)
+        np.testing.assert_allclose(row_norms(deltas), inst.eps, rtol=1e-12)
 
     def test_interior_never_exceeds(self, rng):
-        for _ in range(200):
-            d = sample_bounded_error(3, 0.7, "interior", rng)
-            assert np.linalg.norm(d) <= 0.7 + 1e-12
+        inst, deltas = draw(rng, K=200, N=3, s=0.7, sampling="interior")
+        assert np.all(row_norms(deltas) <= inst.eps * (1 + 1e-12))
 
     def test_interior_ball_volume_law(self, rng):
-        # (norm/eps)^(2n) should be uniform on [0, 1]
-        n, eps, draws = 2, 1.0, 10**5
-        u = np.array(
-            [
-                (np.linalg.norm(sample_bounded_error(n, eps, "interior", rng)) / eps)
-                ** (2 * n)
-                for _ in range(draws)
-            ]
-        )
+        # (norm/eps)^(2N) should be uniform on [0, 1]
+        N, draws = 2, 10**5
+        u = []
+        for _ in range(draws // 10**4):
+            inst, deltas = draw(rng, K=10**4, N=N, s=0.5, sampling="interior")
+            u.append((row_norms(deltas) / inst.eps) ** (2 * N))
+        u = np.concatenate(u)
         grid = np.linspace(0, 1, 201)
         ecdf = np.searchsorted(np.sort(u), grid, side="right") / draws
         assert np.max(np.abs(ecdf - grid)) < 0.01
 
 
 class TestApplyError:
+    """Synthesis perturbs the estimate by the drawn rows:
+    row(h_hat_k) = row(h_k) - delta_k."""
+
     def test_zero_delta(self, rng):
-        h = sample_rayleigh_vector(4, 1.0, rng)
-        assert np.array_equal(apply_error(h, np.zeros(4)), h)
+        inst, _ = draw(rng, s=0.0)
+        assert np.array_equal(inst.h_hat, inst.h)
 
     def test_round_trip(self, rng):
-        h = sample_rayleigh_vector(4, 1.0, rng)
-        delta = sample_bounded_error(4, 0.3, "surface", rng)
-        h_hat = apply_error(h, delta)
-        recovered = hermitian_row(h) - hermitian_row(h_hat)
-        assert np.allclose(recovered, delta, atol=0)
+        inst, deltas = draw(rng)
+        recovered = np.conj(inst.h) - np.conj(inst.h_hat)
+        assert np.allclose(recovered, deltas, atol=0)
 
     def test_isometry(self, rng):
-        h = sample_rayleigh_vector(4, 1.0, rng)
-        delta = sample_bounded_error(4, 0.3, "surface", rng)
-        h_hat = apply_error(h, delta)
-        assert np.linalg.norm(hermitian_row(h) - hermitian_row(h_hat)) == pytest.approx(
-            np.linalg.norm(delta)
-        )
+        inst, deltas = draw(rng)
+        gap = np.linalg.norm(np.conj(inst.h) - np.conj(inst.h_hat), axis=1)
+        np.testing.assert_allclose(gap, row_norms(deltas), rtol=1e-7)
 
 
 @given(
-    st.lists(
-        st.tuples(
-            st.floats(-5, 5, allow_nan=False),
-            st.floats(-5, 5, allow_nan=False),
-        ),
-        min_size=1,
-        max_size=8,
-    ),
+    st.integers(1, 4),
+    st.integers(1, 8),
     st.floats(0, 2),
+    st.sampled_from(["surface", "interior"]),
+    st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=100, deadline=None)
-def test_apply_error_round_trip_property(entries, eps):
-    h = np.array([complex(a, b) for a, b in entries])
-    rng = np.random.default_rng(7)
-    delta = sample_bounded_error(len(h), eps, "surface", rng)
-    h_hat = apply_error(h, delta)
-    assert np.allclose(hermitian_row(h) - hermitian_row(h_hat), delta, atol=1e-15)
+def test_apply_error_round_trip_property(K, N, s, sampling, seed):
+    inst, deltas = draw(np.random.default_rng(seed), K, N, s, sampling)
+    assert np.allclose(np.conj(inst.h) - np.conj(inst.h_hat), deltas, atol=1e-15)
 
 
 def _aligned_design(channels, m=1.0):
@@ -191,6 +209,27 @@ class TestEmpiricalMse:
         se = 3.0 * expected / np.sqrt(trials)
         assert abs(samples_mean - expected) <= 3 * se
 
+    def test_mse_at_error_is_realized_mse(self, rng):
+        # realized evaluation: the true channel is h = h_hat + conj(delta)
+        config = SystemConfig(
+            K=3, N=4, P=5.0, noise_var=0.3, s=0.2, error_sampling="interior"
+        )
+        inst, deltas = synthesize_instance(config, rng)
+        design = Design(
+            m=0.7,
+            t=sample_rayleigh_vector(3, 1.0, rng),
+            v=np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 4))),
+        )
+        realized = mse_at_error(
+            design, inst.h_hat, deltas, config.noise_var, eps_set=inst.eps
+        )
+        expected = closed_form_mse(design, inst.h, config.noise_var)
+        assert realized == pytest.approx(expected, rel=1e-12)
+        trials = 200_000
+        samples_mean = empirical_mse(design, inst.h, config.noise_var, trials, rng)
+        se = 3.0 * expected / np.sqrt(trials)
+        assert abs(samples_mean - realized) <= 3 * se
+
 
 class TestSystemConfig:
     def test_rejects_bad_dims(self):
@@ -207,19 +246,16 @@ class TestSystemConfig:
 
 
 class TestSynthesize:
-    def test_cascade_and_ball(self, rng):
+    def test_cascade_and_ball(self):
         config = SystemConfig(K=4, N=6, P=1.0, noise_var=0.1, s=0.3)
-        inst, deltas = synthesize_instance(config, rng)
+        inst, deltas = synthesize_instance(config, np.random.default_rng(3))
+        g, r = reference_synthesis(config, np.random.default_rng(3))[:2]
         for k in range(4):
-            assert np.allclose(
-                hermitian_row(inst.h[k]), np.conj(inst.g[k]) * inst.r[k]
-            )
+            assert np.allclose(np.conj(inst.h[k]), np.conj(g[k]) * r[k])
             assert inst.eps[k] == pytest.approx(0.3 * np.linalg.norm(inst.h[k]))
-            gap = np.linalg.norm(hermitian_row(inst.h[k]) - hermitian_row(inst.h_hat[k]))
+            gap = np.linalg.norm(np.conj(inst.h[k]) - np.conj(inst.h_hat[k]))
             assert gap <= inst.eps[k] * (1 + 1e-12)
-            assert np.allclose(
-                hermitian_row(inst.h[k]) - hermitian_row(inst.h_hat[k]), deltas[k]
-            )
+            assert np.allclose(np.conj(inst.h[k]) - np.conj(inst.h_hat[k]), deltas[k])
 
 
 def reference_synthesis(config, rng):
@@ -269,8 +305,8 @@ def test_synthesis_matches_per_sensor_draws(K, N, s, sampling):
     inst, deltas = synthesize_instance(config, rng)
     ref_rng = np.random.default_rng(K * 1000 + N)
     expected = reference_synthesis(config, ref_rng)
-    got = (inst.g, inst.r, inst.h, inst.h_hat, inst.eps, deltas)
-    for name, a, b in zip(("g", "r", "h", "h_hat", "eps", "deltas"), got, expected):
+    got = (inst.h, inst.h_hat, inst.eps, deltas)
+    for name, a, b in zip(("h", "h_hat", "eps", "deltas"), got, expected[2:]):
         np.testing.assert_allclose(a, b, rtol=1e-13, atol=0, err_msg=name)
     # both streams end at the same point
     assert rng.uniform() == ref_rng.uniform()

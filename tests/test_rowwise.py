@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from aircomp_ris.model import Design, SystemConfig
 from aircomp_ris.optimizer import run_algorithm1
-from aircomp_ris.worst_case import certificate, mse_at_error, worst_case_objective
+from aircomp_ris.worst_case import (
+    certificate,
+    delta_worst,
+    mse_at_error,
+    worst_case_objective,
+)
 
 RTOL = 1e-12
 
@@ -72,7 +77,7 @@ def test_objective_and_certificate_match_loops(problem):
     close(worst_case_objective(design, h_hat, eps, noise_var), total)
     cert = certificate(design, h_hat, eps, noise_var)
     close(cert.terms, terms)
-    close(cert.deltas, np.array(deltas).reshape(K, N))
+    close(delta_worst(t_hat, h_hat, design.v, eps), np.array(deltas).reshape(K, N))
     close(cert.total, total)
     assert np.array_equal(np.isinf(cert.lambdas), eps == 0)
     close(cert.lambdas[eps > 0], np.array(lambdas)[eps > 0])
@@ -174,7 +179,8 @@ def test_single_sensor_loop_and_rows_agree():
     assert worst_case_objective(design, h, [0.3], 0.1) == pytest.approx(expected)
     cert = certificate(design, h, np.array([0.3]), 0.1)
     assert cert.total == pytest.approx(expected)
-    assert np.linalg.norm(cert.deltas[0]) == pytest.approx(0.3)
+    delta = delta_worst(design.t_hat, h, v, np.array([0.3]))
+    assert np.linalg.norm(delta[0]) == pytest.approx(0.3)
     config = SystemConfig(K=1, N=2, P=1.0, noise_var=0.1)
     eps = np.array([0.3])
     got, _ = run_algorithm1(config, h, eps)

@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aircomp_ris.errors import (
-    DimensionMismatch,
-    NoUncertainty,
-    PerturbationOutOfBall,
-)
-from aircomp_ris.model import Design, inner, sample_bounded_error
+from oracles import ball_perturbation
+
+from aircomp_ris.errors import DimensionMismatch, PerturbationOutOfBall
+from aircomp_ris.model import Design, inner
 from aircomp_ris.verify import random_instance
 from aircomp_ris.worst_case import (
     brute_force_worst_case,
@@ -62,9 +60,18 @@ class TestLambdaWorst:
             lam = lambda_worst(t_hat, h_hat, v, eps)
             assert lam > abs(t_hat) ** 2 * len(h_hat)
 
-    def test_zero_eps_rejected(self):
-        with pytest.raises(NoUncertainty):
-            lambda_worst(1.0, np.array([1.0 + 0j]), np.array([1.0 + 0j]), 0.0)
+    def test_zero_eps_is_inf(self, rng):
+        assert lambda_worst(1.0, np.array([1.0 + 0j]), np.array([1.0 + 0j]), 0.0) == np.inf
+        # row-wise: inf where eps_k = 0, the scalar value bit for bit elsewhere
+        rows = [random_instance(rng, n_max=1) for _ in range(4)]
+        t_hat = np.array([row[0] for row in rows])
+        h_hat = np.array([row[1] for row in rows])
+        v = np.array([row[2] for row in rows])
+        eps = np.array([rows[0][3], 0.0, rows[2][3], 0.0])
+        lam = lambda_worst(t_hat, h_hat, v, eps)
+        assert np.array_equal(np.isinf(lam), eps == 0)
+        for k in (0, 2):
+            assert lam[k] == lambda_worst(t_hat[k], h_hat[k], v[k], eps[k])
 
 
 class TestDeltaWorst:
@@ -92,7 +99,7 @@ class TestDeltaWorst:
         best = worst_case_term(t_hat, h_hat, v, eps)
         rho = residual(t_hat, h_hat, v)
         for _ in range(10**4):
-            d = sample_bounded_error(len(h_hat), eps * rng.uniform() ** 0.5, "surface", rng)
+            d = ball_perturbation(len(h_hat), eps * rng.uniform() ** 0.5, rng)
             val = abs(rho + t_hat * (d @ v)) ** 2
             assert val <= best + 1e-9
 
@@ -183,7 +190,8 @@ class TestObjectiveAndMseAtError:
         design = _design_k1(t_hat, v)
         bound = worst_case_objective(design, h_hat[None, :], np.array([eps]), 0.2)
         for _ in range(2000):
-            d = sample_bounded_error(len(v), eps, "interior", rng)
+            # uniform over the eps-ball: radius eps * U^(1/(2N))
+            d = ball_perturbation(len(v), eps * rng.uniform() ** (1 / (2 * len(v))), rng)
             val = mse_at_error(design, h_hat[None, :], d[None, :], 0.2)
             assert val <= bound + 1e-9
 
@@ -264,7 +272,11 @@ class TestCertificate:
         design = _design_k1(t_hat, v)
         cert = certificate(design, h_hat[None, :], np.array([eps]), 0.4)
         assert cert.total == pytest.approx(float(cert.terms.sum()) + 0.4 * design.m**2)
-        assert np.linalg.norm(cert.deltas[0]) == pytest.approx(eps, rel=1e-10)
+        # delta_worst gives the perturbation that attains the certificate
+        delta = delta_worst(design.t_hat, h_hat[None, :], design.v, np.array([eps]))
+        assert np.linalg.norm(delta[0]) == pytest.approx(eps, rel=1e-10)
+        attained = mse_at_error(design, h_hat[None, :], delta, 0.4)
+        assert attained == pytest.approx(cert.total, rel=1e-10)
         assert cert.lambdas[0] > abs(t_hat) ** 2 * len(h_hat) or abs(
             residual(t_hat, h_hat, v)
         ) < 1e-12
@@ -274,4 +286,5 @@ class TestCertificate:
         design = _design_k1(t_hat, v)
         cert = certificate(design, h_hat[None, :], np.array([0.0]), 0.0)
         assert np.isinf(cert.lambdas[0])
-        assert np.all(cert.deltas == 0)
+        delta = delta_worst(design.t_hat, h_hat[None, :], design.v, np.array([0.0]))
+        assert np.all(delta == 0)
