@@ -84,7 +84,7 @@ def cmd_solve(config_path, out_path):
         if cfg.instance is not None:
             h_hat, eps = cfg.instance
         else:
-            inst, _ = synthesize_instance(system, rng)
+            inst = synthesize_instance(system, rng)
             h_hat, eps = inst.h_hat, inst.eps
         design = robust_design(system, h_hat, eps)
         cert = certificate(design, h_hat, eps, system.noise_var)

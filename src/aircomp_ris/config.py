@@ -11,7 +11,7 @@ import json
 import jsonschema
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidDimension
 from .experiments import SCHEMES, SweepSpec
 from .model import ERROR_SAMPLING_MODES, EVAL_MODES, SystemConfig
 
@@ -124,7 +124,7 @@ def parse_config(raw):
     master_seed = int(raw["master_seed"])
     try:
         system = SystemConfig(**dict(fields, K=int(fields["K"]), N=int(fields["N"])))
-    except (ValueError, TypeError) as exc:
+    except (InvalidDimension, ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
     instance = None

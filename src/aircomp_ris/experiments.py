@@ -1,6 +1,7 @@
 """Monte Carlo sweep harness: NMSE of the robust and non-robust schemes
 versus SNR, RIS size N, or sensor count K, with fully reproducible
-per-trial seeding."""
+per-trial seeding. Trials run in blocks: one call synthesizes, designs or
+scores every trial of a block along a leading trial axis."""
 
 from __future__ import annotations
 
@@ -8,7 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemConfig, synthesize_instance
+from .model import (
+    MAX_DIMENSION,
+    Design,
+    SystemConfig,
+    synthesize_instance,
+    trials_per_block,
+)
 from .optimizer import nonrobust_design, robust_design, run_algorithm1
 from .worst_case import mse_at_error, worst_case_objective
 
@@ -36,8 +43,8 @@ class SweepSpec:
             raise ValueError(f"kind must be one of {SWEEP_KINDS}")
         if not self.values or list(self.values) != sorted(set(self.values)):
             raise ValueError("values must be non-empty and strictly increasing")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_DIMENSION:
+            raise ValueError(f"trials must be >= 1 and <= {MAX_DIMENSION}")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
@@ -50,8 +57,13 @@ class SweepSpec:
         if not np.isfinite(numbers).all():
             raise ValueError("values and s_values must be finite")
         if self.kind in ("n", "k"):
-            if not all(float(v).is_integer() and v >= 1 for v in self.values):
-                raise ValueError(f"{self.kind} sweep values must be integers >= 1")
+            if not all(
+                float(v).is_integer() and 1 <= v <= MAX_DIMENSION for v in self.values
+            ):
+                raise ValueError(
+                    f"{self.kind} sweep values must be integers >= 1 "
+                    f"and <= {MAX_DIMENSION}"
+                )
             self.values = [int(v) for v in self.values]
 
 
@@ -81,37 +93,47 @@ def nmse(mse, K):
 
 
 def design_for_scheme(config, scheme, h_hat_set, eps_set):
-    """Run the designer a scheme refers to; returns (Design, iterations)."""
+    """Run the designer a scheme refers to on a (T, K, N) block of trials;
+    returns (Design, iterations per trial)."""
+    no_iters = np.zeros(len(h_hat_set))
     if scheme == "nonrobust":
-        return nonrobust_design(config, h_hat_set), 0
+        return nonrobust_design(config, h_hat_set), no_iters
     if scheme == "robust_exact":
-        design, trace = run_algorithm1(config, h_hat_set, eps_set)
-        return design, trace.n_iters
+        # the alternating loop designs one trial at a time
+        runs = [run_algorithm1(config, h, e) for h, e in zip(h_hat_set, eps_set)]
+        design = Design(
+            m=np.array([d.m for d, _ in runs]),
+            t=np.stack([d.t for d, _ in runs]),
+            v=np.stack([d.v for d, _ in runs]),
+        )
+        return design, np.array([trace.n_iters for _, trace in runs])
     if scheme == "multistart":
         # the historical name of the closed-form global optimum
-        return robust_design(config, h_hat_set, eps_set), 0
+        return robust_design(config, h_hat_set, eps_set), no_iters
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def run_trial(config, scheme, channel_seed):
     """One Monte Carlo trial: synthesize channels from channel_seed, design,
-    evaluate; returns (NMSE, iterations)."""
-    inst, deltas = synthesize_instance(config, _seeded_rng(channel_seed))
-    return _design_and_score(config, scheme, inst, deltas)
+    evaluate; returns (NMSE, iterations). It is a block of one trial."""
+    inst = synthesize_instance(config, [_seeded_rng(channel_seed)])
+    values, iters = _design_and_score(config, scheme, inst)
+    return float(values[0]), int(iters[0])
 
 
 def _seeded_rng(seed):
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def _design_and_score(config, scheme, inst, deltas):
-    """Design a scheme on one channel draw; returns (NMSE, iterations)."""
+def _design_and_score(config, scheme, inst):
+    """Design a scheme on a block of channel draws; returns the NMSE and
+    iterations of each trial."""
     design, iters = design_for_scheme(config, scheme, inst.h_hat, inst.eps)
     if config.eval_mode == "worst":
         mse = worst_case_objective(design, inst.h_hat, inst.eps, config.noise_var)
     else:
         mse = mse_at_error(
-            design, inst.h_hat, deltas, config.noise_var, eps_set=inst.eps
+            design, inst.h_hat, inst.deltas, config.noise_var, eps_set=inst.eps
         )
     return nmse(mse, config.K), iters
 
@@ -149,8 +171,9 @@ def channel_seed(master_seed, kind, value_index, s_index, trial):
 def run_sweep(spec):
     """Run every (value, s, scheme) cell of the sweep; returns records
     ordered by (value, scheme label). Trial seeds are derived by index so
-    execution order and parallelism cannot change the results. Each trial
-    draws its channels once and designs every scheme on them."""
+    execution order and parallelism cannot change the results. A cell runs
+    its trials in blocks: one synthesis call draws the block, each trial
+    from its own seed, and every scheme is designed and scored on it."""
     s_values = spec.s_values if spec.s_values is not None else [spec.base.s]
     multiple_s = len(s_values) > 1
     records = []
@@ -158,14 +181,19 @@ def run_sweep(spec):
         row = []
         for si, s in enumerate(s_values):
             config = _config_at(spec.base, spec.kind, value, s)
+            block = trials_per_block(config)
             nmses = np.empty((len(spec.schemes), spec.trials))
             iters = np.empty_like(nmses)
-            for trial in range(spec.trials):
-                seed = channel_seed(spec.master_seed, spec.kind, vi, si, trial)
-                inst, deltas = synthesize_instance(config, _seeded_rng(seed))
+            for lo in range(0, spec.trials, block):
+                hi = min(lo + block, spec.trials)
+                rngs = [
+                    _seeded_rng(channel_seed(spec.master_seed, spec.kind, vi, si, trial))
+                    for trial in range(lo, hi)
+                ]
+                inst = synthesize_instance(config, rngs)
                 for j, scheme in enumerate(spec.schemes):
-                    nmses[j, trial], iters[j, trial] = _design_and_score(
-                        config, scheme, inst, deltas
+                    nmses[j, lo:hi], iters[j, lo:hi] = _design_and_score(
+                        config, scheme, inst
                     )
             for j, scheme in enumerate(spec.schemes):
                 row.append(

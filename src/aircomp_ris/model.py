@@ -24,7 +24,11 @@ EVAL_MODES = ("worst", "realized")
 ERROR_SAMPLING_MODES = ("surface", "interior")
 
 # Doubles drawn per synthesis block: bounds the temporaries at large K*N.
+# A sweep's trial block also holds at most this many channel entries.
 _DRAW_BLOCK = 1 << 14
+
+# Largest count numpy accepts as an array dimension.
+MAX_DIMENSION = int(np.iinfo(np.intp).max)
 
 
 def inner(a, b):
@@ -69,8 +73,10 @@ class SystemConfig:
     error_sampling: str = "surface"
 
     def __post_init__(self):
-        if self.K < 1 or self.N < 1:
-            raise InvalidDimension(f"K={self.K}, N={self.N} must be >= 1")
+        if not (1 <= self.K <= MAX_DIMENSION and 1 <= self.N <= MAX_DIMENSION):
+            raise InvalidDimension(
+                f"K={self.K}, N={self.N} must be >= 1 and <= {MAX_DIMENSION}"
+            )
         for name in ("P", "noise_var", "channel_var", "s"):
             _check_finite(name, getattr(self, name))
         if self.P <= 0:
@@ -91,26 +97,31 @@ class SystemConfig:
 
 @dataclass
 class ChannelInstance:
-    """Per-sensor channels of one Monte Carlo draw.
+    """Per-sensor channels of Monte Carlo draws, over any leading trial axes.
 
-    h is the (K, N) true cascaded channel and h_hat the estimate available
-    to the designer. eps is the (K,) vector of uncertainty radii bounding
-    ||row(h) - row(h_hat)||.
+    h_hat is the (..., K, N) estimate available to the designer, deltas the
+    (..., K, N) row perturbations and eps the (..., K) radii bounding them.
+    The true channel has row(h_k) = row(h_hat_k) + delta_k.
     """
 
-    h: np.ndarray
     h_hat: np.ndarray
     eps: np.ndarray
+    deltas: np.ndarray
 
     def __post_init__(self):
-        if self.h.shape != self.h_hat.shape:
+        if self.deltas.shape != self.h_hat.shape:
             raise DimensionMismatch(
-                f"channel arrays disagree: {self.h.shape} vs {self.h_hat.shape}"
+                f"channel arrays disagree: {self.h_hat.shape} vs {self.deltas.shape}"
             )
-        if self.eps.shape[0] != self.h.shape[0]:
-            raise DimensionMismatch("eps length must equal K")
+        if self.eps.shape != self.h_hat.shape[:-1]:
+            raise DimensionMismatch("eps must hold one radius per channel row")
         if np.any(self.eps < 0):
             raise ValueError("eps must be >= 0")
+
+    @property
+    def h(self):
+        """The true channel, rebuilt from the estimate to within rounding."""
+        return self.h_hat + np.conj(self.deltas)
 
 
 @dataclass
@@ -119,20 +130,21 @@ class Design:
 
     m is the receive scaling, t the (K,) transmit scalars, v the (K, N)
     unit-modulus RIS phase vectors. The effective scalars t_hat = m * t are
-    what the worst-case objective actually depends on.
+    what the worst-case objective actually depends on. A block of designs
+    adds leading trial axes: m (T,), t (T, K) and v (T, K, N).
     """
 
-    m: float
+    m: float | np.ndarray
     t: np.ndarray
     v: np.ndarray
 
     @property
     def t_hat(self):
-        return self.m * self.t
+        return np.asarray(self.m)[..., None] * self.t
 
     @property
     def K(self):
-        return self.t.shape[0]
+        return self.t.shape[-1]
 
 
 def sample_rayleigh_vector(n, variance, rng):
@@ -150,47 +162,66 @@ def epsilon_from_coefficient(s, h):
     return s * row_norms(h)
 
 
-def synthesize_instance(config, rng):
-    """Draw one ChannelInstance and its row perturbations: Rayleigh
-    segments g_k (RIS->receiver) and r_k (sensor->RIS), true channels h_k
-    with row(h_k) = conj(g_k) * r_k, and estimates with
-    row(h_hat_k) = row(h_k) - delta_k for a bounded error delta_k of radius
-    eps_k = s*||h_k||.
+def trials_per_block(config):
+    """Trials a sweep synthesizes per call: as many as keep a block's
+    (T, K, N) arrays within _DRAW_BLOCK entries, and at least one."""
+    return max(1, _DRAW_BLOCK // (config.K * config.N))
 
-    Sensor by sensor, the stream yields N normals each for re(g_k), im(g_k),
-    re(r_k), im(r_k), and when s > 0 (so eps_k > 0) for the real and
-    imaginary parts of the error direction, then one uniform for an
-    interior error's radius. A block of sensors without uniforms is drawn
-    in one call, which fills in that same order."""
+
+def synthesize_instance(config, rng):
+    """Draw a ChannelInstance: Rayleigh segments g_k (RIS->receiver) and
+    r_k (sensor->RIS) give true channels with row(h_k) = conj(g_k) * r_k,
+    and estimates row(h_hat_k) = row(h_k) - delta_k for a bounded error
+    delta_k of radius eps_k = s*||h_k||.
+
+    rng is one Generator, or a sequence of T Generators for a block of
+    trials with (T, K, N) arrays; trial t is drawn from rng[t] exactly as
+    it would be alone. Sensor by sensor, a stream yields N normals each for
+    re(g_k), im(g_k), re(r_k), im(r_k), and when s > 0 (so eps_k > 0) for
+    the real and imaginary parts of the error direction, then one uniform
+    for an interior error's radius. The (trial, sensor) rows are drawn in
+    blocks; a trial's rows without uniforms take one call, which fills in
+    that same order."""
+    batched = isinstance(rng, (list, tuple))
+    rngs = list(rng) if batched else [rng]
     K, N = config.K, config.N
+    rows = len(rngs) * K
     robust = config.s > 0
     interior = robust and config.error_sampling == "interior"
     parts = 6 if robust else 4
     step = max(1, _DRAW_BLOCK // (parts * N))
-    z = np.empty((min(step, K), parts, N))
+    z = np.empty((min(step, rows), parts, N))
+    radius = np.ones(len(z))
     seg_scale = np.sqrt(config.channel_var / 2.0)
-    h = np.empty((K, N), dtype=complex)
-    h_hat = np.empty_like(h)
-    deltas = np.zeros_like(h)
-    eps = np.empty(K)
-    for lo in range(0, K, step):
-        blk = slice(lo, min(lo + step, K))
-        zb = z[: blk.stop - lo]
-        radius = np.ones(len(zb))
-        if interior:
-            for i in range(len(zb)):
-                rng.standard_normal(out=zb[i])
-                # radius ~ U^(1/(2N)): uniform over the 2N-real-dim ball
-                radius[i] = rng.uniform() ** (1.0 / (2 * N))
-        else:
-            rng.standard_normal(out=zb)
+    h_hat = np.empty((rows, N), dtype=complex)
+    deltas = np.zeros_like(h_hat)
+    eps = np.empty(rows)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        zb = z[: hi - lo]
+        for trial in range(lo // K, (hi - 1) // K + 1):
+            gen = rngs[trial]
+            first, last = max(lo, trial * K) - lo, min(hi, trial * K + K) - lo
+            if interior:
+                for i in range(first, last):
+                    gen.standard_normal(out=zb[i])
+                    # radius ~ U^(1/(2N)): uniform over the 2N-real-dim ball
+                    radius[i] = gen.uniform() ** (1.0 / (2 * N))
+            else:
+                gen.standard_normal(out=zb[first:last])
         g = (zb[:, 0] + 1j * zb[:, 1]) * seg_scale
         r = (zb[:, 2] + 1j * zb[:, 3]) * seg_scale
-        h[blk] = g * np.conj(r)
-        eps[blk] = epsilon_from_coefficient(config.s, h[blk])
+        # fixed operand order: g * np.conj(r) may run in place as conj(r) * g
+        h = np.multiply(g, np.conj(r))
+        eps[lo:hi] = epsilon_from_coefficient(config.s, h)
         if robust:
             d = (zb[:, 4] + 1j * zb[:, 5]) * np.sqrt(0.5)
             d /= row_norms(d)[:, None]
-            deltas[blk] = (eps[blk] * radius)[:, None] * d
-        h_hat[blk] = h[blk] - np.conj(deltas[blk])
-    return ChannelInstance(h=h, h_hat=h_hat, eps=eps), deltas
+            deltas[lo:hi] = (eps[lo:hi] * radius[: hi - lo])[:, None] * d
+        h_hat[lo:hi] = h - np.conj(deltas[lo:hi])
+    lead = (len(rngs), K) if batched else (K,)
+    return ChannelInstance(
+        h_hat=h_hat.reshape(*lead, N),
+        eps=eps.reshape(lead),
+        deltas=deltas.reshape(*lead, N),
+    )

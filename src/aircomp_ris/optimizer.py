@@ -67,13 +67,18 @@ def _t_mmse(a, noise_over_P):
 
 def recover_m_t(t_hat_set, P):
     """Recover (m, t) from the effective scalars: m = sqrt(sum|t_hat|^2 / P),
-    t_k = t_hat_k / m, so the sum power constraint is met with equality."""
+    t_k = t_hat_k / m, so the sum power constraint is met with equality.
+    Works per trial over the leading axes of a (..., K) array."""
     t_hat_set = np.asarray(t_hat_set)
-    ssq = float(np.sum(np.abs(t_hat_set) ** 2))
-    if ssq == 0:
+    ssq = np.sum(np.abs(t_hat_set) ** 2, axis=-1)
+    if (ssq == 0).any():
         raise AllZeroScalers("all effective scalars are zero")
-    m = float(np.sqrt(ssq / P))
-    return m, t_hat_set / m
+    m = np.sqrt(ssq / P)
+    return _float_if_scalar(m), t_hat_set / m[..., None]
+
+
+def _float_if_scalar(x):
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _per_sensor_objective(t_hat, h_hat, v, eps, noise_over_P):
@@ -84,9 +89,10 @@ def _per_sensor_objective(t_hat, h_hat, v, eps, noise_over_P):
 
 def nonrobust_design(config, h_hat_set):
     """Baseline ignoring CSI uncertainty: co-phased RIS vectors and the
-    classical sum-power MMSE scaling t_hat_k = a_k / (a_k^2 + sigma^2/P)."""
+    classical sum-power MMSE scaling t_hat_k = a_k / (a_k^2 + sigma^2/P).
+    Designs each trial of a (..., K, N) block."""
     h_hat_set = np.asarray(h_hat_set)
-    a = np.abs(h_hat_set).sum(axis=1)
+    a = np.abs(h_hat_set).sum(axis=-1)
     t_hat = _t_mmse(a, config.noise_var / config.P)
     m, t = recover_m_t(t_hat, config.P)
     return Design(m=m, t=t, v=update_phases(h_hat_set))
@@ -96,11 +102,11 @@ def robust_design(config, h_hat_set, eps_set):
     """Global optimum of the worst-case design: co-phased RIS vectors and
     the exact per-sensor scaling t_hat_k = t_exact(a_k, eps_k sqrt(N)),
     a_k = ||h_hat_k||_1. Yields the m = 0 design when every sensor is
-    silenced."""
+    silenced. Designs each trial of a (..., K, N) block."""
     h_hat_set = np.asarray(h_hat_set)
-    if np.all(h_hat_set == 0):
+    if not h_hat_set.any(axis=(-2, -1)).all():
         raise AllZeroScalers("every channel estimate is zero")
-    a = np.abs(h_hat_set).sum(axis=1)
+    a = np.abs(h_hat_set).sum(axis=-1)
     eps_rootN = np.asarray(eps_set, dtype=float) * np.sqrt(config.N)
     t_hat = t_exact(a, eps_rootN, config.noise_var, config.P)
     m, t = _recover_or_zero(t_hat, config.P)
@@ -148,9 +154,14 @@ def run_algorithm1(config, h_hat_set, eps_set):
 
 
 def _recover_or_zero(t_hat, P):
-    """recover_m_t, except the all-zero degenerate case (uncertainty so
-    large that silence is optimal for every sensor) yields the m = 0 design
-    rather than an error mid-run."""
-    if np.all(np.abs(t_hat) == 0):
-        return 0.0, np.zeros_like(t_hat)
-    return recover_m_t(t_hat, P)
+    """recover_m_t, except that a trial in the all-zero degenerate case
+    (uncertainty so large that silence is optimal for every sensor) yields
+    the m = 0 design rather than an error mid-run."""
+    t_hat = np.asarray(t_hat)
+    silent = ~t_hat.any(axis=-1)
+    if not silent.any():
+        return recover_m_t(t_hat, P)
+    m = np.zeros(silent.shape)
+    t = np.zeros_like(t_hat)
+    m[~silent], t[~silent] = recover_m_t(t_hat[~silent], P)
+    return _float_if_scalar(m), t

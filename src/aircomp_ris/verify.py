@@ -150,7 +150,7 @@ def run_monotone_suite(trials, seed):
             noise_var=float(rng.uniform(0.05, 2.0)),
             s=float(rng.uniform(0.0, 0.7)),
         )
-        inst, _ = synthesize_instance(config, rng)
+        inst = synthesize_instance(config, rng)
         _, trace = run_algorithm1(config, inst.h_hat, inst.eps)
         obj = np.asarray(trace.objective)
         rise = float(np.max(np.diff(obj), initial=0.0))

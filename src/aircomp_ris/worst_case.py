@@ -89,11 +89,12 @@ def worst_case_term(t_hat, h_hat, v, eps):
 
 
 def worst_case_objective(design, h_hat_set, eps_set, noise_var):
-    """Total worst-case MSE: sum_k worst term + noise_var * m^2."""
-    if np.shape(h_hat_set)[0] != design.K or np.shape(eps_set)[0] != design.K:
+    """Total worst-case MSE: sum_k worst term + noise_var * m^2, per trial
+    of a (..., K, N) block."""
+    if np.shape(h_hat_set)[-2] != design.K or np.shape(eps_set)[-1] != design.K:
         raise DimensionMismatch("h_hat_set/eps_set must have K rows")
     terms = worst_case_term(design.t_hat, h_hat_set, design.v, eps_set)
-    return float(noise_var * design.m**2 + np.sum(terms))
+    return _total(terms, design.m, noise_var)
 
 
 def certificate(design, h_hat_set, eps_set, noise_var):
@@ -101,30 +102,40 @@ def certificate(design, h_hat_set, eps_set, noise_var):
     t_hat = design.t_hat
     lambdas = lambda_worst(t_hat, h_hat_set, design.v, eps_set)
     terms = worst_case_term(t_hat, h_hat_set, design.v, eps_set)
-    total = float(np.sum(terms) + noise_var * design.m**2)
+    total = _total(terms, design.m, noise_var)
     return WorstCaseCert(lambdas=lambdas, terms=terms, total=total)
 
 
 def mse_at_error(design, h_hat_set, delta_set, noise_var, eps_set=None):
-    """MSE conditioned on the estimate, at the supplied row perturbations.
+    """MSE conditioned on the estimate, at the supplied row perturbations,
+    per trial of a (..., K, N) block.
 
     When eps_set is given, each ||delta_k|| is checked against its radius
     (with a small slack for roundoff).
     """
     h_hat_set = np.asarray(h_hat_set)
     delta_set = np.asarray(delta_set)
-    if h_hat_set.shape != delta_set.shape or h_hat_set.shape[0] != design.K:
+    if h_hat_set.shape != delta_set.shape or h_hat_set.shape[-2] != design.K:
         raise DimensionMismatch("h_hat_set/delta_set shape mismatch")
     if eps_set is not None:
+        eps_set = np.asarray(eps_set)
         nd = row_norms(delta_set)
-        out = nd > np.asarray(eps_set) * (1 + 1e-9) + 1e-15
+        out = nd > eps_set * (1 + 1e-9) + 1e-15
         if np.any(out):
-            k = int(np.argmax(out))
+            at = np.unravel_index(np.argmax(out), out.shape)
             raise PerturbationOutOfBall(
-                f"||delta_{k}|| = {nd[k]} > eps = {eps_set[k]}"
+                f"||delta_{at[-1]}|| = {nd[at]} > eps = {eps_set[at]}"
             )
     values = _per_sensor_value(design.t_hat, h_hat_set, design.v, delta_set)
-    return float(noise_var * design.m**2 + np.sum(values))
+    return _total(values, design.m, noise_var)
+
+
+def _total(terms, m, noise_var):
+    """Sum of the per-sensor terms plus the noise term noise_var * m^2.
+    np.float_power squares with pow() as float ** 2 does; ** on an array
+    multiplies, which can round the last bit differently."""
+    total = noise_var * np.float_power(m, 2) + np.sum(terms, axis=-1)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def _per_sensor_value(t_hat, h_hat, v, delta):

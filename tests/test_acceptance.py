@@ -182,7 +182,7 @@ def test_criterion_7_safeguarded_monotonicity():
             noise_var=float(rng.uniform(0.05, 2.0)),
             s=float(rng.uniform(0.0, 0.7)),
         )
-        inst, _ = synthesize_instance(config, rng)
+        inst = synthesize_instance(config, rng)
         _, trace = run_algorithm1(config, inst.h_hat, inst.eps)
         if np.any(np.diff(trace.objective) > 1e-12):
             violations += 1
@@ -328,7 +328,7 @@ def test_criterion_11_closed_form_global_optimum():
         config = SystemConfig(
             K=4, N=8, P=10.0, noise_var=1.0, s=float(rng.uniform(0.2, 0.6))
         )
-        inst, _ = synthesize_instance(config, rng)
+        inst = synthesize_instance(config, rng)
 
         def objective(design):
             return worst_case_objective(design, inst.h_hat, inst.eps, config.noise_var)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -228,14 +229,36 @@ class TestNonFiniteInput:
         assert main(argv) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["values", "s_values"])
-    def test_sweep_rejects_huge_integer(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("snr", "values", [10**400]),  # too large for a double
+            ("snr", "s_values", [10**400]),
+            # beyond numpy's largest array dimension
+            ("snr", "trials", 10**30),
+            ("n", "values", [10**30]),
+            ("k", "values", [2, 10**30]),
+        ],
+        ids=["values", "s_values", "trials", "n_value", "k_value"],
+    )
+    def test_sweep_rejects_huge_integer(self, tmp_path, capsys, kind, key, value):
         raw = sweep_config()
-        raw["sweep"][key] = [10**400]  # too large for a double
+        raw["sweep"][key] = value
         cfg = write_json(tmp_path / "cfg.json", raw)
         out = tmp_path / "r.csv"
-        argv = ["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]
+        argv = ["sweep", "--kind", kind, "--config", cfg, "--out", str(out)]
         assert main(argv) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("key", ["K", "N"])
+    def test_solve_rejects_huge_size(self, tmp_path, capsys, key):
+        raw = golden_solve_config()
+        del raw["instance"]
+        raw["system"][key] = 10**30
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        out = tmp_path / "design.json"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -438,6 +461,23 @@ class TestConfigRoundTrip:
         raw["instance"]["eps"] = [0.0, 0.1]
         with pytest.raises(ConfigError):
             parse_config(raw)
+
+
+# sha256 of the CSV each figure config writes; the 1e-12 goldens cannot
+# see a change in the last bit, and the repr-formatted CSV can
+FIGURE_CSV_SHA256 = {
+    "snr": "47cd6a5a74fcd5f2deed42dd8cb8e818cedccbd5ae2b385b454d567cf9eb88f2",
+    "n": "d4026d2a69da4f5161e5a2b4c213449edaeacb683dff252a8e93eff4c6edb8d6",
+    "k": "71d1213af3468a8b18efad5c735de31f8966231f7f93bec7feb139365a883fa5",
+}
+
+
+@pytest.mark.parametrize("kind", ["snr", "n", "k"])
+def test_figure_csv_bytes(tmp_path, kind):
+    out = tmp_path / f"fig_{kind}.csv"
+    config = str(CONFIGS / f"fig_{kind}.json")
+    assert main(["sweep", "--kind", kind, "--config", config, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_CSV_SHA256[kind]
 
 
 class TestCsvFormat:

@@ -4,13 +4,15 @@ import pytest
 from aircomp_ris.experiments import (
     AggregateRecord,
     SweepSpec,
+    _design_and_score,
+    _seeded_rng,
     channel_seed,
     nmse,
     run_sweep,
     run_trial,
     snr_to_noise_var,
 )
-from aircomp_ris.model import SystemConfig
+from aircomp_ris.model import SystemConfig, synthesize_instance, trials_per_block
 
 
 def base_config(**kw):
@@ -252,40 +254,62 @@ class TestGoldenSweeps:
             assert rec.trials == spec.trials
 
 
-def test_one_synthesis_per_trial_shared_by_schemes(monkeypatch):
+def test_one_synthesis_per_trial_block_shared_by_schemes(monkeypatch):
     import aircomp_ris.experiments as experiments
 
-    synth_calls = []
+    blocks = []
     designs = []
     real_synth = experiments.synthesize_instance
     real_design = experiments.design_for_scheme
 
-    def counting_synth(config, rng):
-        synth_calls.append((config.noise_var, config.s))
-        return real_synth(config, rng)
+    def counting_synth(config, rngs):
+        inst = real_synth(config, rngs)
+        blocks.append((config.noise_var, config.s, len(rngs), inst.h_hat))
+        return inst
 
     def recording_design(config, scheme, h_hat_set, eps_set):
-        designs.append((config.noise_var, config.s, scheme))
+        designs.append((config.noise_var, config.s, scheme, h_hat_set))
         return real_design(config, scheme, h_hat_set, eps_set)
 
     monkeypatch.setattr(experiments, "synthesize_instance", counting_synth)
     monkeypatch.setattr(experiments, "design_for_scheme", recording_design)
+    # K * N = 6400 puts two trials in a block, so 5 trials take 3 blocks
+    base = base_config(K=64, N=100)
+    assert trials_per_block(base) == 2
     spec = SweepSpec(
         kind="snr",
         values=[0.0, 10.0],
-        trials=3,
+        trials=5,
         schemes=["multistart", "nonrobust", "robust_exact"],
-        base=base_config(),
+        base=base,
         master_seed=2,
         s_values=[0.2, 0.4],
     )
     run_sweep(spec)
     cells = len(spec.values) * len(spec.s_values)
-    assert len(synth_calls) == cells * spec.trials
-    # every scheme is designed on each trial's one draw, right after it
-    assert designs == [
-        (*cell, scheme) for cell in synth_calls for scheme in spec.schemes
+    assert [size for _, _, size, _ in blocks] == [2, 2, 1] * cells
+    # every scheme is designed on each block's one draw, right after it
+    expected = [
+        (noise_var, s, scheme, h_hat)
+        for noise_var, s, _, h_hat in blocks
+        for scheme in spec.schemes
     ]
+    assert len(designs) == len(expected)
+    for got, want in zip(designs, expected):
+        assert got[:3] == want[:3] and got[3] is want[3]
+
+
+@pytest.mark.parametrize("scheme", ["multistart", "nonrobust", "robust_exact"])
+@pytest.mark.parametrize(
+    "eval_mode, sampling", [("worst", "surface"), ("realized", "interior")]
+)
+def test_block_scores_match_single_trials(scheme, eval_mode, sampling):
+    config = base_config(K=5, N=6, eval_mode=eval_mode, error_sampling=sampling)
+    seeds = [channel_seed(7, "snr", 0, 0, trial) for trial in range(9)]
+    inst = synthesize_instance(config, [_seeded_rng(seed) for seed in seeds])
+    values, iters = _design_and_score(config, scheme, inst)
+    for t, seed in enumerate(seeds):
+        assert (values[t], iters[t]) == run_trial(config, scheme, seed)
 
 
 def test_non_finite_sweep_values_rejected():

@@ -15,6 +15,7 @@ from aircomp_ris.model import (
     row_norms,
     sample_rayleigh_vector,
     synthesize_instance,
+    trials_per_block,
 )
 from aircomp_ris.worst_case import mse_at_error
 
@@ -36,7 +37,8 @@ class FixedNormals:
 
 def draw(rng, K=4, N=6, s=0.3, sampling="surface"):
     config = SystemConfig(K=K, N=N, P=1.0, noise_var=0.1, s=s, error_sampling=sampling)
-    return synthesize_instance(config, rng)
+    inst = synthesize_instance(config, rng)
+    return inst, inst.deltas
 
 
 class TestSampleRayleigh:
@@ -69,7 +71,7 @@ class TestCascade:
     def test_hand_example(self):
         # g = 1j, r = 2
         config = SystemConfig(N=1, **self.unit)
-        inst, _ = synthesize_instance(config, FixedNormals([0.0, 1.0, 2.0, 0.0]))
+        inst = synthesize_instance(config, FixedNormals([0.0, 1.0, 2.0, 0.0]))
         assert inst.h[0, 0] == pytest.approx(2j)
         # row(h) must be conj(g)*r
         assert np.conj(inst.h)[0, 0] == pytest.approx(-2j)
@@ -78,12 +80,12 @@ class TestCascade:
         g = rng.normal(size=(2, 5))
         config = SystemConfig(N=5, **self.unit)
         normals = np.concatenate([g, np.ones((1, 5)), np.zeros((1, 5))])
-        inst, _ = synthesize_instance(config, FixedNormals(normals))
+        inst = synthesize_instance(config, FixedNormals(normals))
         assert np.allclose(inst.h[0], g[0] + 1j * g[1])
 
     def test_inner_product_expansion(self, rng):
         config = SystemConfig(K=3, N=4, P=1.0, noise_var=0.1, s=0.2)
-        inst, _ = synthesize_instance(config, np.random.default_rng(5))
+        inst = synthesize_instance(config, np.random.default_rng(5))
         g, r = reference_synthesis(config, np.random.default_rng(5))[:2]
         for _ in range(100):
             v = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
@@ -94,7 +96,7 @@ class TestCascade:
 class TestChannelInstance:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            ChannelInstance(h=np.ones((2, 3)), h_hat=np.ones((2, 2)), eps=np.zeros(2))
+            ChannelInstance(h_hat=np.ones((2, 3)), eps=np.zeros(2), deltas=np.ones((2, 2)))
 
 
 class TestEpsilon:
@@ -196,7 +198,7 @@ class TestEmpiricalMse:
 
     def test_matches_closed_form(self, rng):
         config = SystemConfig(K=3, N=4, P=5.0, noise_var=0.3, s=0.2)
-        inst, _ = synthesize_instance(config, rng)
+        inst = synthesize_instance(config, rng)
         design = Design(
             m=0.7,
             t=sample_rayleigh_vector(3, 1.0, rng),
@@ -214,14 +216,14 @@ class TestEmpiricalMse:
         config = SystemConfig(
             K=3, N=4, P=5.0, noise_var=0.3, s=0.2, error_sampling="interior"
         )
-        inst, deltas = synthesize_instance(config, rng)
+        inst = synthesize_instance(config, rng)
         design = Design(
             m=0.7,
             t=sample_rayleigh_vector(3, 1.0, rng),
             v=np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 4))),
         )
         realized = mse_at_error(
-            design, inst.h_hat, deltas, config.noise_var, eps_set=inst.eps
+            design, inst.h_hat, inst.deltas, config.noise_var, eps_set=inst.eps
         )
         expected = closed_form_mse(design, inst.h, config.noise_var)
         assert realized == pytest.approx(expected, rel=1e-12)
@@ -248,14 +250,14 @@ class TestSystemConfig:
 class TestSynthesize:
     def test_cascade_and_ball(self):
         config = SystemConfig(K=4, N=6, P=1.0, noise_var=0.1, s=0.3)
-        inst, deltas = synthesize_instance(config, np.random.default_rng(3))
+        inst = synthesize_instance(config, np.random.default_rng(3))
         g, r = reference_synthesis(config, np.random.default_rng(3))[:2]
         for k in range(4):
             assert np.allclose(np.conj(inst.h[k]), np.conj(g[k]) * r[k])
             assert inst.eps[k] == pytest.approx(0.3 * np.linalg.norm(inst.h[k]))
             gap = np.linalg.norm(np.conj(inst.h[k]) - np.conj(inst.h_hat[k]))
             assert gap <= inst.eps[k] * (1 + 1e-12)
-            assert np.allclose(np.conj(inst.h[k]) - np.conj(inst.h_hat[k]), deltas[k])
+            assert np.allclose(np.conj(inst.h[k]) - np.conj(inst.h_hat[k]), inst.deltas[k])
 
 
 def reference_synthesis(config, rng):
@@ -302,11 +304,54 @@ def test_synthesis_matches_per_sensor_draws(K, N, s, sampling):
         K=K, N=N, P=1.0, noise_var=0.1, channel_var=0.7, s=s, error_sampling=sampling
     )
     rng = np.random.default_rng(K * 1000 + N)
-    inst, deltas = synthesize_instance(config, rng)
+    inst = synthesize_instance(config, rng)
     ref_rng = np.random.default_rng(K * 1000 + N)
     expected = reference_synthesis(config, ref_rng)
-    got = (inst.h, inst.h_hat, inst.eps, deltas)
+    got = (inst.h, inst.h_hat, inst.eps, inst.deltas)
     for name, a, b in zip(("h", "h_hat", "eps", "deltas"), got, expected[2:]):
         np.testing.assert_allclose(a, b, rtol=1e-13, atol=0, err_msg=name)
     # both streams end at the same point
     assert rng.uniform() == ref_rng.uniform()
+
+
+def test_trials_per_block():
+    def block(K, N):
+        return trials_per_block(SystemConfig(K=K, N=N, P=1.0, noise_var=0.1))
+
+    assert block(7, 16) == 146
+    assert block(64, 100) == 2
+    assert block(64, 256) == 1
+    assert block(20, 1000) == 1
+
+
+@pytest.mark.parametrize(
+    "K, N, s, sampling, trials",
+    [
+        # draw blocks of 170 rows split the 7-sensor trials
+        (7, 16, 0.4, "surface", None),
+        (7, 16, 0.4, "interior", None),
+        (7, 16, 0.0, "surface", None),
+        # (3, 8, 1024) arrays: past the 16384 entries where numpy may reuse
+        # a temporary in place
+        (8, 1024, 0.3, "surface", 3),
+        # K * N above the block cap: one trial per block
+        (20, 1000, 0.3, "interior", None),
+    ],
+)
+def test_trial_block_matches_per_trial_draws(K, N, s, sampling, trials):
+    config = SystemConfig(
+        K=K, N=N, P=1.0, noise_var=0.1, channel_var=0.7, s=s, error_sampling=sampling
+    )
+    trials = trials or trials_per_block(config)
+    seeds = [(5, K, N, trial) for trial in range(trials)]
+
+    def rng(seed):
+        return np.random.default_rng(np.random.SeedSequence(seed))
+
+    block = synthesize_instance(config, [rng(seed) for seed in seeds])
+    assert block.h_hat.shape == (trials, K, N) and block.eps.shape == (trials, K)
+    for t, seed in enumerate(seeds):
+        alone = synthesize_instance(config, rng(seed))
+        for name in ("h_hat", "eps", "deltas"):
+            got = getattr(block, name)[t]
+            assert got.tobytes() == getattr(alone, name).tobytes(), (name, t)

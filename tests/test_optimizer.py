@@ -124,7 +124,7 @@ def _random_problem(rng, K=None, N=None, s=None):
         noise_var=float(rng.uniform(0.05, 2.0)),
         s=s if s is not None else float(rng.uniform(0.0, 0.7)),
     )
-    inst, _ = synthesize_instance(config, rng)
+    inst = synthesize_instance(config, rng)
     return config, inst
 
 
@@ -290,3 +290,44 @@ class TestRobustDesign:
         config = SystemConfig(K=2, N=2, P=1.0, noise_var=0.5)
         with pytest.raises(AllZeroScalers):
             robust_design(config, np.zeros((2, 2), dtype=complex), np.zeros(2))
+
+
+class TestTrialBlock:
+    """The designers treat a leading axis as independent trials."""
+
+    config = SystemConfig(K=3, N=4, P=5.0, noise_var=0.4)
+
+    def block(self, rng):
+        h_hat = rng.normal(size=(4, 3, 4)) + 1j * rng.normal(size=(4, 3, 4))
+        h_hat[2, 1] = 0.0  # one sensor with a zero estimate
+        eps = rng.uniform(0.0, 0.5, (4, 3))
+        eps[1] = 10.0  # every sensor of trial 1 silenced
+        eps[3, 0] = 0.0
+        return h_hat, eps
+
+    @staticmethod
+    def assert_same(design, alone, t):
+        assert design.m[t] == alone.m
+        assert design.t[t].tobytes() == alone.t.tobytes()
+        assert design.v[t].tobytes() == alone.v.tobytes()
+
+    def test_robust_block_matches_single_trials(self, rng):
+        h_hat, eps = self.block(rng)
+        design = robust_design(self.config, h_hat, eps)
+        assert design.m[1] == 0.0 and not design.t[1].any()
+        for t in range(4):
+            self.assert_same(design, robust_design(self.config, h_hat[t], eps[t]), t)
+
+    def test_nonrobust_block_matches_single_trials(self, rng):
+        h_hat, _ = self.block(rng)
+        design = nonrobust_design(self.config, h_hat)
+        for t in range(4):
+            self.assert_same(design, nonrobust_design(self.config, h_hat[t]), t)
+
+    def test_one_all_zero_trial_rejected(self, rng):
+        h_hat, eps = self.block(rng)
+        h_hat[3] = 0.0
+        with pytest.raises(AllZeroScalers):
+            robust_design(self.config, h_hat, eps)
+        with pytest.raises(AllZeroScalers):
+            nonrobust_design(self.config, h_hat)

@@ -202,6 +202,53 @@ class TestObjectiveAndMseAtError:
             worst_case_objective(design, np.stack([h_hat, h_hat]), np.array([eps, eps]), 0.0)
 
 
+class TestTrialBlock:
+    """The evaluators score a leading axis of trials one by one."""
+
+    def block(self, rng, T=5, K=3, N=4):
+        h_hat = rng.normal(size=(T, K, N)) + 1j * rng.normal(size=(T, K, N))
+        eps = rng.uniform(0.1, 0.5, (T, K))
+        deltas = np.stack(
+            [[ball_perturbation(N, e, rng) for e in row] for row in eps * 0.9]
+        )
+        design = Design(
+            m=rng.uniform(0.5, 2.0, T),
+            t=rng.normal(size=(T, K)) + 1j * rng.normal(size=(T, K)),
+            v=np.exp(1j * rng.uniform(0, 2 * np.pi, (T, K, N))),
+        )
+        return design, h_hat, eps, deltas
+
+    def test_block_matches_single_trials(self, rng):
+        design, h_hat, eps, deltas = self.block(rng)
+        worst = worst_case_objective(design, h_hat, eps, 0.3)
+        realized = mse_at_error(design, h_hat, deltas, 0.3, eps_set=eps)
+        for t in range(len(h_hat)):
+            alone = Design(m=float(design.m[t]), t=design.t[t], v=design.v[t])
+            assert worst[t] == worst_case_objective(alone, h_hat[t], eps[t], 0.3)
+            assert realized[t] == mse_at_error(
+                alone, h_hat[t], deltas[t], 0.3, eps_set=eps[t]
+            )
+
+    def test_noise_term_squares_like_a_float(self, rng):
+        # m values where pow(m, 2) and m * m differ in the last bit, and
+        # still do after the two unit terms are added
+        m = rng.uniform(0.5, 2.0, 10**4)
+        m = m[[float(x) ** 2 + 2.0 != x * x + 2.0 for x in m]][:3]
+        assert len(m) == 3
+        K, N = 2, 3
+        design = Design(m=m, t=np.zeros((3, K)), v=np.ones((3, K, N), dtype=complex))
+        h_hat = np.ones((3, K, N), dtype=complex)
+        got = worst_case_objective(design, h_hat, np.zeros((3, K)), 1.0)
+        # each trial's terms are 1: the residual of t_hat = 0
+        assert got.tolist() == [float(x) ** 2 + 2.0 for x in m]
+
+    def test_out_of_ball_in_one_trial_rejected(self, rng):
+        design, h_hat, eps, deltas = self.block(rng)
+        deltas[3, 1] *= 2.0
+        with pytest.raises(PerturbationOutOfBall, match="delta_1"):
+            mse_at_error(design, h_hat, deltas, 0.3, eps_set=eps)
+
+
 class TestBruteForce:
     def test_one_dim_reaches_closed_form(self, rng):
         t_hat, h_hat, v, eps = random_instance(rng, n_max=1)
