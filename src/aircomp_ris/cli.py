@@ -3,9 +3,9 @@
     aircomp solve  --config cfg.json --out design.json
     aircomp sweep  --kind snr|n|k --config cfg.json --out results.csv
                    [--plot results.svg]
-    aircomp verify --suite worstcase|kkt|oracle|monotone --trials N --seed S
+    aircomp verify --suite worstcase|kkt|oracle --trials N --seed S
 
-Exit codes: 0 ok, 1 config error, 2 solver error, 3 I/O error,
+Exit codes: 0 ok, 1 config or usage error, 2 solver error, 3 I/O error,
 4 verification failure.
 """
 
@@ -148,9 +148,6 @@ def cmd_sweep(config_path, kind, out_csv, plot_path=None):
 
 
 def cmd_verify(suite, trials, seed):
-    if suite not in SUITES:
-        print(f"error: unknown suite {suite!r}", file=sys.stderr)
-        return EXIT_CONFIG
     if trials < 1:
         print("error: trials must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
@@ -193,14 +190,23 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if args.command == "solve":
-        return cmd_solve(args.config, args.out)
-    if args.command == "sweep":
-        return cmd_sweep(args.config, args.kind, args.out, args.plot)
-    if args.command == "verify":
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means a solver error here
+        return EXIT_CONFIG if exc.code == 2 else exc.code
+    try:
+        if args.command == "solve":
+            return cmd_solve(args.config, args.out)
+        if args.command == "sweep":
+            return cmd_sweep(args.config, args.kind, args.out, args.plot)
         return cmd_verify(args.suite, args.trials, args.seed)
-    return EXIT_CONFIG
+    except MemoryError as exc:
+        # outputs are written last, so a run that cannot allocate writes none
+        print(
+            f"error: cannot allocate what the config asks for: {exc}", file=sys.stderr
+        )
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ class DimensionMismatch(AirCompError):
 
 
 class AllZeroScalers(AirCompError):
-    """Every effective transmit scalar is zero; m and t_k cannot be recovered."""
+    """Every channel estimate of a trial is zero, so no design can serve it."""
 
 
 class PerturbationOutOfBall(AirCompError):

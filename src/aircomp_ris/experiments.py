@@ -9,14 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    MAX_DIMENSION,
-    Design,
-    SystemConfig,
-    synthesize_instance,
-    trials_per_block,
-)
-from .optimizer import nonrobust_design, robust_design, run_algorithm1
+from .model import MAX_DIMENSION, SystemConfig, synthesize_instance, trials_per_block
+from .optimizer import nonrobust_design, robust_design
 from .worst_case import mse_at_error, worst_case_objective
 
 SWEEP_KINDS = ("snr", "n", "k")
@@ -26,6 +20,9 @@ _KIND_CODE = {kind: i for i, kind in enumerate(SWEEP_KINDS)}
 # fixed code in every channel seed path: a recorded result depends on it,
 # so it stays 4 whatever the number of schemes
 _CHANNEL_STREAM = 4
+# robust_exact reports Algorithm 1's passes: the first lands on the closed
+# form and the second, which changes nothing, stops the loop
+ALGORITHM1_PASSES = 2
 
 
 @dataclass
@@ -95,22 +92,15 @@ def nmse(mse, K):
 def design_for_scheme(config, scheme, h_hat_set, eps_set):
     """Run the designer a scheme refers to on a (T, K, N) block of trials;
     returns (Design, iterations per trial)."""
-    no_iters = np.zeros(len(h_hat_set))
     if scheme == "nonrobust":
-        return nonrobust_design(config, h_hat_set), no_iters
-    if scheme == "robust_exact":
-        # the alternating loop designs one trial at a time
-        runs = [run_algorithm1(config, h, e) for h, e in zip(h_hat_set, eps_set)]
-        design = Design(
-            m=np.array([d.m for d, _ in runs]),
-            t=np.stack([d.t for d, _ in runs]),
-            v=np.stack([d.v for d, _ in runs]),
-        )
-        return design, np.array([trace.n_iters for _, trace in runs])
-    if scheme == "multistart":
-        # the historical name of the closed-form global optimum
-        return robust_design(config, h_hat_set, eps_set), no_iters
-    raise ValueError(f"unknown scheme {scheme!r}")
+        design = nonrobust_design(config, h_hat_set)
+    elif scheme in ("multistart", "robust_exact"):
+        # two historical names of the closed-form global optimum
+        design = robust_design(config, h_hat_set, eps_set)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    passes = ALGORITHM1_PASSES if scheme == "robust_exact" else 0
+    return design, np.full(len(h_hat_set), passes)
 
 
 def run_trial(config, scheme, channel_seed):

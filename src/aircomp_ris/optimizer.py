@@ -3,39 +3,16 @@
 `robust_design` is the closed-form global optimum: each sensor has its own
 RIS and the power constraint is active, so the problem splits into K scalar
 problems, each solved by co-phasing and the exact 1-D minimizer `t_exact`.
-
-`run_algorithm1` is the alternating loop that reaches the same point. Its
-phase update co-phases every RIS vector to its channel estimate, which is
-where the loop starts, so each pass updates the effective scalars t_hat:
-the exact 1-D minimizer of each sensor's worst-case objective, or the
-classical MMSE scaling where eps_k = 0 or t_hat_k = 0. m and t_k are then
-recovered so the sum power constraint holds with equality.
+The paper's alternating loop (Algorithm 1) lands on this point in its first
+pass and stops after a second that changes nothing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AllZeroScalers
 from .model import Design
-from .worst_case import worst_case_term
-
-# the loop stops once a pass changes the scalars by at most DELTA_STOP
-DELTA_STOP = 1e-9
-MAX_ITERS = 200
-
-
-@dataclass
-class IterTrace:
-    """Per-iteration records of one alternating run."""
-
-    objective: list = field(default_factory=list)
-
-    @property
-    def n_iters(self):
-        return len(self.objective)
 
 
 def update_phases(h_hat):
@@ -68,23 +45,23 @@ def _t_mmse(a, noise_over_P):
 def recover_m_t(t_hat_set, P):
     """Recover (m, t) from the effective scalars: m = sqrt(sum|t_hat|^2 / P),
     t_k = t_hat_k / m, so the sum power constraint is met with equality.
-    Works per trial over the leading axes of a (..., K) array."""
+    A trial whose scalars are all zero (uncertainty so large that silence
+    is optimal for every sensor) gets the m = 0 design. Works per trial
+    over the leading axes of a (..., K) array."""
     t_hat_set = np.asarray(t_hat_set)
-    ssq = np.sum(np.abs(t_hat_set) ** 2, axis=-1)
-    if (ssq == 0).any():
-        raise AllZeroScalers("all effective scalars are zero")
-    m = np.sqrt(ssq / P)
-    return _float_if_scalar(m), t_hat_set / m[..., None]
+    m = np.sqrt(np.sum(np.abs(t_hat_set) ** 2, axis=-1) / P)
+    live = m[..., None] > 0
+    t = np.divide(t_hat_set, m[..., None], out=np.zeros_like(t_hat_set), where=live)
+    return (float(m) if np.ndim(m) == 0 else m), t
 
 
-def _float_if_scalar(x):
-    return float(x) if np.ndim(x) == 0 else x
-
-
-def _per_sensor_objective(t_hat, h_hat, v, eps, noise_over_P):
-    """Worst-case term plus each sensor's share of the noise penalty, in
-    t_hat space (m eliminated via the active power constraint)."""
-    return worst_case_term(t_hat, h_hat, v, eps) + noise_over_P * np.abs(t_hat) ** 2
+def _l1_gains(h_hat_set):
+    """a_k = ||h_hat_k||_1 of a (..., K, N) block, the gain co-phasing gives
+    each sensor. No design serves a trial whose every estimate is zero."""
+    a = np.abs(h_hat_set).sum(axis=-1)
+    if not a.any(axis=-1).all():
+        raise AllZeroScalers("every channel estimate is zero")
+    return a
 
 
 def nonrobust_design(config, h_hat_set):
@@ -92,8 +69,7 @@ def nonrobust_design(config, h_hat_set):
     classical sum-power MMSE scaling t_hat_k = a_k / (a_k^2 + sigma^2/P).
     Designs each trial of a (..., K, N) block."""
     h_hat_set = np.asarray(h_hat_set)
-    a = np.abs(h_hat_set).sum(axis=-1)
-    t_hat = _t_mmse(a, config.noise_var / config.P)
+    t_hat = _t_mmse(_l1_gains(h_hat_set), config.noise_var / config.P)
     m, t = recover_m_t(t_hat, config.P)
     return Design(m=m, t=t, v=update_phases(h_hat_set))
 
@@ -104,64 +80,7 @@ def robust_design(config, h_hat_set, eps_set):
     a_k = ||h_hat_k||_1. Yields the m = 0 design when every sensor is
     silenced. Designs each trial of a (..., K, N) block."""
     h_hat_set = np.asarray(h_hat_set)
-    if not h_hat_set.any(axis=(-2, -1)).all():
-        raise AllZeroScalers("every channel estimate is zero")
-    a = np.abs(h_hat_set).sum(axis=-1)
     eps_rootN = np.asarray(eps_set, dtype=float) * np.sqrt(config.N)
-    t_hat = t_exact(a, eps_rootN, config.noise_var, config.P)
-    m, t = _recover_or_zero(t_hat, config.P)
+    t_hat = t_exact(_l1_gains(h_hat_set), eps_rootN, config.noise_var, config.P)
+    m, t = recover_m_t(t_hat, config.P)
     return Design(m=m, t=t, v=update_phases(h_hat_set))
-
-
-def run_algorithm1(config, h_hat_set, eps_set):
-    """Alternating loop for the worst-case joint design, from co-phased
-    RIS vectors and equal per-sensor power, t_hat_k = sqrt(P/K).
-
-    Returns the final Design and its IterTrace. Where eps_k = 0 or
-    t_hat_k = 0 the robust step is bypassed for the MMSE scaling. Any
-    per-sensor update that would increase the objective is reverted, so the
-    objective trace is non-increasing. Each sensor's update depends on that
-    sensor alone, so every pass updates all K sensors at once.
-    """
-    h_hat_set = np.asarray(h_hat_set)
-    eps_set = np.asarray(eps_set, dtype=float)
-    if np.all(h_hat_set == 0):
-        raise AllZeroScalers("every channel estimate is zero")
-    noise_over_P = config.noise_var / config.P
-    v = update_phases(h_hat_set)
-    t_hat = np.full(config.K, np.sqrt(config.P / config.K), dtype=complex)
-    a = np.abs(h_hat_set).sum(axis=1)
-    t_mmse = _t_mmse(a, noise_over_P)
-    t_robust = t_exact(a, eps_set * np.sqrt(config.N), config.noise_var, config.P)
-    # per-sensor objective at the current iterate
-    obj = _per_sensor_objective(t_hat, h_hat_set, v, eps_set, noise_over_P)
-
-    trace = IterTrace()
-    for it in range(MAX_ITERS):
-        t_prev = t_hat.copy()
-        t_new = np.where((eps_set == 0) | (t_hat == 0), t_mmse, t_robust)
-        obj_new = _per_sensor_objective(t_new, h_hat_set, v, eps_set, noise_over_P)
-        # the safeguard reverts every update that would raise its sensor's objective
-        accept = ~(obj_new > obj)
-        np.copyto(t_hat, t_new, where=accept)
-        np.copyto(obj, obj_new, where=accept)
-        trace.objective.append(float(np.sum(obj)))
-        # only a pass after the first can confirm that nothing changes
-        if it > 0 and np.sum(np.abs(t_hat - t_prev) ** 2) <= DELTA_STOP:
-            break
-    m, t = _recover_or_zero(t_hat, config.P)
-    return Design(m=m, t=t, v=v), trace
-
-
-def _recover_or_zero(t_hat, P):
-    """recover_m_t, except that a trial in the all-zero degenerate case
-    (uncertainty so large that silence is optimal for every sensor) yields
-    the m = 0 design rather than an error mid-run."""
-    t_hat = np.asarray(t_hat)
-    silent = ~t_hat.any(axis=-1)
-    if not silent.any():
-        return recover_m_t(t_hat, P)
-    m = np.zeros(silent.shape)
-    t = np.zeros_like(t_hat)
-    m[~silent], t[~silent] = recover_m_t(t_hat[~silent], P)
-    return _float_if_scalar(m), t

@@ -1,6 +1,5 @@
 """Self-check suites behind `aircomp verify`: randomized validation of the
-closed-form worst case against its KKT conditions and sampling oracles,
-and of the safeguarded solver's monotonicity."""
+closed-form worst case against its KKT conditions and sampling oracles."""
 
 from __future__ import annotations
 
@@ -8,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemConfig, sample_rayleigh_vector, synthesize_instance
-from .optimizer import run_algorithm1
+from .model import sample_rayleigh_vector
 from .worst_case import (
     brute_force_worst_case,
     delta_worst,
@@ -19,9 +17,6 @@ from .worst_case import (
     lambda_worst,
     worst_case_term,
 )
-
-SUITES = ("worstcase", "kkt", "oracle", "monotone")
-
 
 @dataclass
 class SuiteReport:
@@ -134,38 +129,12 @@ def run_oracle_suite(trials, seed, n_samples=2000, refine_steps=50):
     return SuiteReport("oracle", trials, failures, worst, rel_tol)
 
 
-def run_monotone_suite(trials, seed):
-    """Safeguarded runs have non-increasing objective traces."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    tol = 1e-12
-    for _ in range(trials):
-        K = int(rng.integers(1, 5))
-        N = int(rng.integers(1, 9))
-        config = SystemConfig(
-            K=K,
-            N=N,
-            P=float(rng.uniform(1.0, 20.0)),
-            noise_var=float(rng.uniform(0.05, 2.0)),
-            s=float(rng.uniform(0.0, 0.7)),
-        )
-        inst = synthesize_instance(config, rng)
-        _, trace = run_algorithm1(config, inst.h_hat, inst.eps)
-        obj = np.asarray(trace.objective)
-        rise = float(np.max(np.diff(obj), initial=0.0))
-        worst = max(worst, rise)
-        if rise > tol:
-            failures += 1
-    return SuiteReport("monotone", trials, failures, worst, tol)
-
-
 _RUNNERS = {
     "worstcase": run_worstcase_suite,
     "kkt": run_kkt_suite,
     "oracle": run_oracle_suite,
-    "monotone": run_monotone_suite,
 }
+SUITES = tuple(_RUNNERS)
 
 
 def run_suite(suite, trials, seed):

@@ -1,10 +1,11 @@
 """Reference evaluators the tests check the package against: the MSE of a
-design on known true channels, in closed form and by Monte Carlo, and a
-sampler of perturbations inside an uncertainty ball."""
+design on known true channels, in closed form and by Monte Carlo, a
+sampler of perturbations inside an uncertainty ball, and the paper's
+alternating loop (Algorithm 1) written sensor by sensor with np.vdot."""
 
 import numpy as np
 
-from aircomp_ris.model import inner, sample_rayleigh_vector
+from aircomp_ris.model import Design, inner, sample_rayleigh_vector
 
 
 def closed_form_mse(design, channels, noise_var):
@@ -28,3 +29,69 @@ def ball_perturbation(n, radius, rng):
     """A length-n row perturbation of norm radius in a uniform direction."""
     d = rng.normal(size=n) + 1j * rng.normal(size=n)
     return radius * d / np.linalg.norm(d)
+
+
+def ref_term(t_hat, h, v, eps):
+    """One sensor's worst-case term (|t_hat h^H v - 1| + |t_hat| eps sqrt(N))^2."""
+    rho = t_hat * np.vdot(h, v) - 1.0
+    return (abs(rho) + abs(t_hat) * eps * np.sqrt(len(h))) ** 2
+
+
+def ref_iteration(config, h_hat, eps, v, t_hat):
+    """One pass of the per-sensor block updates of the alternating loop:
+    co-phase, then the exact scaling (MMSE where eps_k = 0 or t_hat_k = 0),
+    reverted where it would raise the sensor's objective."""
+    N = config.N
+    c = config.noise_var / config.P
+    v, t_hat = v.copy(), t_hat.copy()
+    for k in range(config.K):
+        h = h_hat[k]
+        nz = h != 0
+        v_new = np.ones(N, dtype=complex)
+        v_new[nz] = h[nz] / np.abs(h[nz])
+        a = float(np.sum(np.abs(h)))
+        if eps[k] == 0 or t_hat[k] == 0:
+            t_new = a / (a * a + c) if a > 0 else 0.0
+        else:
+            b = a - eps[k] * np.sqrt(N)
+            t_new = 0.0 if b <= 0 else min(b / (b * b + c), 1.0 / a)
+        before = ref_term(t_hat[k], h, v[k], eps[k]) + c * abs(t_hat[k]) ** 2
+        after = ref_term(t_new, h, v_new, eps[k]) + c * abs(t_new) ** 2
+        if after > before:
+            continue
+        v[k] = v_new
+        t_hat[k] = t_new
+    return v, t_hat
+
+
+def ref_loop(config, h_hat, eps):
+    """The alternating loop from co-phased phases and t_hat_k = sqrt(P/K),
+    pass by pass until a pass changes nothing; returns the final (v, t_hat)
+    and the objective after each pass."""
+    K, N = config.K, config.N
+    c = config.noise_var / config.P
+    v = np.ones((K, N), dtype=complex)
+    v[h_hat != 0] = h_hat[h_hat != 0] / np.abs(h_hat[h_hat != 0])
+    t_hat = np.full(K, np.sqrt(config.P / K), dtype=complex)
+    objectives = []
+    for _ in range(200):
+        v_new, t_new = ref_iteration(config, h_hat, eps, v, t_hat)
+        objectives.append(
+            sum(
+                ref_term(t_new[k], h_hat[k], v_new[k], eps[k]) + c * abs(t_new[k]) ** 2
+                for k in range(K)
+            )
+        )
+        done = len(objectives) > 1 and np.array_equal(t_new, t_hat)
+        v, t_hat = v_new, t_new
+        if done:
+            return v, t_hat, objectives
+    raise AssertionError("the reference loop did not settle in 200 passes")
+
+
+def ref_loop_design(config, h_hat, eps):
+    """The Design the reference loop ends at, with the sum power at P, or
+    m = 0 when it silences every sensor."""
+    v, t_hat, _ = ref_loop(config, h_hat, eps)
+    m = np.sqrt(np.sum(np.abs(t_hat) ** 2) / config.P)
+    return Design(m=m, t=t_hat / m if m > 0 else np.zeros_like(t_hat), v=v)

@@ -263,6 +263,21 @@ class TestNonFiniteInput:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    # K = 1, N = 2^56: synthesis asks for a 3 EiB buffer first, which no
+    # 64-bit address space can map, so this test allocates nothing
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_unallocatable_run_exits_1(self, tmp_path, capsys, command):
+        raw = sweep_config()
+        raw["system"].update(K=1, N=2**56, s=0.4)
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if command == "sweep":
+            argv[1:1] = ["--kind", "snr"]
+        assert main(argv) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
 class TestSweep:
     def test_two_line_csv(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", sweep_config())
@@ -383,6 +398,25 @@ class TestVerifyCommand:
         assert int(fields["failures"]) == 5
         assert float(fields["worst_deviation"]) > float(fields["tolerance"])
 
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "monotone", "--trials", "3"],
+            ["sweep", "--kind", "x", "--config", "cfg.json", "--out", "r.csv"],
+            ["sweep", "--kind", "snr", "--config", "cfg.json"],
+        ],
+        ids=["retired_suite", "unknown_kind", "missing_out"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: aircomp")
 
 # ints, +-0.0, subnormals, +-1e308 and any other finite double
 _NUMBERS = st.one_of(

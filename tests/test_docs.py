@@ -1,0 +1,32 @@
+"""README examples and tables checked against the code they document."""
+
+import re
+from pathlib import Path
+
+from aircomp_ris.experiments import SCHEMES
+from aircomp_ris.verify import SUITES
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+    encoding="utf-8"
+)
+
+
+def table_rows(header):
+    """First cells of the markdown table that starts with the header line."""
+    lines = README.split("\n")
+    start = lines.index(header) + 2  # skip the header and its separator
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.split("|")[1].strip().strip("`"))
+    return rows
+
+
+def test_verify_examples_name_real_suites():
+    named = re.findall(r"aircomp verify --suite (\w+)", README)
+    assert named and set(named) <= set(SUITES)
+
+
+def test_scheme_table_lists_every_scheme():
+    assert sorted(table_rows("| Scheme | Design |")) == sorted(SCHEMES)

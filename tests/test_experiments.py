@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import ref_loop
+
 from aircomp_ris.experiments import (
+    ALGORITHM1_PASSES,
     AggregateRecord,
     SweepSpec,
     _design_and_score,
@@ -310,6 +313,37 @@ def test_block_scores_match_single_trials(scheme, eval_mode, sampling):
     values, iters = _design_and_score(config, scheme, inst)
     for t, seed in enumerate(seeds):
         assert (values[t], iters[t]) == run_trial(config, scheme, seed)
+
+
+def test_robust_exact_cell_is_multistart_with_algorithm1_passes():
+    spec = SweepSpec(
+        kind="snr",
+        values=[0.0, 20.0],
+        trials=7,
+        schemes=["multistart", "robust_exact"],
+        base=base_config(),
+        master_seed=4,
+        s_values=[0.0, 0.4, 2.0],
+    )
+    cells = {(r.value, r.scheme): r for r in run_sweep(spec)}
+    for value in spec.values:
+        for s in spec.s_values:
+            closed = cells[value, f"multistart|s={s:g}"]
+            exact = cells[value, f"robust_exact|s={s:g}"]
+            assert (exact.nmse_mean, exact.nmse_std) == (
+                closed.nmse_mean,
+                closed.nmse_std,
+            )
+            assert (exact.mean_iters, closed.mean_iters) == (2.0, 0.0)
+
+
+def test_algorithm1_passes_pinned_by_reference_loop():
+    rng = np.random.default_rng(17)
+    for s in (0.0, 0.3, 0.8, 3.0):
+        config = base_config(K=4, N=5, s=s, noise_var=float(rng.uniform(0.0, 2.0)))
+        inst = synthesize_instance(config, rng)
+        _, _, objectives = ref_loop(config, inst.h_hat, inst.eps)
+        assert len(objectives) == ALGORITHM1_PASSES == 2
 
 
 def test_non_finite_sweep_values_rejected():

@@ -1,14 +1,16 @@
-"""The row-wise evaluators and every solver iteration against per-sensor
-loops written here with np.vdot, including the degenerate cases: eps = 0,
+"""The row-wise evaluators and the closed-form design against per-sensor
+loops written with np.vdot, including the degenerate cases: eps = 0,
 t_hat = 0, zero channel entries and K = 1."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ref_loop, ref_term
+
 from aircomp_ris.model import Design, SystemConfig
-from aircomp_ris.optimizer import run_algorithm1
+from aircomp_ris.optimizer import robust_design
 from aircomp_ris.worst_case import (
     certificate,
     delta_worst,
@@ -43,11 +45,6 @@ def problems(draw):
     m = draw(st.floats(0.1, 3.0))
     noise_var = draw(st.floats(0.05, 2.0))
     return Design(m=m, t=t, v=v), h_hat, eps, noise_var, rng
-
-
-def ref_term(t_hat, h, v, eps):
-    rho = t_hat * np.vdot(h, v) - 1.0
-    return (abs(rho) + abs(t_hat) * eps * np.sqrt(len(h))) ** 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -99,76 +96,6 @@ def test_mse_at_error_matches_loop(problem, fill):
     close(mse_at_error(design, h_hat, delta, noise_var, eps_set=eps), expected)
 
 
-def ref_iteration(config, h_hat, eps, v, t_hat):
-    """One pass of the per-sensor block updates of the alternating loop:
-    co-phase, then the exact scaling (MMSE where eps_k = 0 or t_hat_k = 0),
-    reverted where it would raise the sensor's objective."""
-    N = config.N
-    c = config.noise_var / config.P
-    v, t_hat = v.copy(), t_hat.copy()
-    for k in range(config.K):
-        h = h_hat[k]
-        nz = h != 0
-        v_new = np.ones(N, dtype=complex)
-        v_new[nz] = h[nz] / np.abs(h[nz])
-        a = float(np.sum(np.abs(h)))
-        if eps[k] == 0 or t_hat[k] == 0:
-            t_new = a / (a * a + c) if a > 0 else 0.0
-        else:
-            b = a - eps[k] * np.sqrt(N)
-            t_new = 0.0 if b <= 0 else min(b / (b * b + c), 1.0 / a)
-        before = ref_term(t_hat[k], h, v[k], eps[k]) + c * abs(t_hat[k]) ** 2
-        after = ref_term(t_new, h, v_new, eps[k]) + c * abs(t_new) ** 2
-        if after > before:
-            continue
-        v[k] = v_new
-        t_hat[k] = t_new
-    return v, t_hat
-
-
-def ref_loop(config, h_hat, eps):
-    """The alternating loop from co-phased phases and t_hat_k = sqrt(P/K),
-    pass by pass until a pass changes nothing; returns the final (v, t_hat)
-    and the objective after each pass."""
-    K, N = config.K, config.N
-    c = config.noise_var / config.P
-    v = np.ones((K, N), dtype=complex)
-    v[h_hat != 0] = h_hat[h_hat != 0] / np.abs(h_hat[h_hat != 0])
-    t_hat = np.full(K, np.sqrt(config.P / K), dtype=complex)
-    objectives = []
-    for _ in range(200):
-        v_new, t_new = ref_iteration(config, h_hat, eps, v, t_hat)
-        objectives.append(
-            sum(
-                ref_term(t_new[k], h_hat[k], v_new[k], eps[k]) + c * abs(t_new[k]) ** 2
-                for k in range(K)
-            )
-        )
-        done = len(objectives) > 1 and np.array_equal(t_new, t_hat)
-        v, t_hat = v_new, t_new
-        if done:
-            return v, t_hat, objectives
-    raise AssertionError("the reference loop did not settle in 200 passes")
-
-
-@settings(max_examples=150, deadline=None)
-@given(problems())
-def test_one_iteration_matches_loop(problem):
-    design, h_hat, eps, noise_var, _ = problem
-    assume(np.any(h_hat != 0))
-    K, N = h_hat.shape
-    config = SystemConfig(K=K, N=N, P=4.0, noise_var=noise_var)
-    v_ref, t_ref, obj_ref = ref_loop(config, h_hat, eps)
-    got, trace = run_algorithm1(config, h_hat, eps)
-    assert trace.n_iters == len(obj_ref)
-    close(trace.objective, obj_ref)
-    close(got.v, v_ref)
-    if np.any(t_ref != 0):
-        close(got.t_hat, t_ref)
-    else:
-        assert got.m == 0.0
-
-
 def test_single_sensor_loop_and_rows_agree():
     """K = 1 through every entry point, by hand."""
     h = np.array([[2.0 + 0j, 0.0]])
@@ -183,7 +110,7 @@ def test_single_sensor_loop_and_rows_agree():
     assert np.linalg.norm(delta[0]) == pytest.approx(0.3)
     config = SystemConfig(K=1, N=2, P=1.0, noise_var=0.1)
     eps = np.array([0.3])
-    got, _ = run_algorithm1(config, h, eps)
+    got = robust_design(config, h, eps)
     v_ref, t_ref, _ = ref_loop(config, h, eps)
     close(got.t_hat, t_ref)
     close(got.v, v_ref)
