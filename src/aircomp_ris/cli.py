@@ -79,12 +79,11 @@ def cmd_solve(config_path, out_path):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     system = cfg.system
-    rng = np.random.default_rng(cfg.master_seed)
     try:
         if cfg.instance is not None:
             h_hat, eps = cfg.instance
         else:
-            inst = synthesize_instance(system, rng)
+            inst = synthesize_instance(system, np.random.default_rng(cfg.master_seed))
             h_hat, eps = inst.h_hat, inst.eps
         design = robust_design(system, h_hat, eps)
         cert = certificate(design, h_hat, eps, system.noise_var)

@@ -5,6 +5,7 @@ scores every trial of a block along a leading trial axis."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,15 @@ _CHANNEL_STREAM = 4
 # robust_exact reports Algorithm 1's passes: the first lands on the closed
 # form and the second, which changes nothing, stops the loop
 ALGORITHM1_PASSES = 2
+
+# numpy's SeedSequence, O'Neill's seed_seq hash: a pool of 4 32-bit words
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# trials hashed per pass: bounds the temporaries, ~240 B per trial
+_SEED_CHUNK = 1 << 14
 
 
 @dataclass
@@ -104,15 +114,136 @@ def design_for_scheme(config, scheme, h_hat_set, eps_set):
 
 
 def run_trial(config, scheme, channel_seed):
-    """One Monte Carlo trial: synthesize channels from channel_seed, design,
-    evaluate; returns (NMSE, iterations). It is a block of one trial."""
-    inst = synthesize_instance(config, [_seeded_rng(channel_seed)])
+    """One Monte Carlo trial: synthesize channels from the channel_seed
+    tuple, design, evaluate; returns (NMSE, iterations). It is a block of
+    one trial."""
+    words = seed_words(channel_seed[:-1], [channel_seed[-1]])
+    inst = synthesize_instance(config, trial_generators(words))
     values, iters = _design_and_score(config, scheme, inst)
     return float(values[0]), int(iters[0])
 
 
-def _seeded_rng(seed):
-    return np.random.default_rng(np.random.SeedSequence(seed))
+def _int_words(n):
+    """The 32-bit words SeedSequence makes of a non-negative int, low first."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"seed entries must be >= 0, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value, before, after):
+    """SeedSequence's hash step: xor with one constant, multiply by the next
+    and fold the high half down. Constants may be columns of several steps."""
+    value = (value ^ before) * after & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+@functools.cache
+def _constants(const, mult, n):
+    """Columns of the constants n successive hash steps xor and multiply
+    by, and the constant the step after them starts from. The sequence
+    does not depend on the data, so the columns are computed once."""
+    consts = [const]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint64)[:, None]
+    column.setflags(write=False)
+    return column[:-1], column[1:], consts[-1]
+
+
+def seed_words(prefix, trials):
+    """PCG64 seed words of the seed tuples prefix + (trial,), one row of 4
+    uint64 per trial; row t equals
+    np.random.SeedSequence((*prefix, trials[t])).generate_state(4, np.uint64).
+
+    While the words are shared by every trial, the pool is filled and mixed
+    on Python ints. Each word past the pool is mixed into all 4 pool words
+    at once, on uint64 arrays over the trials, every product masked to 32
+    bits."""
+    prefix_words = [w for n in prefix for w in _int_words(n)]
+    trials = np.asarray(trials, dtype=np.uint64)
+    out = np.empty((len(trials), 4), dtype=np.uint64)
+    for lo in range(0, len(trials), _SEED_CHUNK):
+        chunk = trials[lo : lo + _SEED_CHUNK]
+        out[lo : lo + _SEED_CHUNK] = _hash_seed_words(prefix_words, chunk)
+    return out
+
+
+def _hash_seed_words(prefix_words, trials):
+    words = [*prefix_words, trials & _MASK32]
+    # a trial >= 2^32 hashes a second word. Inside the pool an absent word
+    # hashes as the zero padding does; past it, only those trials mix it in.
+    high = trials >> 32
+    late_high = len(words) >= _POOL and bool(high.any())
+    if len(words) < _POOL:
+        words.append(high)
+    words += [0] * (_POOL - len(words))
+
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        after = const * _MULT_A & _MASK32
+        value, const = _hashmix(value, const, after), after
+        return value
+
+    pool = [hashmix(word) for word in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    pool = np.array(pool, dtype=np.uint64).reshape(_POOL, -1)
+    # each later word is mixed into every pool word, a step apiece
+    for word in words[_POOL:]:
+        before, after, const = _constants(const, _MULT_A, _POOL)
+        pool = _mix(pool, _hashmix(word, before, after))
+    if late_high:
+        before, after, const = _constants(const, _MULT_A, _POOL)
+        pool = np.where(high > 0, _mix(pool, _hashmix(high, before, after)), pool)
+
+    # generate_state: 8 32-bit words cycling through the pool, paired
+    # little-endian into 4 uint64
+    before, after, _ = _constants(_INIT_B, _MULT_B, 2 * _POOL)
+    state = _hashmix(np.concatenate([pool, pool]), before, after)
+    return (state[0::2] | (state[1::2] << 32)).T
+
+
+def trial_generators(words):
+    """One Generator per row of seed_words, each the same stream as
+    np.random.default_rng(np.random.SeedSequence(seed)) of the row's seed."""
+    # numpy.random is imported here, so importing the CLI does not load it
+    from numpy.random import PCG64, Generator
+
+    seeded = _seed_words_type()
+    return [Generator(PCG64(seeded(row))) for row in words]
+
+
+@functools.cache
+def _seed_words_type():
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """A seed sequence that hands PCG64 precomputed seed words."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("SeedWords holds only PCG64's 4 uint64 words")
+            return self.words
+
+    return SeedWords
 
 
 def _design_and_score(config, scheme, inst):
@@ -152,10 +283,14 @@ def scheme_label(scheme, s, multiple_s):
     return f"{scheme}|s={s:g}" if multiple_s else scheme
 
 
+def _cell_entropy(master_seed, kind, value_index, s_index):
+    return (master_seed, _KIND_CODE[kind], value_index, s_index, _CHANNEL_STREAM)
+
+
 def channel_seed(master_seed, kind, value_index, s_index, trial):
     """Seed tuple of one sweep cell trial's channel draw. It omits the
     scheme, so schemes compete on identical channels."""
-    return (master_seed, _KIND_CODE[kind], value_index, s_index, _CHANNEL_STREAM, trial)
+    return (*_cell_entropy(master_seed, kind, value_index, s_index), trial)
 
 
 def run_sweep(spec):
@@ -163,7 +298,9 @@ def run_sweep(spec):
     ordered by (value, scheme label). Trial seeds are derived by index so
     execution order and parallelism cannot change the results. A cell runs
     its trials in blocks: one synthesis call draws the block, each trial
-    from its own seed, and every scheme is designed and scored on it."""
+    from its own generator, and every scheme is designed and scored on it.
+    The generators' seed words are hashed once per cell, in one array pass
+    over its trials."""
     s_values = spec.s_values if spec.s_values is not None else [spec.base.s]
     multiple_s = len(s_values) > 1
     records = []
@@ -174,13 +311,13 @@ def run_sweep(spec):
             block = trials_per_block(config)
             nmses = np.empty((len(spec.schemes), spec.trials))
             iters = np.empty_like(nmses)
+            words = seed_words(
+                _cell_entropy(spec.master_seed, spec.kind, vi, si),
+                np.arange(spec.trials, dtype=np.uint64),
+            )
             for lo in range(0, spec.trials, block):
                 hi = min(lo + block, spec.trials)
-                rngs = [
-                    _seeded_rng(channel_seed(spec.master_seed, spec.kind, vi, si, trial))
-                    for trial in range(lo, hi)
-                ]
-                inst = synthesize_instance(config, rngs)
+                inst = synthesize_instance(config, trial_generators(words[lo:hi]))
                 for j, scheme in enumerate(spec.schemes):
                     nmses[j, lo:hi], iters[j, lo:hi] = _design_and_score(
                         config, scheme, inst

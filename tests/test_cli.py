@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -21,6 +24,7 @@ from aircomp_ris.experiments import AggregateRecord, snr_to_noise_var
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_json(path, obj):
@@ -417,6 +421,31 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: aircomp")
+
+class TestLazyRandom:
+    """numpy.random is loaded only by what draws random numbers, which
+    keeps the CLI's start-up time down."""
+
+    def run_fresh(self, code):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_importing_cli_does_not_load_numpy_random(self):
+        self.run_fresh(
+            "import sys, aircomp_ris.cli\n"
+            "assert 'numpy.random' not in sys.modules"
+        )
+
+    def test_solve_on_an_instance_does_not_load_numpy_random(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", golden_solve_config())
+        out = tmp_path / "design.json"
+        self.run_fresh(
+            "import sys\n"
+            "from aircomp_ris.cli import main\n"
+            f"assert main(['solve', '--config', {cfg!r}, '--out', {str(out)!r}]) == 0\n"
+            "assert 'numpy.random' not in sys.modules"
+        )
+        assert out.is_file()
 
 # ints, +-0.0, subnormals, +-1e308 and any other finite double
 _NUMBERS = st.one_of(

@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from oracles import ref_loop
+from oracles import ref_loop, seeded_rng
 
 from aircomp_ris.experiments import (
     ALGORITHM1_PASSES,
     AggregateRecord,
     SweepSpec,
     _design_and_score,
-    _seeded_rng,
     channel_seed,
     nmse,
     run_sweep,
     run_trial,
+    seed_words,
     snr_to_noise_var,
+    trial_generators,
 )
 from aircomp_ris.model import SystemConfig, synthesize_instance, trials_per_block
 
@@ -309,10 +310,62 @@ def test_one_synthesis_per_trial_block_shared_by_schemes(monkeypatch):
 def test_block_scores_match_single_trials(scheme, eval_mode, sampling):
     config = base_config(K=5, N=6, eval_mode=eval_mode, error_sampling=sampling)
     seeds = [channel_seed(7, "snr", 0, 0, trial) for trial in range(9)]
-    inst = synthesize_instance(config, [_seeded_rng(seed) for seed in seeds])
+    inst = synthesize_instance(config, [seeded_rng(seed) for seed in seeds])
     values, iters = _design_and_score(config, scheme, inst)
     for t, seed in enumerate(seeds):
         assert (values[t], iters[t]) == run_trial(config, scheme, seed)
+
+
+SEED_PREFIXES = [
+    # a sweep cell's (master_seed, kind, value index, s index, stream)
+    *((master, 0, 1, 2, 4) for master in (0, 2**32 - 1, 2**32, 2**70 + 5)),
+    # with trials 0 and 2, () and (4,) give the run_trial tests' (0,) and
+    # (4, 2); the lengths around the pool of 4 words put a trial's second
+    # word in the pool or past it
+    (),
+    (4,),
+    (1, 2),
+    (2**40, 3),
+    (1, 2, 3),
+]
+SEED_TRIALS = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 7, 2**63 - 2]
+
+
+@pytest.mark.parametrize("prefix", SEED_PREFIXES)
+def test_seed_words_equal_seed_sequence(prefix):
+    words = seed_words(prefix, SEED_TRIALS)
+    assert words.shape == (len(SEED_TRIALS), 4) and words.dtype == np.uint64
+    gens = trial_generators(words)
+    for trial, row, gen in zip(SEED_TRIALS, words, gens):
+        seed = (*prefix, trial)
+        want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert row.tobytes() == want.tobytes(), seed
+        assert gen.standard_normal(8).tobytes() == (
+            seeded_rng(seed).standard_normal(8).tobytes()
+        ), seed
+
+
+def test_seed_words_span_hash_passes():
+    # the trials straddle the boundary between two hashing passes
+    prefix = (11, 2, 0, 1, 4)
+    words = seed_words(prefix, np.arange(2**14 + 4))
+    for trial in (0, 2**14 - 1, 2**14, 2**14 + 3):
+        want = np.random.SeedSequence((*prefix, trial)).generate_state(4, np.uint64)
+        assert words[trial].tobytes() == want.tobytes(), trial
+
+
+def test_seed_words_reject_negative_entries():
+    with pytest.raises(ValueError):
+        seed_words((-1, 0), [0])
+
+
+def test_seeded_bit_generator_serves_only_pcg64_state():
+    gen = trial_generators(seed_words((3,), [0]))[0]
+    seq = gen.bit_generator.seed_seq
+    with pytest.raises(ValueError):
+        seq.generate_state(4, np.uint32)
+    with pytest.raises(ValueError):
+        seq.generate_state(2, np.uint64)
 
 
 def test_robust_exact_cell_is_multistart_with_algorithm1_passes():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import closed_form_mse, empirical_mse
+from oracles import closed_form_mse, empirical_mse, seeded_rng
 
 from aircomp_ris.errors import DimensionMismatch, InvalidDimension
 from aircomp_ris.model import (
@@ -344,14 +344,10 @@ def test_trial_block_matches_per_trial_draws(K, N, s, sampling, trials):
     )
     trials = trials or trials_per_block(config)
     seeds = [(5, K, N, trial) for trial in range(trials)]
-
-    def rng(seed):
-        return np.random.default_rng(np.random.SeedSequence(seed))
-
-    block = synthesize_instance(config, [rng(seed) for seed in seeds])
+    block = synthesize_instance(config, [seeded_rng(seed) for seed in seeds])
     assert block.h_hat.shape == (trials, K, N) and block.eps.shape == (trials, K)
     for t, seed in enumerate(seeds):
-        alone = synthesize_instance(config, rng(seed))
+        alone = synthesize_instance(config, seeded_rng(seed))
         for name in ("h_hat", "eps", "deltas"):
             got = getattr(block, name)[t]
             assert got.tobytes() == getattr(alone, name).tobytes(), (name, t)
