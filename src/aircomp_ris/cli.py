@@ -150,6 +150,9 @@ def cmd_verify(suite, trials, seed):
     if trials < 1:
         print("error: trials must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
+    if seed < 0:
+        print("error: seed must be >= 0", file=sys.stderr)
+        return EXIT_CONFIG
     report = run_suite(suite, trials, seed)
     status = "PASS" if report.passed else "FAIL"
     print(

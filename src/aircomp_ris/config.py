@@ -1,4 +1,4 @@
-"""JSON run-configuration schema and loading.
+"""JSON run-configuration shape and loading.
 
 Strict by design: unknown keys anywhere in the file are rejected so a
 misspelled parameter cannot silently fall back to a default.
@@ -8,74 +8,68 @@ from __future__ import annotations
 
 import json
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError, InvalidDimension
-from .experiments import SCHEMES, SweepSpec
-from .model import ERROR_SAMPLING_MODES, EVAL_MODES, SystemConfig
+from .experiments import SweepSpec
+from .model import SystemConfig
 
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["system", "master_seed"],
-    "properties": {
-        "system": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["K", "N", "P", "noise_var"],
-            "properties": {
-                "K": {"type": "integer", "minimum": 1},
-                "N": {"type": "integer", "minimum": 1},
-                "P": {"type": "number", "exclusiveMinimum": 0},
-                "noise_var": {"type": "number", "minimum": 0},
-                "channel_var": {"type": "number", "exclusiveMinimum": 0},
-                "s": {"type": "number", "minimum": 0},
-                "eval_mode": {"enum": list(EVAL_MODES)},
-                "error_sampling": {"enum": list(ERROR_SAMPLING_MODES)},
-            },
+
+def _number(x):
+    """A JSON number: int or float, not bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# The JSON shape of a config. Every range rule lives in the dataclass that
+# uses the value (SystemConfig, SweepSpec), so none is repeated here.
+_TYPES = {
+    "number": _number,
+    # 2.0 counts as an integer; parse_config makes it an int
+    "integer": lambda x: _number(x) and (isinstance(x, int) or x.is_integer()),
+    "non-empty number list": lambda x: (
+        isinstance(x, list) and bool(x) and all(map(_number, x))
+    ),
+    "string": lambda x: isinstance(x, str),
+    "list": lambda x: isinstance(x, list),
+    "object": lambda x: isinstance(x, dict),
+}
+# section: ({required key: type}, {optional key: type})
+_SHAPE = {
+    "config": (
+        {"system": "object", "master_seed": "integer"},
+        {"sweep": "object", "instance": "object"},
+    ),
+    "system": (
+        {"K": "integer", "N": "integer", "P": "number", "noise_var": "number"},
+        {
+            "channel_var": "number",
+            "s": "number",
+            "eval_mode": "string",
+            "error_sampling": "string",
         },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["values", "trials", "schemes"],
-            "properties": {
-                "values": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 1,
-                },
-                "trials": {"type": "integer", "minimum": 1},
-                "schemes": {
-                    "type": "array",
-                    "items": {"enum": list(SCHEMES)},
-                    "minItems": 1,
-                },
-                "s_values": {
-                    "type": "array",
-                    "items": {"type": "number", "minimum": 0},
-                    "minItems": 1,
-                },
-            },
-        },
-        "instance": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["h_hat", "eps"],
-            "properties": {
-                # checked as whole arrays by _instance_arrays
-                "h_hat": {"type": "array"},
-                "eps": {"type": "array"},
-            },
-        },
-        "master_seed": {"type": "integer", "minimum": 0},
-    },
+    ),
+    "sweep": (
+        {"values": "non-empty number list", "trials": "integer", "schemes": "list"},
+        {"s_values": "non-empty number list"},
+    ),
+    # checked as whole arrays by _instance_arrays
+    "instance": ({"h_hat": "list", "eps": "list"}, {}),
 }
 
 
-# built once; the constant SCHEMA is checked against its metaschema by a
-# test rather than on every load
-_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+def _check_section(name, section):
+    """Raise ConfigError for an unknown key, a missing key or a value of
+    the wrong JSON type in one section of a config."""
+    required, optional = _SHAPE[name]
+    for key, value in section.items():
+        kind = required.get(key) or optional.get(key)
+        if kind is None:
+            raise ConfigError(f"invalid config: {key!r} was unexpected in {name}")
+        if not _TYPES[kind](value):
+            raise ConfigError(f"invalid config: {name}.{key} must be of type {kind}")
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"invalid config: {name} lacks the required {key!r}")
 
 
 class RunConfig:
@@ -115,11 +109,15 @@ def load_config(path):
 
 
 def parse_config(raw):
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        raise ConfigError(f"invalid config: {error.message}") from error
+    if not isinstance(raw, dict):
+        raise ConfigError("invalid config: the top level must be an object")
+    _check_section("config", raw)
+    for name in ("system", "sweep", "instance"):
+        if name in raw:
+            _check_section(name, raw[name])
+    if raw["master_seed"] < 0:
+        raise ConfigError("invalid config: master_seed must be >= 0")
 
-    # JSON Schema counts 2.0 as an integer; the code needs ints
     fields = raw["system"]
     master_seed = int(raw["master_seed"])
     try:
@@ -139,7 +137,7 @@ def parse_config(raw):
         try:
             # validate everything except the kind, which the CLI supplies
             config.sweep_spec("snr")
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
     return config
 
@@ -150,9 +148,7 @@ def _instance_arrays(instance, K, N):
     arrays = []
     for name, shape in (("h_hat", (K, N, 2)), ("eps", (K,))):
         raw = np.asarray(instance[name], dtype=object)
-        if raw.shape != shape or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw.flat
-        ):
+        if raw.shape != shape or not all(map(_number, raw.flat)):
             raise ConfigError(f"instance {name} must be numbers of shape {shape}")
         try:
             values = raw.astype(float)

@@ -22,4 +22,4 @@ class PerturbationOutOfBall(AirCompError):
 
 
 class ConfigError(AirCompError):
-    """A run configuration file failed schema validation."""
+    """A run configuration file failed validation."""

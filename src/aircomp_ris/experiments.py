@@ -6,7 +6,7 @@ scores every trial of a block along a leading trial axis."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,9 +52,11 @@ class SweepSpec:
             raise ValueError("values must be non-empty and strictly increasing")
         if not 1 <= self.trials <= MAX_DIMENSION:
             raise ValueError(f"trials must be >= 1 and <= {MAX_DIMENSION}")
+        if not self.schemes:
+            raise ValueError("schemes must be non-empty")
         for s in self.schemes:
             if s not in SCHEMES:
-                raise ValueError(f"unknown scheme {s!r}")
+                raise ValueError(f"{s!r} is not one of {list(SCHEMES)!r}")
         if self.s_values is not None and not self.s_values:
             raise ValueError("s_values must be non-empty when given")
         try:
@@ -72,6 +74,10 @@ class SweepSpec:
                     f"and <= {MAX_DIMENSION}"
                 )
             self.values = [int(v) for v in self.values]
+        # every cell's SystemConfig checks its own ranges, s >= 0 among them
+        for value in self.values:
+            for s in self.s_values or [self.base.s]:
+                _config_at(self.base, self.kind, value, s)
 
 
 @dataclass
@@ -89,7 +95,10 @@ def snr_to_noise_var(snr_db, P):
     """Noise variance from SNR = 10 log10(P / sigma^2)."""
     if P <= 0:
         raise ValueError("P must be > 0")
-    return P * 10.0 ** (-snr_db / 10.0)
+    try:
+        return P * 10.0 ** (-snr_db / 10.0)
+    except OverflowError as exc:
+        raise ValueError(f"SNR {snr_db} dB: noise variance overflows") from exc
 
 
 def nmse(mse, K):
@@ -260,23 +269,10 @@ def _design_and_score(config, scheme, inst):
 
 
 def _config_at(base, kind, value, s):
-    fields = dict(
-        K=base.K,
-        N=base.N,
-        P=base.P,
-        noise_var=base.noise_var,
-        channel_var=base.channel_var,
-        s=s,
-        eval_mode=base.eval_mode,
-        error_sampling=base.error_sampling,
-    )
+    """The SystemConfig of one sweep cell; replace re-runs its checks."""
     if kind == "snr":
-        fields["noise_var"] = snr_to_noise_var(value, base.P)
-    elif kind == "n":
-        fields["N"] = value
-    elif kind == "k":
-        fields["K"] = value
-    return SystemConfig(**fields)
+        return replace(base, s=s, noise_var=snr_to_noise_var(value, base.P))
+    return replace(base, s=s, **{kind.upper(): value})
 
 
 def scheme_label(scheme, s, multiple_s):

@@ -6,20 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aircomp_ris.cli import main, records_to_csv
-from aircomp_ris.config import (
-    SCHEMA,
-    ConfigError,
-    load_config,
-    parse_config,
-    serialize_config,
-)
+from aircomp_ris.config import ConfigError, load_config, parse_config, serialize_config
 from aircomp_ris.experiments import AggregateRecord, snr_to_noise_var
 
 
@@ -224,26 +217,31 @@ class TestNonFiniteInput:
         assert not out.exists()
         assert "error" in capsys.readouterr().err
 
-    def test_sweep_rejects_overflowing_value(self, tmp_path):
+    def test_sweep_rejects_overflowing_value(self, tmp_path, capsys):
         text = json.dumps(sweep_config(values=[10.0]))
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(text.replace("[10.0]", "[1e999]"))
         out = tmp_path / "r.csv"
-        argv = ["sweep", "--kind", "snr", "--config", str(cfg), "--out", str(out)]
-        assert main(argv) == 1
-        assert not out.exists()
+        # 1e999 parses as inf; -4000 dB is a noise variance of 10^400 * P
+        for value in ["1e999", "-4000.0"]:
+            cfg.write_text(text.replace("[10.0]", f"[{value}]"))
+            argv = ["sweep", "--kind", "snr", "--config", str(cfg), "--out", str(out)]
+            assert main(argv) == 1
+            assert not out.exists()
+            assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
         "kind, key, value",
         [
             ("snr", "values", [10**400]),  # too large for a double
             ("snr", "s_values", [10**400]),
+            # fits a double, but np.isfinite takes no int beyond uint64
+            ("snr", "s_values", [2**64]),
             # beyond numpy's largest array dimension
             ("snr", "trials", 10**30),
             ("n", "values", [10**30]),
             ("k", "values", [2, 10**30]),
         ],
-        ids=["values", "s_values", "trials", "n_value", "k_value"],
+        ids=["values", "s_values", "s_values_2_64", "trials", "n_value", "k_value"],
     )
     def test_sweep_rejects_huge_integer(self, tmp_path, capsys, kind, key, value):
         raw = sweep_config()
@@ -411,8 +409,9 @@ class TestUsageErrors:
             ["verify", "--suite", "monotone", "--trials", "3"],
             ["sweep", "--kind", "x", "--config", "cfg.json", "--out", "r.csv"],
             ["sweep", "--kind", "snr", "--config", "cfg.json"],
+            ["verify", "--suite", "kkt", "--trials", "1", "--seed", "-1"],
         ],
-        ids=["retired_suite", "unknown_kind", "missing_out"],
+        ids=["retired_suite", "unknown_kind", "missing_out", "negative_seed"],
     )
     def test_usage_error_exits_1(self, capsys, argv):
         assert main(argv) == 1
@@ -423,17 +422,18 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: aircomp")
 
 class TestLazyRandom:
-    """numpy.random is loaded only by what draws random numbers, which
-    keeps the CLI's start-up time down."""
+    """numpy.random is loaded only by what draws random numbers, and no
+    JSON Schema library at all, which keeps the CLI's start-up time down."""
 
     def run_fresh(self, code):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
-    def test_importing_cli_does_not_load_numpy_random(self):
+    def test_importing_cli_loads_neither_numpy_random_nor_jsonschema(self):
         self.run_fresh(
             "import sys, aircomp_ris.cli\n"
-            "assert 'numpy.random' not in sys.modules"
+            "assert 'numpy.random' not in sys.modules\n"
+            "assert 'jsonschema' not in sys.modules"
         )
 
     def test_solve_on_an_instance_does_not_load_numpy_random(self, tmp_path):
@@ -477,11 +477,67 @@ def instance_configs(draw):
     return raw
 
 
-class TestConfigRoundTrip:
-    def test_schema_is_valid(self):
-        # parse_config validates with a cached validator that skips this check
-        jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+def full_config():
+    """A valid config with every section and every optional key."""
+    raw = sweep_config()
+    raw["system"].update(channel_var=0.5, eval_mode="worst", error_sampling="surface")
+    raw["sweep"]["s_values"] = [0.4]
+    raw["instance"] = {"h_hat": [[[1.0, 0.0]] * 3] * 2, "eps": [0.0, 0.0]}
+    return raw
 
+
+_DROP = object()
+_REQUIRED = {
+    None: ["system", "master_seed"],
+    "system": ["K", "N", "P", "noise_var"],
+    "sweep": ["values", "trials", "schemes"],
+    "instance": ["h_hat", "eps"],
+}
+_MUTATIONS = (
+    [(section, "extra", 1) for section in _REQUIRED]
+    + [(section, key, _DROP) for section, keys in _REQUIRED.items() for key in keys]
+    + [("system", key, True) for key in ("K", "P")]
+    + [("sweep", "trials", True), (None, "master_seed", True)]
+    + [("system", "noise_var", "1.0"), ("system", "N", 2.5), ("sweep", "trials", 2.5)]
+    + [(None, "master_seed", -1), ("sweep", "s_values", [-0.1])]
+    + [("sweep", key, []) for key in ("values", "schemes", "s_values")]
+    + [("sweep", "values", [True])]
+)
+
+
+def _mutated(section, key, value):
+    raw = full_config()
+    target = raw if section is None else raw[section]
+    if value is _DROP:
+        del target[key]
+    else:
+        target[key] = value
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param(
+            _mutated(*case),
+            id=f"{case[0] or 'top'}.{case[1]}"
+            + ("-missing" if case[2] is _DROP else f"={json.dumps(case[2])}"),
+        )
+        for case in _MUTATIONS
+    ]
+    + [pytest.param([full_config()], id="top_level_list")],
+)
+def test_config_shape_and_range_rules(tmp_path, capsys, raw):
+    """Each case breaks one rule of a config that is valid without it."""
+    parse_config(full_config())
+    cfg = write_json(tmp_path / "cfg.json", raw)
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestConfigRoundTrip:
     @pytest.mark.parametrize("kind, snr_db", [("snr", None), ("n", 0.0), ("k", 10.0)])
     def test_figure_configs(self, kind, snr_db):
         cfg = load_config(CONFIGS / f"fig_{kind}.json")
