@@ -164,28 +164,3 @@ def _instance_arrays(instance, K, N):
     # viewing the pairs keeps their bits; re + 1j * im can flip a zero's sign
     return h_hat.view(complex).reshape(K, N), eps
 
-
-def serialize_config(config):
-    """Inverse of parse_config for the round-trip contract."""
-    raw = {
-        "system": {
-            "K": config.system.K,
-            "N": config.system.N,
-            "P": config.system.P,
-            "noise_var": config.system.noise_var,
-            "channel_var": config.system.channel_var,
-            "s": config.system.s,
-            "eval_mode": config.system.eval_mode,
-            "error_sampling": config.system.error_sampling,
-        },
-        "master_seed": config.master_seed,
-    }
-    if config.sweep_dict is not None:
-        raw["sweep"] = dict(config.sweep_dict)
-    if config.instance is not None:
-        h_hat, eps = config.instance
-        raw["instance"] = {
-            "h_hat": [[[z.real, z.imag] for z in vec] for vec in h_hat],
-            "eps": [float(e) for e in eps],
-        }
-    return raw

@@ -1,7 +1,9 @@
 """Monte Carlo sweep harness: NMSE of the robust and non-robust schemes
 versus SNR, RIS size N, or sensor count K, with fully reproducible
 per-trial seeding. Trials run in blocks: one call synthesizes, designs or
-scores every trial of a block along a leading trial axis."""
+scores every trial of a block along a leading trial axis. Worst-mode
+blocks are (T, K) arrays of each sensor's gain and radius, all a worst-case
+score depends on; realized-mode blocks keep the (T, K, N) channels."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import MAX_DIMENSION, SystemConfig, synthesize_instance, trials_per_block
-from .optimizer import nonrobust_design, robust_design
+from .optimizer import nonrobust_design, nonrobust_scalars, robust_design, robust_scalars
 from .worst_case import mse_at_error, worst_case_objective
 
 SWEEP_KINDS = ("snr", "n", "k")
@@ -108,28 +110,28 @@ def nmse(mse, K):
     return mse / K
 
 
-def design_for_scheme(config, scheme, h_hat_set, eps_set):
-    """Run the designer a scheme refers to on a (T, K, N) block of trials;
-    returns (Design, iterations per trial)."""
-    if scheme == "nonrobust":
-        design = nonrobust_design(config, h_hat_set)
-    elif scheme in ("multistart", "robust_exact"):
-        # two historical names of the closed-form global optimum
-        design = robust_design(config, h_hat_set, eps_set)
-    else:
+def design_for_scheme(config, scheme, draw):
+    """Run the designer a scheme refers to on a block of trials; returns
+    (Design, iterations per trial). draw is what synthesis gave the block:
+    in worst mode the (T, K) gains and radii (a, eps), which fix m and t
+    alone, else a ChannelInstance, whose design gets its RIS vectors."""
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    # multistart and robust_exact: two historical names of the closed-form
+    # global optimum
+    robust = scheme != "nonrobust"
+    if config.eval_mode == "worst":
+        a, eps = draw
+        if robust:
+            design = robust_scalars(config, a, eps * np.sqrt(config.N))
+        else:
+            design = nonrobust_scalars(config, a)
+    elif robust:
+        design = robust_design(config, draw.h_hat, draw.eps)
+    else:
+        design = nonrobust_design(config, draw.h_hat)
     passes = ALGORITHM1_PASSES if scheme == "robust_exact" else 0
-    return design, np.full(len(h_hat_set), passes)
-
-
-def run_trial(config, scheme, channel_seed):
-    """One Monte Carlo trial: synthesize channels from the channel_seed
-    tuple, design, evaluate; returns (NMSE, iterations). It is a block of
-    one trial."""
-    words = seed_words(channel_seed[:-1], [channel_seed[-1]])
-    inst = synthesize_instance(config, trial_generators(words))
-    values, iters = _design_and_score(config, scheme, inst)
-    return float(values[0]), int(iters[0])
+    return design, np.full(len(design.t), passes)
 
 
 def _int_words(n):
@@ -255,15 +257,16 @@ def _seed_words_type():
     return SeedWords
 
 
-def _design_and_score(config, scheme, inst):
-    """Design a scheme on a block of channel draws; returns the NMSE and
-    iterations of each trial."""
-    design, iters = design_for_scheme(config, scheme, inst.h_hat, inst.eps)
+def _design_and_score(config, scheme, draw):
+    """Design a scheme on a block's draw (see design_for_scheme); returns
+    the NMSE and iterations of each trial."""
+    design, iters = design_for_scheme(config, scheme, draw)
     if config.eval_mode == "worst":
-        mse = worst_case_objective(design, inst.h_hat, inst.eps, config.noise_var)
+        a, eps = draw
+        mse = worst_case_objective(design, a, eps * np.sqrt(config.N), config.noise_var)
     else:
         mse = mse_at_error(
-            design, inst.h_hat, inst.deltas, config.noise_var, eps_set=inst.eps
+            design, draw.h_hat, draw.deltas, config.noise_var, eps_set=draw.eps
         )
     return nmse(mse, config.K), iters
 
@@ -283,12 +286,6 @@ def _cell_entropy(master_seed, kind, value_index, s_index):
     return (master_seed, _KIND_CODE[kind], value_index, s_index, _CHANNEL_STREAM)
 
 
-def channel_seed(master_seed, kind, value_index, s_index, trial):
-    """Seed tuple of one sweep cell trial's channel draw. It omits the
-    scheme, so schemes compete on identical channels."""
-    return (*_cell_entropy(master_seed, kind, value_index, s_index), trial)
-
-
 def run_sweep(spec):
     """Run every (value, s, scheme) cell of the sweep; returns records
     ordered by (value, scheme label). Trial seeds are derived by index so
@@ -304,6 +301,7 @@ def run_sweep(spec):
         row = []
         for si, s in enumerate(s_values):
             config = _config_at(spec.base, spec.kind, value, s)
+            worst = config.eval_mode == "worst"
             block = trials_per_block(config)
             nmses = np.empty((len(spec.schemes), spec.trials))
             iters = np.empty_like(nmses)
@@ -313,10 +311,11 @@ def run_sweep(spec):
             )
             for lo in range(0, spec.trials, block):
                 hi = min(lo + block, spec.trials)
-                inst = synthesize_instance(config, trial_generators(words[lo:hi]))
+                rngs = trial_generators(words[lo:hi])
+                draw = synthesize_instance(config, rngs, gains_only=worst)
                 for j, scheme in enumerate(spec.schemes):
                     nmses[j, lo:hi], iters[j, lo:hi] = _design_and_score(
-                        config, scheme, inst
+                        config, scheme, draw
                     )
             for j, scheme in enumerate(spec.schemes):
                 row.append(

@@ -129,14 +129,14 @@ class Design:
     """A transceiver/RIS operating point.
 
     m is the receive scaling, t the (K,) transmit scalars, v the (K, N)
-    unit-modulus RIS phase vectors. The effective scalars t_hat = m * t are
-    what the worst-case objective actually depends on. A block of designs
-    adds leading trial axes: m (T,), t (T, K) and v (T, K, N).
+    unit-modulus RIS phase vectors, unset when only the worst case, which
+    depends on the effective scalars t_hat = m * t alone, is scored. A block
+    of designs adds leading trial axes: m (T,), t (T, K) and v (T, K, N).
     """
 
     m: float | np.ndarray
     t: np.ndarray
-    v: np.ndarray
+    v: np.ndarray | None = None
 
     @property
     def t_hat(self):
@@ -157,22 +157,19 @@ def sample_rayleigh_vector(n, variance, rng):
     return rng.normal(0.0, 1.0, n) * scale + 1j * rng.normal(0.0, 1.0, n) * scale
 
 
-def epsilon_from_coefficient(s, h):
-    """Uncertainty radius eps = s * ||h||_2, per row of a (K, N) array."""
-    return s * row_norms(h)
-
-
 def trials_per_block(config):
     """Trials a sweep synthesizes per call: as many as keep a block's
     (T, K, N) arrays within _DRAW_BLOCK entries, and at least one."""
     return max(1, _DRAW_BLOCK // (config.K * config.N))
 
 
-def synthesize_instance(config, rng):
+def synthesize_instance(config, rng, gains_only=False):
     """Draw a ChannelInstance: Rayleigh segments g_k (RIS->receiver) and
     r_k (sensor->RIS) give true channels with row(h_k) = conj(g_k) * r_k,
     and estimates row(h_hat_k) = row(h_k) - delta_k for a bounded error
-    delta_k of radius eps_k = s*||h_k||.
+    delta_k of radius eps_k = s*||h_k||. With gains_only, return (a, eps)
+    instead: the gains a_k = ||h_hat_k||_1 that co-phasing gives each
+    sensor, and the radii, which are all a worst-case score depends on.
 
     rng is one Generator, or a sequence of T Generators for a block of
     trials with (T, K, N) arrays; trial t is drawn from rng[t] exactly as
@@ -181,7 +178,9 @@ def synthesize_instance(config, rng):
     the real and imaginary parts of the error direction, then one uniform
     for an interior error's radius. The (trial, sensor) rows are drawn in
     blocks; a trial's rows without uniforms take one call, which fills in
-    that same order."""
+    that same order. The arithmetic runs on real planes, one ufunc per
+    real multiply or add, and np.hypot: unlike complex multiply and abs,
+    they round alike at every numpy SIMD dispatch level."""
     batched = isinstance(rng, (list, tuple))
     rngs = list(rng) if batched else [rng]
     K, N = config.K, config.N
@@ -193,9 +192,12 @@ def synthesize_instance(config, rng):
     z = np.empty((min(step, rows), parts, N))
     radius = np.ones(len(z))
     seg_scale = np.sqrt(config.channel_var / 2.0)
-    h_hat = np.empty((rows, N), dtype=complex)
-    deltas = np.zeros_like(h_hat)
     eps = np.empty(rows)
+    if gains_only:
+        gains = np.empty(rows)
+    else:
+        h_hat = np.empty((rows, N), dtype=complex)
+        deltas = np.zeros_like(h_hat)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         zb = z[: hi - lo]
@@ -209,19 +211,27 @@ def synthesize_instance(config, rng):
                     radius[i] = gen.uniform() ** (1.0 / (2 * N))
             else:
                 gen.standard_normal(out=zb[first:last])
-        g = (zb[:, 0] + 1j * zb[:, 1]) * seg_scale
-        r = (zb[:, 2] + 1j * zb[:, 3]) * seg_scale
-        # fixed operand order: g * np.conj(r) may run in place as conj(r) * g
-        h = np.multiply(g, np.conj(r))
-        eps[lo:hi] = epsilon_from_coefficient(config.s, h)
+        g_re, g_im, r_re, r_im = (zb[:, i] * seg_scale for i in range(4))
+        # h = g * conj(r)
+        h_re = g_re * r_re + g_im * r_im
+        h_im = g_im * r_re - g_re * r_im
+        eps[lo:hi] = config.s * np.sqrt(np.vecdot(h_re, h_re) + np.vecdot(h_im, h_im))
         if robust:
-            d = (zb[:, 4] + 1j * zb[:, 5]) * np.sqrt(0.5)
-            d /= row_norms(d)[:, None]
-            deltas[lo:hi] = (eps[lo:hi] * radius[: hi - lo])[:, None] * d
-        h_hat[lo:hi] = h - np.conj(deltas[lo:hi])
+            d_re, d_im = zb[:, 4], zb[:, 5]
+            norm = np.sqrt(np.vecdot(d_re, d_re) + np.vecdot(d_im, d_im))
+            scale = (eps[lo:hi] * radius[: hi - lo] / norm)[:, None]
+            del_re, del_im = d_re * scale, d_im * scale
+            # h_hat = h - conj(delta)
+            h_re -= del_re
+            h_im += del_im
+        if gains_only:
+            gains[lo:hi] = np.hypot(h_re, h_im).sum(axis=-1)
+            continue
+        h_hat.real[lo:hi], h_hat.imag[lo:hi] = h_re, h_im
+        if robust:
+            deltas.real[lo:hi], deltas.imag[lo:hi] = del_re, del_im
     lead = (len(rngs), K) if batched else (K,)
-    return ChannelInstance(
-        h_hat=h_hat.reshape(*lead, N),
-        eps=eps.reshape(lead),
-        deltas=deltas.reshape(*lead, N),
-    )
+    eps = eps.reshape(lead)
+    if gains_only:
+        return gains.reshape(lead), eps
+    return ChannelInstance(h_hat.reshape(*lead, N), eps, deltas.reshape(*lead, N))

@@ -3,11 +3,15 @@
 `robust_design` is the closed-form global optimum: each sensor has its own
 RIS and the power constraint is active, so the problem splits into K scalar
 problems, each solved by co-phasing and the exact 1-D minimizer `t_exact`.
-The paper's alternating loop (Algorithm 1) lands on this point in its first
-pass and stops after a second that changes nothing.
+Co-phasing leaves sensor k the gain a_k = ||h_hat_k||_1, so each designer
+is a scalar core, m and t from (a_k, eps_k sqrt(N)), and a wrapper that
+adds the RIS vectors. The paper's alternating loop (Algorithm 1) lands on
+this point in its first pass and stops after a second that changes nothing.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,11 +41,6 @@ def t_exact(a, eps_rootN, noise_var, P):
     return float(tau) if tau.ndim == 0 else tau
 
 
-def _t_mmse(a, noise_over_P):
-    """Classical sum-power MMSE scaling a / (a^2 + sigma^2/P), 0 where a = 0."""
-    return np.divide(a, a * a + noise_over_P, out=np.zeros_like(a), where=a > 0)
-
-
 def recover_m_t(t_hat_set, P):
     """Recover (m, t) from the effective scalars: m = sqrt(sum|t_hat|^2 / P),
     t_k = t_hat_k / m, so the sum power constraint is met with equality.
@@ -57,30 +56,45 @@ def recover_m_t(t_hat_set, P):
 
 def _l1_gains(h_hat_set):
     """a_k = ||h_hat_k||_1 of a (..., K, N) block, the gain co-phasing gives
-    each sensor. No design serves a trial whose every estimate is zero."""
-    a = np.abs(h_hat_set).sum(axis=-1)
+    each sensor."""
+    return np.abs(h_hat_set).sum(axis=-1)
+
+
+def _scalar_design(a, t_hat, P):
+    """The Design of the effective scalars t_hat, without RIS vectors. No
+    design serves a trial whose every estimate is zero."""
     if not a.any(axis=-1).all():
         raise AllZeroScalers("every channel estimate is zero")
-    return a
+    m, t = recover_m_t(t_hat, P)
+    return Design(m=m, t=t)
+
+
+def nonrobust_scalars(config, a):
+    """m and t of the non-robust design from the (..., K) gains a_k: the MMSE
+    scaling t_hat_k = a_k / (a_k^2 + sigma^2/P), 0 where a_k = 0."""
+    c = config.noise_var / config.P
+    t_hat = np.divide(a, a * a + c, out=np.zeros_like(a), where=a > 0)
+    return _scalar_design(a, t_hat, config.P)
+
+
+def robust_scalars(config, a, eps_rootN):
+    """m and t of the worst-case optimum from the (..., K) gains a_k and
+    radii eps_k sqrt(N): t_hat_k = t_exact(a_k, eps_k sqrt(N)), and m = 0
+    for a trial whose every sensor is silenced."""
+    t_hat = t_exact(a, eps_rootN, config.noise_var, config.P)
+    return _scalar_design(a, t_hat, config.P)
 
 
 def nonrobust_design(config, h_hat_set):
-    """Baseline ignoring CSI uncertainty: co-phased RIS vectors and the
-    classical sum-power MMSE scaling t_hat_k = a_k / (a_k^2 + sigma^2/P).
-    Designs each trial of a (..., K, N) block."""
-    h_hat_set = np.asarray(h_hat_set)
-    t_hat = _t_mmse(_l1_gains(h_hat_set), config.noise_var / config.P)
-    m, t = recover_m_t(t_hat, config.P)
-    return Design(m=m, t=t, v=update_phases(h_hat_set))
+    """Baseline ignoring CSI uncertainty: nonrobust_scalars with co-phased
+    RIS vectors, for each trial of a (..., K, N) block."""
+    design = nonrobust_scalars(config, _l1_gains(h_hat_set))
+    return replace(design, v=update_phases(h_hat_set))
 
 
 def robust_design(config, h_hat_set, eps_set):
-    """Global optimum of the worst-case design: co-phased RIS vectors and
-    the exact per-sensor scaling t_hat_k = t_exact(a_k, eps_k sqrt(N)),
-    a_k = ||h_hat_k||_1. Yields the m = 0 design when every sensor is
-    silenced. Designs each trial of a (..., K, N) block."""
-    h_hat_set = np.asarray(h_hat_set)
+    """Global optimum of the worst-case design: robust_scalars with
+    co-phased RIS vectors, for each trial of a (..., K, N) block."""
     eps_rootN = np.asarray(eps_set, dtype=float) * np.sqrt(config.N)
-    t_hat = t_exact(_l1_gains(h_hat_set), eps_rootN, config.noise_var, config.P)
-    m, t = recover_m_t(t_hat, config.P)
-    return Design(m=m, t=t, v=update_phases(h_hat_set))
+    design = robust_scalars(config, _l1_gains(h_hat_set), eps_rootN)
+    return replace(design, v=update_phases(h_hat_set))

@@ -88,12 +88,14 @@ def worst_case_term(t_hat, h_hat, v, eps):
     return float(term) if np.ndim(term) == 0 else term
 
 
-def worst_case_objective(design, h_hat_set, eps_set, noise_var):
-    """Total worst-case MSE: sum_k worst term + noise_var * m^2, per trial
-    of a (..., K, N) block."""
-    if np.shape(h_hat_set)[-2] != design.K or np.shape(eps_set)[-1] != design.K:
-        raise DimensionMismatch("h_hat_set/eps_set must have K rows")
-    terms = worst_case_term(design.t_hat, h_hat_set, design.v, eps_set)
+def worst_case_objective(design, a, eps_rootN, noise_var):
+    """Total worst-case MSE of a co-phased design, h_hat_k^H v_k = a_k, per
+    trial of a (..., K) block of gains a_k = ||h_hat_k||_1 and radii eps_k
+    sqrt(N): sum_k (|t_hat_k a_k - 1| + |t_hat_k| eps_k sqrt(N))^2 + noise_var m^2."""
+    if np.shape(a)[-1] != design.K or np.shape(eps_rootN) != np.shape(a):
+        raise DimensionMismatch("a/eps_rootN must have K entries per trial")
+    t_hat = design.t_hat
+    terms = (np.abs(t_hat * a - 1.0) + np.abs(t_hat) * eps_rootN) ** 2
     return _total(terms, design.m, noise_var)
 
 

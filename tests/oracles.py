@@ -1,17 +1,74 @@
 """Reference evaluators the tests check the package against: numpy's own
-seeding of a trial's generator, the MSE of a design on known true
-channels, in closed form and by Monte Carlo, a sampler of perturbations
-inside an uncertainty ball, and the paper's alternating loop
-(Algorithm 1) written sensor by sensor with np.vdot."""
+seeding of a trial's generator, one sweep trial run alone, the worst-case
+objective evaluated on the full channel arrays, the MSE of a design on
+known true channels, in closed form and by Monte Carlo, a sampler of
+perturbations inside an uncertainty ball, the paper's alternating loop
+(Algorithm 1) written sensor by sensor with np.vdot, and the inverse of
+config parsing."""
 
 import numpy as np
 
-from aircomp_ris.model import Design, inner, sample_rayleigh_vector
+from aircomp_ris.errors import DimensionMismatch
+from aircomp_ris.experiments import _cell_entropy, _design_and_score
+from aircomp_ris.model import Design, inner, sample_rayleigh_vector, synthesize_instance
+from aircomp_ris.worst_case import worst_case_term
 
 
 def seeded_rng(seed):
     """The generator numpy itself seeds from a seed tuple."""
     return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def channel_seed(master_seed, kind, value_index, s_index, trial):
+    """Seed tuple of one sweep cell trial's channel draw."""
+    return (*_cell_entropy(master_seed, kind, value_index, s_index), trial)
+
+
+def run_trial(config, scheme, seed):
+    """One Monte Carlo trial as a sweep runs it, a block of one trial drawn
+    from numpy's own seeding of the seed tuple; returns (NMSE, iterations)."""
+    draw = synthesize_instance(
+        config, [seeded_rng(seed)], gains_only=config.eval_mode == "worst"
+    )
+    values, iters = _design_and_score(config, scheme, draw)
+    return float(values[0]), int(iters[0])
+
+
+def worst_case_objective(design, h_hat_set, eps_set, noise_var):
+    """Total worst-case MSE from the channel arrays and the design's RIS
+    vectors: sum_k worst_case_term + noise_var * m^2, per trial of a
+    (..., K, N) block."""
+    if np.shape(h_hat_set)[-2] != design.K or np.shape(eps_set)[-1] != design.K:
+        raise DimensionMismatch("h_hat_set/eps_set must have K rows")
+    terms = worst_case_term(design.t_hat, h_hat_set, design.v, eps_set)
+    total = noise_var * np.float_power(design.m, 2) + np.sum(terms, axis=-1)
+    return float(total) if np.ndim(total) == 0 else total
+
+
+def serialize_config(config):
+    """Inverse of parse_config for the round-trip contract."""
+    raw = {
+        "system": {
+            "K": config.system.K,
+            "N": config.system.N,
+            "P": config.system.P,
+            "noise_var": config.system.noise_var,
+            "channel_var": config.system.channel_var,
+            "s": config.system.s,
+            "eval_mode": config.system.eval_mode,
+            "error_sampling": config.system.error_sampling,
+        },
+        "master_seed": config.master_seed,
+    }
+    if config.sweep_dict is not None:
+        raw["sweep"] = dict(config.sweep_dict)
+    if config.instance is not None:
+        h_hat, eps = config.instance
+        raw["instance"] = {
+            "h_hat": [[[z.real, z.imag] for z in vec] for vec in h_hat],
+            "eps": [float(e) for e in eps],
+        }
+    return raw
 
 
 def closed_form_mse(design, channels, noise_var):

@@ -7,10 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from oracles import ref_loop_design
+from oracles import channel_seed, ref_loop_design, run_trial, worst_case_objective
 
 from aircomp_ris.cli import main
-from aircomp_ris.experiments import channel_seed, run_trial, snr_to_noise_var
+from aircomp_ris.experiments import snr_to_noise_var
 from aircomp_ris.model import Design, SystemConfig, synthesize_instance
 from aircomp_ris.optimizer import (
     nonrobust_design,
@@ -26,7 +26,6 @@ from aircomp_ris.worst_case import (
     lagrangian_value,
     lambda_worst,
     mse_at_error,
-    worst_case_objective,
     worst_case_term,
 )
 

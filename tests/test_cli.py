@@ -11,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import serialize_config
+
 from aircomp_ris.cli import main, records_to_csv
-from aircomp_ris.config import ConfigError, load_config, parse_config, serialize_config
+from aircomp_ris.config import ConfigError, load_config, parse_config
 from aircomp_ris.experiments import AggregateRecord, snr_to_noise_var
 
 
@@ -585,9 +587,9 @@ class TestConfigRoundTrip:
 # sha256 of the CSV each figure config writes; the 1e-12 goldens cannot
 # see a change in the last bit, and the repr-formatted CSV can
 FIGURE_CSV_SHA256 = {
-    "snr": "47cd6a5a74fcd5f2deed42dd8cb8e818cedccbd5ae2b385b454d567cf9eb88f2",
-    "n": "d4026d2a69da4f5161e5a2b4c213449edaeacb683dff252a8e93eff4c6edb8d6",
-    "k": "71d1213af3468a8b18efad5c735de31f8966231f7f93bec7feb139365a883fa5",
+    "snr": "3c5275a0aea62f7e576ed344d67894dbdb20b7db976d945363db2a9800b80057",
+    "n": "068a57d905227012f9917a05c79c1708ce741993d305cf0bc610176d79a29a26",
+    "k": "3bdf46053cefa5a61597c34f818ccfc79b449326db95ed9e7f057a0ada7a843e",
 }
 
 
@@ -597,6 +599,39 @@ def test_figure_csv_bytes(tmp_path, kind):
     config = str(CONFIGS / f"fig_{kind}.json")
     assert main(["sweep", "--kind", kind, "--config", config, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_CSV_SHA256[kind]
+
+
+def test_figure_csv_bytes_at_baseline_dispatch(tmp_path):
+    """numpy picks SIMD kernels by CPU, and some of them round differently
+    at each level. The figure sweeps write the pinned bytes in a process
+    limited to numpy's baseline kernels, as on a CPU without the others."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    # a name the CPU lacks is already off, and numpy warns when asked to
+    # disable it
+    names = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    if not names:
+        pytest.skip("numpy runs only its baseline kernels on this CPU")
+    code = (
+        "import sys\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "from aircomp_ris.cli import main\n"
+        "configs, out, *names = sys.argv[1:]\n"
+        "assert not any(__cpu_features__[name] for name in names)\n"
+        "for kind in ('snr', 'n', 'k'):\n"
+        "    argv = ['sweep', '--kind', kind, '--config', f'{configs}/fig_{kind}.json']\n"
+        "    assert main([*argv, '--out', f'{out}/fig_{kind}.csv']) == 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC), NPY_DISABLE_CPU_FEATURES=" ".join(names))
+    subprocess.run(
+        [sys.executable, "-c", code, str(CONFIGS), str(tmp_path), *names],
+        env=env,
+        check=True,
+        timeout=300,
+    )
+    for kind, pinned in FIGURE_CSV_SHA256.items():
+        got = (tmp_path / f"fig_{kind}.csv").read_bytes()
+        assert hashlib.sha256(got).hexdigest() == pinned, kind
 
 
 class TestCsvFormat:

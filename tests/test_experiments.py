@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import ref_loop, seeded_rng
+from oracles import channel_seed, ref_loop, run_trial, seeded_rng
 
 from aircomp_ris.experiments import (
     ALGORITHM1_PASSES,
     AggregateRecord,
     SweepSpec,
     _design_and_score,
-    channel_seed,
     nmse,
     run_sweep,
-    run_trial,
     seed_words,
     snr_to_noise_var,
     trial_generators,
@@ -261,46 +259,82 @@ class TestGoldenSweeps:
 def test_one_synthesis_per_trial_block_shared_by_schemes(monkeypatch):
     import aircomp_ris.experiments as experiments
 
-    blocks = []
-    designs = []
-    real_synth = experiments.synthesize_instance
-    real_design = experiments.design_for_scheme
+    events = []
+    real = {
+        name: getattr(experiments, name)
+        for name in (
+            "synthesize_instance",
+            "design_for_scheme",
+            "worst_case_objective",
+            "mse_at_error",
+        )
+    }
 
-    def counting_synth(config, rngs):
-        inst = real_synth(config, rngs)
-        blocks.append((config.noise_var, config.s, len(rngs), inst.h_hat))
-        return inst
+    def counting_synth(config, rngs, **kwargs):
+        draw = real["synthesize_instance"](config, rngs, **kwargs)
+        events.append(("synth", config.noise_var, config.s, len(rngs), draw))
+        return draw
 
-    def recording_design(config, scheme, h_hat_set, eps_set):
-        designs.append((config.noise_var, config.s, scheme, h_hat_set))
-        return real_design(config, scheme, h_hat_set, eps_set)
+    def recording_design(config, scheme, draw):
+        design, iters = real["design_for_scheme"](config, scheme, draw)
+        events.append(("design", scheme, draw, design))
+        return design, iters
+
+    def recording_score(name):
+        def score(design, channels, *args, **kwargs):
+            events.append(("score", name, channels, design))
+            return real[name](design, channels, *args, **kwargs)
+
+        return score
 
     monkeypatch.setattr(experiments, "synthesize_instance", counting_synth)
     monkeypatch.setattr(experiments, "design_for_scheme", recording_design)
-    # K * N = 6400 puts two trials in a block, so 5 trials take 3 blocks
-    base = base_config(K=64, N=100)
-    assert trials_per_block(base) == 2
-    spec = SweepSpec(
-        kind="snr",
-        values=[0.0, 10.0],
-        trials=5,
-        schemes=["multistart", "nonrobust", "robust_exact"],
-        base=base,
-        master_seed=2,
-        s_values=[0.2, 0.4],
-    )
-    run_sweep(spec)
-    cells = len(spec.values) * len(spec.s_values)
-    assert [size for _, _, size, _ in blocks] == [2, 2, 1] * cells
-    # every scheme is designed on each block's one draw, right after it
-    expected = [
-        (noise_var, s, scheme, h_hat)
-        for noise_var, s, _, h_hat in blocks
-        for scheme in spec.schemes
-    ]
-    assert len(designs) == len(expected)
-    for got, want in zip(designs, expected):
-        assert got[:3] == want[:3] and got[3] is want[3]
+    for name in ("worst_case_objective", "mse_at_error"):
+        monkeypatch.setattr(experiments, name, recording_score(name))
+    for eval_mode, score in (
+        ("worst", "worst_case_objective"),
+        ("realized", "mse_at_error"),
+    ):
+        events.clear()
+        # K * N = 6400 puts two trials in a block, so 5 trials take 3 blocks
+        base = base_config(K=64, N=100, eval_mode=eval_mode)
+        assert trials_per_block(base) == 2
+        spec = SweepSpec(
+            kind="snr",
+            values=[0.0, 10.0],
+            trials=5,
+            schemes=["multistart", "nonrobust", "robust_exact"],
+            base=base,
+            master_seed=2,
+            s_values=[0.2, 0.4],
+        )
+        run_sweep(spec)
+        blocks = [e for e in events if e[0] == "synth"]
+        assert [size for _, _, _, size, _ in blocks] == [2, 2, 1] * 4
+        assert [(nv, s) for _, nv, s, _, _ in blocks[::3]] == [
+            (snr_to_noise_var(value, base.P), s)
+            for value in spec.values
+            for s in spec.s_values
+        ]
+        # right after each draw, every scheme is designed on it and scored
+        # on its channels: the (T, K) gains in worst mode, the arrays in
+        # realized mode
+        at = 0
+        for block in blocks:
+            assert events[at] is block
+            draw = block[4]
+            channels = draw[0] if eval_mode == "worst" else draw.h_hat
+            assert np.shape(channels)[:2] == (block[3], base.K)
+            at += 1
+            for scheme in spec.schemes:
+                design_event, score_event = events[at : at + 2]
+                assert design_event[:2] == ("design", scheme)
+                assert design_event[2] is draw
+                assert score_event[:2] == ("score", score)
+                assert score_event[2] is channels
+                assert score_event[3] is design_event[3]
+                at += 2
+        assert at == len(events)
 
 
 @pytest.mark.parametrize("scheme", ["multistart", "nonrobust", "robust_exact"])
@@ -310,8 +344,10 @@ def test_one_synthesis_per_trial_block_shared_by_schemes(monkeypatch):
 def test_block_scores_match_single_trials(scheme, eval_mode, sampling):
     config = base_config(K=5, N=6, eval_mode=eval_mode, error_sampling=sampling)
     seeds = [channel_seed(7, "snr", 0, 0, trial) for trial in range(9)]
-    inst = synthesize_instance(config, [seeded_rng(seed) for seed in seeds])
-    values, iters = _design_and_score(config, scheme, inst)
+    draw = synthesize_instance(
+        config, [seeded_rng(seed) for seed in seeds], gains_only=eval_mode == "worst"
+    )
+    values, iters = _design_and_score(config, scheme, draw)
     for t, seed in enumerate(seeds):
         assert (values[t], iters[t]) == run_trial(config, scheme, seed)
 

@@ -10,7 +10,6 @@ from aircomp_ris.model import (
     ChannelInstance,
     Design,
     SystemConfig,
-    epsilon_from_coefficient,
     inner,
     row_norms,
     sample_rayleigh_vector,
@@ -100,16 +99,32 @@ class TestChannelInstance:
 
 
 class TestEpsilon:
-    def test_zero_coefficient(self):
-        assert epsilon_from_coefficient(0.0, np.array([1.0, 2.0])) == 0
+    """Synthesis sets the radius eps_k = s * ||h_k||_2 from the planes of
+    h_k, in both of its outputs."""
+
+    # channel_var 2 makes the segments the raw normals: g = re + 1j * im
+    unit = dict(K=1, N=1, P=1.0, noise_var=0.1, channel_var=2.0)
+
+    def test_zero_coefficient(self, rng):
+        config = SystemConfig(K=3, N=4, P=1.0, noise_var=0.1, s=0.0)
+        _, eps = synthesize_instance(config, rng, gains_only=True)
+        assert np.all(eps == 0)
 
     def test_scaling(self):
-        h = np.array([2.0 + 0j])  # norm 2
-        assert epsilon_from_coefficient(0.4, h) == pytest.approx(0.8)
+        # g = 1j, r = 2: h = 2j has norm 2
+        config = SystemConfig(s=0.4, **self.unit)
+        normals = [0.0, 1.0, 2.0, 0.0, 1.0, 0.0]
+        assert synthesize_instance(config, FixedNormals(normals)).eps[0] == 0.8
+        _, eps = synthesize_instance(config, FixedNormals(normals), gains_only=True)
+        assert eps[0] == 0.8
 
-    def test_monotone_in_s(self, rng):
-        h = sample_rayleigh_vector(6, 1.0, rng)
-        assert epsilon_from_coefficient(0.6, h) > epsilon_from_coefficient(0.4, h)
+    def test_monotone_in_s(self):
+        def radii(s):
+            config = SystemConfig(K=5, N=6, P=1.0, noise_var=0.1, s=s)
+            return synthesize_instance(config, np.random.default_rng(8)).eps
+
+        assert np.all(radii(0.6) > radii(0.4))
+        np.testing.assert_allclose(radii(0.6) / radii(0.4), 1.5, rtol=1e-15)
 
 
 class TestBoundedError:
@@ -312,6 +327,27 @@ def test_synthesis_matches_per_sensor_draws(K, N, s, sampling):
         np.testing.assert_allclose(a, b, rtol=1e-13, atol=0, err_msg=name)
     # both streams end at the same point
     assert rng.uniform() == ref_rng.uniform()
+
+
+@pytest.mark.parametrize(
+    "s, sampling, trials",
+    [(0.0, "surface", 1), (0.4, "surface", 3), (0.4, "interior", 3)],
+)
+def test_gains_only_match_the_instance(s, sampling, trials):
+    # draw blocks of 3 rows split the 9-sensor trials
+    config = SystemConfig(
+        K=9, N=700, P=1.0, noise_var=0.1, s=s, error_sampling=sampling
+    )
+    seeds = [(6, trial) for trial in range(trials)]
+    inst = synthesize_instance(config, [seeded_rng(seed) for seed in seeds])
+    a, eps = synthesize_instance(
+        config, [seeded_rng(seed) for seed in seeds], gains_only=True
+    )
+    l1 = np.hypot(inst.h_hat.real, inst.h_hat.imag).sum(axis=-1)
+    assert a.shape == eps.shape == (trials, config.K)
+    assert a.tobytes() == l1.tobytes()
+    assert eps.tobytes() == inst.eps.tobytes()
+    np.testing.assert_allclose(a, np.abs(inst.h_hat).sum(axis=-1), rtol=1e-14)
 
 
 def test_trials_per_block():

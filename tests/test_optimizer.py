@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_loop, ref_loop_design
+from oracles import ref_loop, ref_loop_design, worst_case_objective
 
 from aircomp_ris.errors import AllZeroScalers
 from aircomp_ris.model import (
@@ -20,7 +20,6 @@ from aircomp_ris.optimizer import (
     t_exact,
     update_phases,
 )
-from aircomp_ris.worst_case import worst_case_objective
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_loop, ref_term
+from oracles import ref_loop, ref_term, worst_case_objective
 
 from aircomp_ris.model import Design, SystemConfig
 from aircomp_ris.optimizer import robust_design
@@ -15,7 +15,6 @@ from aircomp_ris.worst_case import (
     certificate,
     delta_worst,
     mse_at_error,
-    worst_case_objective,
 )
 
 RTOL = 1e-12

@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ball_perturbation
+from oracles import ball_perturbation, worst_case_objective
 
 from aircomp_ris.errors import DimensionMismatch, PerturbationOutOfBall
-from aircomp_ris.model import Design, inner
+from aircomp_ris.experiments import design_for_scheme
+from aircomp_ris.model import ChannelInstance, Design, SystemConfig, inner
 from aircomp_ris.verify import random_instance
 from aircomp_ris.worst_case import (
     brute_force_worst_case,
@@ -18,9 +21,9 @@ from aircomp_ris.worst_case import (
     lambda_worst,
     mse_at_error,
     residual,
-    worst_case_objective,
     worst_case_term,
 )
+from aircomp_ris.worst_case import worst_case_objective as score_from_gains
 
 
 @pytest.fixture
@@ -202,6 +205,56 @@ class TestObjectiveAndMseAtError:
             worst_case_objective(design, np.stack([h_hat, h_hat]), np.array([eps, eps]), 0.0)
 
 
+class TestScoreFromGains:
+    """The sweeps' worst-mode score: each scheme's design and worst-case
+    MSE from the gains a_k = ||h_hat_k||_1 and radii eps_k sqrt(N) alone,
+    against the same scheme designed on the channel arrays and scored by
+    the oracle on its RIS vectors."""
+
+    T, K, N = 6, 4, 5
+
+    def block(self, rng):
+        shape = (self.T, self.K, self.N)
+        h_hat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a = np.abs(h_hat).sum(axis=-1)
+        # a live sensor has eps sqrt(N) < a
+        eps = rng.uniform(0.0, 0.9, a.shape) * a / np.sqrt(self.N)
+        eps[0, 1] = 1.5 * a[0, 1] / np.sqrt(self.N)  # one sensor silenced
+        eps[1] = 2.0 * a[1] / np.sqrt(self.N)  # every sensor silenced
+        eps[2, 0] = 0.0  # a sensor without uncertainty
+        return h_hat, a, eps
+
+    @pytest.mark.parametrize("scheme", ["multistart", "nonrobust"])
+    def test_matches_oracle(self, rng, scheme):
+        for _ in range(25):
+            h_hat, a, eps = self.block(rng)
+            config = SystemConfig(
+                K=self.K,
+                N=self.N,
+                P=float(rng.uniform(0.5, 5.0)),
+                noise_var=float(rng.uniform(0.01, 2.0)),
+            )
+            inst = ChannelInstance(h_hat=h_hat, eps=eps, deltas=np.zeros_like(h_hat))
+            realized = replace(config, eval_mode="realized")
+            full, _ = design_for_scheme(realized, scheme, inst)
+            scalar, _ = design_for_scheme(config, scheme, (a, eps))
+            assert scalar.v is None
+            assert np.array_equal(scalar.m, full.m) and np.array_equal(scalar.t, full.t)
+            got = score_from_gains(scalar, a, eps * np.sqrt(self.N), config.noise_var)
+            want = worst_case_objective(full, h_hat, eps, config.noise_var)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+            if scheme == "multistart":
+                assert full.t[0, 1] == 0 and full.m[1] == 0 and got[1] == self.K
+                assert np.all(np.delete(full.m, 1) > 0) and full.t[2, 0] > 0
+
+    def test_shape_mismatch(self):
+        design = Design(m=np.ones(2), t=np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            score_from_gains(design, np.ones((2, 4)), np.zeros((2, 4)), 0.1)
+        with pytest.raises(DimensionMismatch):
+            score_from_gains(design, np.ones((2, 3)), np.zeros((2, 1)), 0.1)
+
+
 class TestTrialBlock:
     """The evaluators score a leading axis of trials one by one."""
 
@@ -236,9 +289,8 @@ class TestTrialBlock:
         m = m[[float(x) ** 2 + 2.0 != x * x + 2.0 for x in m]][:3]
         assert len(m) == 3
         K, N = 2, 3
-        design = Design(m=m, t=np.zeros((3, K)), v=np.ones((3, K, N), dtype=complex))
-        h_hat = np.ones((3, K, N), dtype=complex)
-        got = worst_case_objective(design, h_hat, np.zeros((3, K)), 1.0)
+        design = Design(m=m, t=np.zeros((3, K)))
+        got = score_from_gains(design, np.full((3, K), float(N)), np.zeros((3, K)), 1.0)
         # each trial's terms are 1: the residual of t_hat = 0
         assert got.tolist() == [float(x) ** 2 + 2.0 for x in m]
 
