@@ -1,9 +1,9 @@
 """Monte Carlo sweep harness: NMSE of the robust and non-robust schemes
 versus SNR, RIS size N, or sensor count K, with fully reproducible
 per-trial seeding. Trials run in blocks: one call synthesizes, designs or
-scores every trial of a block along a leading trial axis. Worst-mode
-blocks are (T, K) arrays of each sensor's gain and radius, all a worst-case
-score depends on; realized-mode blocks keep the (T, K, N) channels."""
+scores every trial of a block along a leading trial axis. Both schemes
+co-phase, so a block is the (T, K) per-sensor scalars a score depends on:
+gain and radius, and in realized mode the error's projection and norm."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import MAX_DIMENSION, SystemConfig, synthesize_instance, trials_per_block
-from .optimizer import nonrobust_design, nonrobust_scalars, robust_design, robust_scalars
+from .optimizer import nonrobust_scalars, robust_scalars
 from .worst_case import mse_at_error, worst_case_objective
 
 SWEEP_KINDS = ("snr", "n", "k")
@@ -112,24 +112,19 @@ def nmse(mse, K):
 
 def design_for_scheme(config, scheme, draw):
     """Run the designer a scheme refers to on a block of trials; returns
-    (Design, iterations per trial). draw is what synthesis gave the block:
-    in worst mode the (T, K) gains and radii (a, eps), which fix m and t
-    alone, else a ChannelInstance, whose design gets its RIS vectors."""
+    (Design, iterations per trial). draw is what synthesis gave the block
+    with gains_only; its (T, K) gains and radii (a, eps) fix m and t. Both
+    schemes co-phase, so the design's RIS vectors are left unset."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     # multistart and robust_exact: two historical names of the closed-form
     # global optimum
     robust = scheme != "nonrobust"
-    if config.eval_mode == "worst":
-        a, eps = draw
-        if robust:
-            design = robust_scalars(config, a, eps * np.sqrt(config.N))
-        else:
-            design = nonrobust_scalars(config, a)
-    elif robust:
-        design = robust_design(config, draw.h_hat, draw.eps)
+    a, eps = draw[:2]
+    if robust:
+        design = robust_scalars(config, a, eps * np.sqrt(config.N))
     else:
-        design = nonrobust_design(config, draw.h_hat)
+        design = nonrobust_scalars(config, a)
     passes = ALGORITHM1_PASSES if scheme == "robust_exact" else 0
     return design, np.full(len(design.t), passes)
 
@@ -261,13 +256,11 @@ def _design_and_score(config, scheme, draw):
     """Design a scheme on a block's draw (see design_for_scheme); returns
     the NMSE and iterations of each trial."""
     design, iters = design_for_scheme(config, scheme, draw)
+    a, eps, *errors = draw
     if config.eval_mode == "worst":
-        a, eps = draw
         mse = worst_case_objective(design, a, eps * np.sqrt(config.N), config.noise_var)
     else:
-        mse = mse_at_error(
-            design, draw.h_hat, draw.deltas, config.noise_var, eps_set=draw.eps
-        )
+        mse = mse_at_error(design, a, *errors, eps, config.noise_var)
     return nmse(mse, config.K), iters
 
 
@@ -301,7 +294,6 @@ def run_sweep(spec):
         row = []
         for si, s in enumerate(s_values):
             config = _config_at(spec.base, spec.kind, value, s)
-            worst = config.eval_mode == "worst"
             block = trials_per_block(config)
             nmses = np.empty((len(spec.schemes), spec.trials))
             iters = np.empty_like(nmses)
@@ -312,7 +304,7 @@ def run_sweep(spec):
             for lo in range(0, spec.trials, block):
                 hi = min(lo + block, spec.trials)
                 rngs = trial_generators(words[lo:hi])
-                draw = synthesize_instance(config, rngs, gains_only=worst)
+                draw = synthesize_instance(config, rngs, gains_only=True)
                 for j, scheme in enumerate(spec.schemes):
                     nmses[j, lo:hi], iters[j, lo:hi] = _design_and_score(
                         config, scheme, draw

@@ -41,13 +41,6 @@ def inner(a, b):
     return np.vecdot(a, b)
 
 
-def row_norms(x):
-    """Euclidean norm over the last axis, summed as np.linalg.norm sums a
-    single complex vector (real and imaginary parts apart)."""
-    x = np.asarray(x)
-    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
-
-
 def _check_finite(name, value):
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} must be finite, got {value}")
@@ -159,7 +152,7 @@ def sample_rayleigh_vector(n, variance, rng):
 
 def trials_per_block(config):
     """Trials a sweep synthesizes per call: as many as keep a block's
-    (T, K, N) arrays within _DRAW_BLOCK entries, and at least one."""
+    T*K*N channel entries within _DRAW_BLOCK, and at least one."""
     return max(1, _DRAW_BLOCK // (config.K * config.N))
 
 
@@ -167,9 +160,13 @@ def synthesize_instance(config, rng, gains_only=False):
     """Draw a ChannelInstance: Rayleigh segments g_k (RIS->receiver) and
     r_k (sensor->RIS) give true channels with row(h_k) = conj(g_k) * r_k,
     and estimates row(h_hat_k) = row(h_k) - delta_k for a bounded error
-    delta_k of radius eps_k = s*||h_k||. With gains_only, return (a, eps)
-    instead: the gains a_k = ||h_hat_k||_1 that co-phasing gives each
-    sensor, and the radii, which are all a worst-case score depends on.
+    delta_k of radius eps_k = s*||h_k||.
+
+    With gains_only, return instead the per-sensor scalars that score the
+    co-phased designs of config.eval_mode, v_k = h_hat_k/|h_hat_k| (1 where
+    an entry is zero): (a, eps) in worst mode, the gains a_k = h_hat_k^H v_k
+    = ||h_hat_k||_1 and the radii, and (a, eps, c, ||delta||) in realized
+    mode, with c_k = delta_k @ v_k and the errors' norms.
 
     rng is one Generator, or a sequence of T Generators for a block of
     trials with (T, K, N) arrays; trial t is drawn from rng[t] exactly as
@@ -179,8 +176,8 @@ def synthesize_instance(config, rng, gains_only=False):
     for an interior error's radius. The (trial, sensor) rows are drawn in
     blocks; a trial's rows without uniforms take one call, which fills in
     that same order. The arithmetic runs on real planes, one ufunc per
-    real multiply or add, and np.hypot: unlike complex multiply and abs,
-    they round alike at every numpy SIMD dispatch level."""
+    real multiply, add, divide or sqrt, and np.vecdot: unlike complex
+    multiply and abs, they round alike at every numpy SIMD dispatch level."""
     batched = isinstance(rng, (list, tuple))
     rngs = list(rng) if batched else [rng]
     K, N = config.K, config.N
@@ -193,8 +190,11 @@ def synthesize_instance(config, rng, gains_only=False):
     radius = np.ones(len(z))
     seg_scale = np.sqrt(config.channel_var / 2.0)
     eps = np.empty(rows)
+    realized = config.eval_mode == "realized"
     if gains_only:
         gains = np.empty(rows)
+        # c and ||delta|| stay zero without errors (s = 0)
+        c, delta_norms = np.zeros(rows, dtype=complex), np.zeros(rows)
     else:
         h_hat = np.empty((rows, N), dtype=complex)
         deltas = np.zeros_like(h_hat)
@@ -225,7 +225,19 @@ def synthesize_instance(config, rng, gains_only=False):
             h_re -= del_re
             h_im += del_im
         if gains_only:
-            gains[lo:hi] = np.hypot(h_re, h_im).sum(axis=-1)
+            mag = np.sqrt(h_re * h_re + h_im * h_im)
+            gains[lo:hi] = mag.sum(axis=-1)
+            if realized and robust:
+                if not mag.all():
+                    # v_i = 1 where h_hat_i = 0, as update_phases sets it
+                    zero = mag == 0
+                    h_re, mag = np.where(zero, 1.0, h_re), np.where(zero, 1.0, mag)
+                # c = delta @ v for v = h_hat / |h_hat|
+                w = 1.0 / mag
+                c.real[lo:hi] = np.vecdot(del_re * h_re - del_im * h_im, w)
+                c.imag[lo:hi] = np.vecdot(del_re * h_im + del_im * h_re, w)
+                sq = np.vecdot(del_re, del_re) + np.vecdot(del_im, del_im)
+                delta_norms[lo:hi] = np.sqrt(sq)
             continue
         h_hat.real[lo:hi], h_hat.imag[lo:hi] = h_re, h_im
         if robust:
@@ -233,5 +245,6 @@ def synthesize_instance(config, rng, gains_only=False):
     lead = (len(rngs), K) if batched else (K,)
     eps = eps.reshape(lead)
     if gains_only:
-        return gains.reshape(lead), eps
+        more = (c.reshape(lead), delta_norms.reshape(lead)) if realized else ()
+        return gains.reshape(lead), eps, *more
     return ChannelInstance(h_hat.reshape(*lead, N), eps, deltas.reshape(*lead, N))

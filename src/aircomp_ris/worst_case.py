@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, PerturbationOutOfBall
-from .model import inner, row_norms
+from .model import inner
 
 
 @dataclass
@@ -108,28 +108,29 @@ def certificate(design, h_hat_set, eps_set, noise_var):
     return WorstCaseCert(lambdas=lambdas, terms=terms, total=total)
 
 
-def mse_at_error(design, h_hat_set, delta_set, noise_var, eps_set=None):
-    """MSE conditioned on the estimate, at the supplied row perturbations,
-    per trial of a (..., K, N) block.
+def mse_at_error(design, a, c, delta_norms, eps, noise_var):
+    """Realized MSE of a co-phased design, h_hat_k^H v_k = a_k, at the
+    errors whose projections on its RIS vectors are c_k = delta_k @ v_k, per
+    trial of a (..., K) block: sum_k |t_hat_k (a_k + c_k) - 1|^2 + noise_var
+    m^2, for the real t_hat the scalar designers give.
 
-    When eps_set is given, each ||delta_k|| is checked against its radius
-    (with a small slack for roundoff).
+    Each ||delta_k|| is checked against its radius eps_k (with a small
+    slack for roundoff).
     """
-    h_hat_set = np.asarray(h_hat_set)
-    delta_set = np.asarray(delta_set)
-    if h_hat_set.shape != delta_set.shape or h_hat_set.shape[-2] != design.K:
-        raise DimensionMismatch("h_hat_set/delta_set shape mismatch")
-    if eps_set is not None:
-        eps_set = np.asarray(eps_set)
-        nd = row_norms(delta_set)
-        out = nd > eps_set * (1 + 1e-9) + 1e-15
-        if np.any(out):
-            at = np.unravel_index(np.argmax(out), out.shape)
-            raise PerturbationOutOfBall(
-                f"||delta_{at[-1]}|| = {nd[at]} > eps = {eps_set[at]}"
-            )
-    values = _per_sensor_value(design.t_hat, h_hat_set, design.v, delta_set)
-    return _total(values, design.m, noise_var)
+    if np.shape(a)[-1] != design.K or not (
+        np.shape(a) == np.shape(c) == np.shape(delta_norms) == np.shape(eps)
+    ):
+        raise DimensionMismatch("a/c/delta_norms/eps must have K entries per trial")
+    out = delta_norms > eps * (1 + 1e-9) + 1e-15
+    if np.any(out):
+        at = np.unravel_index(np.argmax(out), out.shape)
+        raise PerturbationOutOfBall(
+            f"||delta_{at[-1]}|| = {delta_norms[at]} > eps = {eps[at]}"
+        )
+    t_hat = design.t_hat
+    re = t_hat * (a + c.real) - 1.0
+    im = t_hat * c.imag
+    return _total(re * re + im * im, design.m, noise_var)
 
 
 def _total(terms, m, noise_var):
@@ -138,12 +139,6 @@ def _total(terms, m, noise_var):
     multiplies, which can round the last bit differently."""
     total = noise_var * np.float_power(m, 2) + np.sum(terms, axis=-1)
     return float(total) if np.ndim(total) == 0 else total
-
-
-def _per_sensor_value(t_hat, h_hat, v, delta):
-    # row-wise delta @ v, unconjugated
-    gain = inner(h_hat, v) + (delta[..., None, :] @ v[..., :, None])[..., 0, 0]
-    return np.abs(t_hat * gain - 1.0) ** 2
 
 
 def brute_force_worst_case(t_hat, h_hat, v, eps, n_samples, refine_steps, rng):
@@ -180,7 +175,7 @@ def brute_force_worst_case(t_hat, h_hat, v, eps, n_samples, refine_steps, rng):
 
 def lagrangian_value(t_hat, h_hat, v, eps, delta, lam):
     """L = -|t_hat ((h_hat^H + delta) v) - 1|^2 + lam (||delta||^2 - eps^2)."""
-    val = _per_sensor_value(t_hat, h_hat, v, delta)
+    val = np.abs(t_hat * (inner(h_hat, v) + delta @ v) - 1.0) ** 2
     return -val + lam * (np.linalg.norm(delta) ** 2 - eps**2)
 
 

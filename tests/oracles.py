@@ -1,14 +1,15 @@
 """Reference evaluators the tests check the package against: numpy's own
-seeding of a trial's generator, one sweep trial run alone, the worst-case
-objective evaluated on the full channel arrays, the MSE of a design on
-known true channels, in closed form and by Monte Carlo, a sampler of
-perturbations inside an uncertainty ball, the paper's alternating loop
-(Algorithm 1) written sensor by sensor with np.vdot, and the inverse of
-config parsing."""
+seeding of a trial's generator, a stand-in generator of fixed normals, one
+sweep trial run alone, the worst-case objective and the MSE at given errors
+evaluated on the full channel arrays and the design's RIS vectors, row
+norms of complex arrays, the MSE of a design on known true channels, in
+closed form and by Monte Carlo, a sampler of perturbations inside an
+uncertainty ball, the paper's alternating loop (Algorithm 1) written sensor
+by sensor with np.vdot, and the inverse of config parsing."""
 
 import numpy as np
 
-from aircomp_ris.errors import DimensionMismatch
+from aircomp_ris.errors import DimensionMismatch, PerturbationOutOfBall
 from aircomp_ris.experiments import _cell_entropy, _design_and_score
 from aircomp_ris.model import Design, inner, sample_rayleigh_vector, synthesize_instance
 from aircomp_ris.worst_case import worst_case_term
@@ -19,6 +20,16 @@ def seeded_rng(seed):
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
+class FixedNormals:
+    """Stands in for a Generator whose normal stream is the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def standard_normal(self, out):
+        out[...] = self.values.reshape(out.shape)
+
+
 def channel_seed(master_seed, kind, value_index, s_index, trial):
     """Seed tuple of one sweep cell trial's channel draw."""
     return (*_cell_entropy(master_seed, kind, value_index, s_index), trial)
@@ -26,10 +37,9 @@ def channel_seed(master_seed, kind, value_index, s_index, trial):
 
 def run_trial(config, scheme, seed):
     """One Monte Carlo trial as a sweep runs it, a block of one trial drawn
-    from numpy's own seeding of the seed tuple; returns (NMSE, iterations)."""
-    draw = synthesize_instance(
-        config, [seeded_rng(seed)], gains_only=config.eval_mode == "worst"
-    )
+    from numpy's own seeding of the seed tuple as the per-sensor scalars of
+    the config's eval_mode; returns (NMSE, iterations)."""
+    draw = synthesize_instance(config, [seeded_rng(seed)], gains_only=True)
     values, iters = _design_and_score(config, scheme, draw)
     return float(values[0]), int(iters[0])
 
@@ -42,6 +52,43 @@ def worst_case_objective(design, h_hat_set, eps_set, noise_var):
         raise DimensionMismatch("h_hat_set/eps_set must have K rows")
     terms = worst_case_term(design.t_hat, h_hat_set, design.v, eps_set)
     total = noise_var * np.float_power(design.m, 2) + np.sum(terms, axis=-1)
+    return float(total) if np.ndim(total) == 0 else total
+
+
+def row_norms(x):
+    """Euclidean norm over the last axis, summed as np.linalg.norm sums a
+    single complex vector (real and imaginary parts apart)."""
+    x = np.asarray(x)
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def mse_at_error(design, h_hat_set, delta_set, noise_var, eps_set=None):
+    """MSE conditioned on the estimate, at the supplied row perturbations,
+    from the channel arrays and the design's RIS vectors, per trial of a
+    (..., K, N) block: sum_k |t_hat_k (h_hat_k^H + delta_k) v_k - 1|^2 +
+    noise_var * m^2.
+
+    When eps_set is given, each ||delta_k|| is checked against its radius
+    (with a small slack for roundoff).
+    """
+    h_hat_set = np.asarray(h_hat_set)
+    delta_set = np.asarray(delta_set)
+    if h_hat_set.shape != delta_set.shape or h_hat_set.shape[-2] != design.K:
+        raise DimensionMismatch("h_hat_set/delta_set shape mismatch")
+    if eps_set is not None:
+        eps_set = np.asarray(eps_set)
+        nd = row_norms(delta_set)
+        out = nd > eps_set * (1 + 1e-9) + 1e-15
+        if np.any(out):
+            at = np.unravel_index(np.argmax(out), out.shape)
+            raise PerturbationOutOfBall(
+                f"||delta_{at[-1]}|| = {nd[at]} > eps = {eps_set[at]}"
+            )
+    v = design.v
+    # row-wise delta @ v, unconjugated
+    gain = inner(h_hat_set, v) + (delta_set[..., None, :] @ v[..., :, None])[..., 0, 0]
+    values = np.abs(design.t_hat * gain - 1.0) ** 2
+    total = noise_var * np.float_power(design.m, 2) + np.sum(values, axis=-1)
     return float(total) if np.ndim(total) == 0 else total
 
 

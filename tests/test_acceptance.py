@@ -7,7 +7,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import channel_seed, ref_loop_design, run_trial, worst_case_objective
+from oracles import (
+    channel_seed,
+    mse_at_error,
+    ref_loop_design,
+    run_trial,
+    worst_case_objective,
+)
 
 from aircomp_ris.cli import main
 from aircomp_ris.experiments import snr_to_noise_var
@@ -25,7 +31,6 @@ from aircomp_ris.worst_case import (
     lagrangian_gradient,
     lagrangian_value,
     lambda_worst,
-    mse_at_error,
     worst_case_term,
 )
 

@@ -587,9 +587,9 @@ class TestConfigRoundTrip:
 # sha256 of the CSV each figure config writes; the 1e-12 goldens cannot
 # see a change in the last bit, and the repr-formatted CSV can
 FIGURE_CSV_SHA256 = {
-    "snr": "3c5275a0aea62f7e576ed344d67894dbdb20b7db976d945363db2a9800b80057",
-    "n": "068a57d905227012f9917a05c79c1708ce741993d305cf0bc610176d79a29a26",
-    "k": "3bdf46053cefa5a61597c34f818ccfc79b449326db95ed9e7f057a0ada7a843e",
+    "snr": "06acaac77b4e740555c4e0d73a7a6e1f59208da1e6c6d8efbf58fc68480d1251",
+    "n": "d1a9b7bdac7baf80990f94cf66697e4c3ab0e4256bacdd0568b9a34929ae7314",
+    "k": "57ca412e97aeb0e4e31a7e254a1e5dfa984814310e860fe9e1afdeab66e27ed8",
 }
 
 
@@ -603,8 +603,9 @@ def test_figure_csv_bytes(tmp_path, kind):
 
 def test_figure_csv_bytes_at_baseline_dispatch(tmp_path):
     """numpy picks SIMD kernels by CPU, and some of them round differently
-    at each level. The figure sweeps write the pinned bytes in a process
-    limited to numpy's baseline kernels, as on a CPU without the others."""
+    at each level. In a process limited to numpy's baseline kernels, as on a
+    CPU without the others, the figure sweeps write the pinned bytes, and a
+    realized-mode K sweep with interior errors the bytes it writes here."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     # a name the CPU lacks is already off, and numpy warns when asked to
@@ -612,19 +613,41 @@ def test_figure_csv_bytes_at_baseline_dispatch(tmp_path):
     names = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
     if not names:
         pytest.skip("numpy runs only its baseline kernels on this CPU")
+    realized = {
+        "system": {
+            "K": 2,
+            "N": 5,
+            "P": 10.0,
+            "noise_var": 1.0,
+            "s": 0.4,
+            "eval_mode": "realized",
+            "error_sampling": "interior",
+        },
+        "sweep": {
+            "values": [1, 3, 8],
+            "trials": 200,
+            "schemes": ["robust_exact", "nonrobust"],
+        },
+        "master_seed": 4,
+    }
+    runs = [
+        (f"fig_{kind}", kind, str(CONFIGS / f"fig_{kind}.json"))
+        for kind in FIGURE_CSV_SHA256
+    ]
+    runs.append(("realized", "k", write_json(tmp_path / "realized.json", realized)))
     code = (
         "import sys\n"
         "from numpy._core._multiarray_umath import __cpu_features__\n"
         "from aircomp_ris.cli import main\n"
-        "configs, out, *names = sys.argv[1:]\n"
-        "assert not any(__cpu_features__[name] for name in names)\n"
-        "for kind in ('snr', 'n', 'k'):\n"
-        "    argv = ['sweep', '--kind', kind, '--config', f'{configs}/fig_{kind}.json']\n"
-        "    assert main([*argv, '--out', f'{out}/fig_{kind}.csv']) == 0\n"
+        "out, names, *runs = sys.argv[1:]\n"
+        "assert not any(__cpu_features__[name] for name in names.split())\n"
+        "for name, kind, config in zip(runs[::3], runs[1::3], runs[2::3]):\n"
+        "    argv = ['sweep', '--kind', kind, '--config', config]\n"
+        "    assert main([*argv, '--out', f'{out}/{name}.csv']) == 0\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC), NPY_DISABLE_CPU_FEATURES=" ".join(names))
     subprocess.run(
-        [sys.executable, "-c", code, str(CONFIGS), str(tmp_path), *names],
+        [sys.executable, "-c", code, str(tmp_path), " ".join(names), *sum(runs, ())],
         env=env,
         check=True,
         timeout=300,
@@ -632,6 +655,10 @@ def test_figure_csv_bytes_at_baseline_dispatch(tmp_path):
     for kind, pinned in FIGURE_CSV_SHA256.items():
         got = (tmp_path / f"fig_{kind}.csv").read_bytes()
         assert hashlib.sha256(got).hexdigest() == pinned, kind
+    here = tmp_path / "realized_here.csv"
+    argv = ["sweep", "--kind", "k", "--config", runs[-1][2], "--out", str(here)]
+    assert main(argv) == 0
+    assert (tmp_path / "realized.csv").read_bytes() == here.read_bytes()
 
 
 class TestCsvFormat:

@@ -317,14 +317,15 @@ def test_one_synthesis_per_trial_block_shared_by_schemes(monkeypatch):
             for s in spec.s_values
         ]
         # right after each draw, every scheme is designed on it and scored
-        # on its channels: the (T, K) gains in worst mode, the arrays in
-        # realized mode
+        # on its (T, K) per-sensor scalars: the gains and radii, and in
+        # realized mode the errors' projections and norms
         at = 0
         for block in blocks:
             assert events[at] is block
             draw = block[4]
-            channels = draw[0] if eval_mode == "worst" else draw.h_hat
-            assert np.shape(channels)[:2] == (block[3], base.K)
+            assert len(draw) == (2 if eval_mode == "worst" else 4)
+            assert {np.shape(x) for x in draw} == {(block[3], base.K)}
+            channels = draw[0]
             at += 1
             for scheme in spec.schemes:
                 design_event, score_event = events[at : at + 2]
@@ -344,9 +345,8 @@ def test_one_synthesis_per_trial_block_shared_by_schemes(monkeypatch):
 def test_block_scores_match_single_trials(scheme, eval_mode, sampling):
     config = base_config(K=5, N=6, eval_mode=eval_mode, error_sampling=sampling)
     seeds = [channel_seed(7, "snr", 0, 0, trial) for trial in range(9)]
-    draw = synthesize_instance(
-        config, [seeded_rng(seed) for seed in seeds], gains_only=eval_mode == "worst"
-    )
+    rngs = [seeded_rng(seed) for seed in seeds]
+    draw = synthesize_instance(config, rngs, gains_only=True)
     values, iters = _design_and_score(config, scheme, draw)
     for t, seed in enumerate(seeds):
         assert (values[t], iters[t]) == run_trial(config, scheme, seed)

@@ -1,9 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import closed_form_mse, empirical_mse, seeded_rng
+from oracles import (
+    FixedNormals,
+    closed_form_mse,
+    empirical_mse,
+    mse_at_error,
+    row_norms,
+    seeded_rng,
+)
 
 from aircomp_ris.errors import DimensionMismatch, InvalidDimension
 from aircomp_ris.model import (
@@ -11,27 +20,16 @@ from aircomp_ris.model import (
     Design,
     SystemConfig,
     inner,
-    row_norms,
     sample_rayleigh_vector,
     synthesize_instance,
     trials_per_block,
 )
-from aircomp_ris.worst_case import mse_at_error
+from aircomp_ris.optimizer import update_phases
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-class FixedNormals:
-    """Stands in for a Generator whose normal stream is the given values."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def standard_normal(self, out):
-        out[...] = self.values.reshape(out.shape)
 
 
 def draw(rng, K=4, N=6, s=0.3, sampling="surface"):
@@ -339,15 +337,28 @@ def test_gains_only_match_the_instance(s, sampling, trials):
         K=9, N=700, P=1.0, noise_var=0.1, s=s, error_sampling=sampling
     )
     seeds = [(6, trial) for trial in range(trials)]
-    inst = synthesize_instance(config, [seeded_rng(seed) for seed in seeds])
-    a, eps = synthesize_instance(
-        config, [seeded_rng(seed) for seed in seeds], gains_only=True
-    )
-    l1 = np.hypot(inst.h_hat.real, inst.h_hat.imag).sum(axis=-1)
-    assert a.shape == eps.shape == (trials, config.K)
-    assert a.tobytes() == l1.tobytes()
-    assert eps.tobytes() == inst.eps.tobytes()
+
+    def draw(config, gains_only):
+        rngs = [seeded_rng(seed) for seed in seeds]
+        return synthesize_instance(config, rngs, gains_only=gains_only)
+
+    inst = draw(config, False)
+    a, eps = draw(config, True)
+    realized = draw(replace(config, eval_mode="realized"), True)
+    re, im = inst.h_hat.real, inst.h_hat.imag
+    l1 = np.sqrt(re * re + im * im).sum(axis=-1)
+    assert {x.shape for x in (a, eps, *realized)} == {(trials, config.K)}
+    # both modes draw the same gains and radii, bit for bit
+    for got in (a, realized[0]):
+        assert got.tobytes() == l1.tobytes()
+    for got in (eps, realized[1]):
+        assert got.tobytes() == inst.eps.tobytes()
     np.testing.assert_allclose(a, np.abs(inst.h_hat).sum(axis=-1), rtol=1e-14)
+    # c_k = delta_k @ v_k for the co-phasing v_k, and the errors' norms
+    c, delta_norms = realized[2:]
+    v = update_phases(inst.h_hat)
+    np.testing.assert_allclose(c, np.sum(inst.deltas * v, axis=-1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(delta_norms, row_norms(inst.deltas), rtol=1e-15)
 
 
 def test_trials_per_block():

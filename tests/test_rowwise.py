@@ -7,15 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_loop, ref_term, worst_case_objective
+from oracles import mse_at_error, ref_loop, ref_term, worst_case_objective
 
 from aircomp_ris.model import Design, SystemConfig
 from aircomp_ris.optimizer import robust_design
-from aircomp_ris.worst_case import (
-    certificate,
-    delta_worst,
-    mse_at_error,
-)
+from aircomp_ris.worst_case import certificate, delta_worst
 
 RTOL = 1e-12
 

@@ -1,15 +1,26 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ball_perturbation, worst_case_objective
+from oracles import (
+    FixedNormals,
+    ball_perturbation,
+    mse_at_error,
+    seeded_rng,
+    worst_case_objective,
+)
 
 from aircomp_ris.errors import DimensionMismatch, PerturbationOutOfBall
 from aircomp_ris.experiments import design_for_scheme
-from aircomp_ris.model import ChannelInstance, Design, SystemConfig, inner
+from aircomp_ris.model import (
+    ChannelInstance,
+    Design,
+    SystemConfig,
+    inner,
+    synthesize_instance,
+)
+from aircomp_ris.optimizer import nonrobust_design, robust_design
 from aircomp_ris.verify import random_instance
 from aircomp_ris.worst_case import (
     brute_force_worst_case,
@@ -19,10 +30,10 @@ from aircomp_ris.worst_case import (
     lagrangian_gradient,
     lagrangian_value,
     lambda_worst,
-    mse_at_error,
     residual,
     worst_case_term,
 )
+from aircomp_ris.worst_case import mse_at_error as realized_score
 from aircomp_ris.worst_case import worst_case_objective as score_from_gains
 
 
@@ -139,6 +150,13 @@ class TestWorstCaseTerm:
             )
 
 
+# each scheme designed on the channel arrays, with co-phased RIS vectors
+ARRAY_DESIGNS = {
+    "multistart": lambda config, inst: robust_design(config, inst.h_hat, inst.eps),
+    "nonrobust": lambda config, inst: nonrobust_design(config, inst.h_hat),
+}
+
+
 def _design_k1(t_hat, v):
     return Design(m=1.0, t=np.array([t_hat]), v=np.array([v]))
 
@@ -235,8 +253,7 @@ class TestScoreFromGains:
                 noise_var=float(rng.uniform(0.01, 2.0)),
             )
             inst = ChannelInstance(h_hat=h_hat, eps=eps, deltas=np.zeros_like(h_hat))
-            realized = replace(config, eval_mode="realized")
-            full, _ = design_for_scheme(realized, scheme, inst)
+            full = ARRAY_DESIGNS[scheme](config, inst)
             scalar, _ = design_for_scheme(config, scheme, (a, eps))
             assert scalar.v is None
             assert np.array_equal(scalar.m, full.m) and np.array_equal(scalar.t, full.t)
@@ -253,6 +270,84 @@ class TestScoreFromGains:
             score_from_gains(design, np.ones((2, 4)), np.zeros((2, 4)), 0.1)
         with pytest.raises(DimensionMismatch):
             score_from_gains(design, np.ones((2, 3)), np.zeros((2, 1)), 0.1)
+
+
+class TestRealizedScore:
+    """The sweeps' realized-mode score: each scheme's design and MSE from
+    the per-sensor scalars synthesis gives, a_k, eps_k, c_k = delta_k @ v_k
+    and ||delta_k||, against the same scheme designed on the channel arrays
+    of the same stream and scored by the oracle on its RIS vectors."""
+
+    @staticmethod
+    def config(**kw):
+        base = dict(K=2, N=4, P=2.0, noise_var=0.3, eval_mode="realized")
+        return SystemConfig(**{**base, **kw})
+
+    def check(self, config, scheme, inst, draw):
+        scalar, _ = design_for_scheme(config, scheme, draw)
+        a, eps, c, delta_norms = draw
+        got = realized_score(scalar, a, c, delta_norms, eps, config.noise_var)
+        full = ARRAY_DESIGNS[scheme](config, inst)
+        want = mse_at_error(full, inst.h_hat, inst.deltas, config.noise_var, inst.eps)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        return scalar
+
+    @pytest.mark.parametrize("scheme", ["multistart", "nonrobust"])
+    @pytest.mark.parametrize(
+        "s, sampling", [(0.0, "surface"), (0.3, "interior"), (0.85, "surface")]
+    )
+    def test_matches_oracle(self, scheme, s, sampling):
+        config = self.config(s=s, error_sampling=sampling)
+        seeds = [(11, trial) for trial in range(8)]
+        inst = synthesize_instance(config, [seeded_rng(seed) for seed in seeds])
+        draw = synthesize_instance(
+            config, [seeded_rng(seed) for seed in seeds], gains_only=True
+        )
+        assert [x.shape for x in draw] == [(8, config.K)] * 4
+        scalar = self.check(config, scheme, inst, draw)
+        if s == 0:
+            assert not draw[2].any() and not draw[3].any()
+        if s == 0.85 and scheme == "multistart":
+            # trial 1 silences every sensor, the others do not
+            assert scalar.m[1] == 0 and np.all(np.delete(scalar.m, 1) > 0)
+
+    @pytest.mark.parametrize("scheme", ["multistart", "nonrobust"])
+    def test_zero_estimate_entry(self, scheme):
+        # channel_var 2 makes the segments the raw normals. Sensor 0 has
+        # h = (3j, 4), so eps = 0.6 * 5 = 3, and its error direction -1j on
+        # entry 0 scales to delta = (-3j, 0): h_hat = h - conj(delta) = (0, 4)
+        config = self.config(N=2, channel_var=2.0, s=0.6)
+        crafted = [[0, 1], [1, 0], [3, 4], [0, 0], [0, 0], [-1, 0]]
+        normals = [crafted, np.random.default_rng(2).normal(size=(6, 2))]
+        inst = synthesize_instance(config, FixedNormals(normals))
+        draw = synthesize_instance(config, FixedNormals(normals), gains_only=True)
+        assert inst.h_hat[0, 0] == 0 and inst.h_hat[0, 1] == 4
+        a, eps, c, delta_norms = draw
+        # v_0 = 1 on the zero entry, so c_0 = delta_0 @ v_0 = -3j
+        assert (a[0], eps[0], c[0], delta_norms[0]) == (4.0, 3.0, -3j, 3.0)
+        self.check(config, scheme, inst, draw)
+
+    def test_out_of_ball_rejected(self):
+        config = self.config(K=3, s=0.4)
+        seeds = [(12, trial) for trial in range(5)]
+        a, eps, c, delta_norms = synthesize_instance(
+            config, [seeded_rng(seed) for seed in seeds], gains_only=True
+        )
+        design, _ = design_for_scheme(config, "multistart", (a, eps))
+        # the slack admits roundoff, not an error past the ball
+        delta_norms[3, 1] = eps[3, 1] * (1 + 1e-10)
+        realized_score(design, a, c, delta_norms, eps, 0.3)
+        delta_norms[3, 1] = eps[3, 1] * (1 + 1e-8)
+        with pytest.raises(PerturbationOutOfBall, match="delta_1"):
+            realized_score(design, a, c, delta_norms, eps, 0.3)
+
+    def test_shape_mismatch(self):
+        design = Design(m=np.ones(2), t=np.ones((2, 3)))
+        ones = np.ones((2, 3))
+        with pytest.raises(DimensionMismatch):
+            realized_score(design, np.ones((2, 4)), ones + 0j, ones, ones, 0.1)
+        with pytest.raises(DimensionMismatch):
+            realized_score(design, ones, ones + 0j, ones[:, :1], ones, 0.1)
 
 
 class TestTrialBlock:
