@@ -283,10 +283,11 @@ def run_sweep(spec):
     """Run every (value, s, scheme) cell of the sweep; returns records
     ordered by (value, scheme label). Trial seeds are derived by index so
     execution order and parallelism cannot change the results. A cell runs
-    its trials in blocks: one synthesis call draws the block, each trial
-    from its own generator, and every scheme is designed and scored on it.
-    The generators' seed words are hashed once per cell, in one array pass
-    over its trials."""
+    its trials in blocks of trials_per_block(config), at most 1024 sensor
+    rows: one synthesis call draws the block, each trial from its own
+    generator, and every scheme is designed and scored on its (T, K)
+    per-sensor scalars. The generators' seed words are hashed once per
+    cell, in one array pass over its trials."""
     s_values = spec.s_values if spec.s_values is not None else [spec.base.s]
     multiple_s = len(s_values) > 1
     records = []

@@ -23,9 +23,10 @@ from .errors import DimensionMismatch, InvalidDimension
 EVAL_MODES = ("worst", "realized")
 ERROR_SAMPLING_MODES = ("surface", "interior")
 
-# Doubles drawn per synthesis block: bounds the temporaries at large K*N.
-# A sweep's trial block also holds at most this many channel entries.
+# Doubles drawn per synthesis chunk: bounds the temporaries at large K*N.
 _DRAW_BLOCK = 1 << 14
+# Sensor rows per sweep trial block: bounds its generators and (T, K) arrays.
+_BLOCK_ROWS = 1 << 10
 
 # Largest count numpy accepts as an array dimension.
 MAX_DIMENSION = int(np.iinfo(np.intp).max)
@@ -151,9 +152,10 @@ def sample_rayleigh_vector(n, variance, rng):
 
 
 def trials_per_block(config):
-    """Trials a sweep synthesizes per call: as many as keep a block's
-    T*K*N channel entries within _DRAW_BLOCK, and at least one."""
-    return max(1, _DRAW_BLOCK // (config.K * config.N))
+    """Trials a sweep synthesizes per call: at least one, and T*K sensor
+    rows within _BLOCK_ROWS. N does not count: a block holds a generator per
+    trial (~0.8 KB) and (T, K) scalars, and synthesis chunks its draws."""
+    return max(1, _BLOCK_ROWS // config.K)
 
 
 def synthesize_instance(config, rng, gains_only=False):
@@ -173,11 +175,13 @@ def synthesize_instance(config, rng, gains_only=False):
     it would be alone. Sensor by sensor, a stream yields N normals each for
     re(g_k), im(g_k), re(r_k), im(r_k), and when s > 0 (so eps_k > 0) for
     the real and imaginary parts of the error direction, then one uniform
-    for an interior error's radius. The (trial, sensor) rows are drawn in
-    blocks; a trial's rows without uniforms take one call, which fills in
-    that same order. The arithmetic runs on real planes, one ufunc per
-    real multiply, add, divide or sqrt, and np.vecdot: unlike complex
-    multiply and abs, they round alike at every numpy SIMD dispatch level."""
+    for an interior error's radius (gen.random(), the double gen.uniform()
+    gives). The rows are drawn in chunks of _DRAW_BLOCK doubles; a trial's
+    rows without uniforms take one call, which fills in that same order,
+    rows with them one normal call and one random() each. The arithmetic
+    runs on real planes, one ufunc per real multiply, add, divide or sqrt,
+    and np.vecdot: unlike complex multiply and abs, they round alike at
+    every numpy SIMD dispatch level."""
     batched = isinstance(rng, (list, tuple))
     rngs = list(rng) if batched else [rng]
     K, N = config.K, config.N
@@ -189,6 +193,7 @@ def synthesize_instance(config, rng, gains_only=False):
     z = np.empty((min(step, rows), parts, N))
     radius = np.ones(len(z))
     seg_scale = np.sqrt(config.channel_var / 2.0)
+    radius_power = 1.0 / (2 * N)  # U^(1/(2N)): uniform over the 2N-dim ball
     eps = np.empty(rows)
     realized = config.eval_mode == "realized"
     if gains_only:
@@ -205,10 +210,10 @@ def synthesize_instance(config, rng, gains_only=False):
             gen = rngs[trial]
             first, last = max(lo, trial * K) - lo, min(hi, trial * K + K) - lo
             if interior:
+                normal, uniform = gen.standard_normal, gen.random
                 for i in range(first, last):
-                    gen.standard_normal(out=zb[i])
-                    # radius ~ U^(1/(2N)): uniform over the 2N-real-dim ball
-                    radius[i] = gen.uniform() ** (1.0 / (2 * N))
+                    normal(out=zb[i])
+                    radius[i] = uniform() ** radius_power
             else:
                 gen.standard_normal(out=zb[first:last])
         g_re, g_im, r_re, r_im = (zb[:, i] * seg_scale for i in range(4))

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 from aircomp_ris.experiments import SCHEMES
+from aircomp_ris.model import SystemConfig, trials_per_block
 from aircomp_ris.verify import SUITES
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
@@ -30,3 +31,12 @@ def test_verify_examples_name_real_suites():
 
 def test_scheme_table_lists_every_scheme():
     assert sorted(table_rows("| Scheme | Design |")) == sorted(SCHEMES)
+
+
+def test_block_size_formula_matches_the_code():
+    # README states T_b = max(1, <rows> // K); evaluate it as written
+    stated = re.search(r"T_b = max\(1, (\d+) // K\)", README)
+    assert stated, "README must state T_b as max(1, <rows> // K)"
+    for K, N in ((1, 1), (7, 16), (10, 256), (100, 256), (400, 8), (5000, 64)):
+        config = SystemConfig(K=K, N=N, P=1.0, noise_var=0.1)
+        assert max(1, int(stated[1]) // K) == trials_per_block(config), (K, N)

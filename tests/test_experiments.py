@@ -296,8 +296,8 @@ def test_one_synthesis_per_trial_block_shared_by_schemes(monkeypatch):
         ("realized", "mse_at_error"),
     ):
         events.clear()
-        # K * N = 6400 puts two trials in a block, so 5 trials take 3 blocks
-        base = base_config(K=64, N=100, eval_mode=eval_mode)
+        # 512 sensors put two trials in a block, so 5 trials take 3 blocks
+        base = base_config(K=512, N=4, eval_mode=eval_mode)
         assert trials_per_block(base) == 2
         spec = SweepSpec(
             kind="snr",
@@ -336,6 +336,39 @@ def test_one_synthesis_per_trial_block_shared_by_schemes(monkeypatch):
                 assert score_event[3] is design_event[3]
                 at += 2
         assert at == len(events)
+
+
+@pytest.mark.parametrize(
+    "kind, values, base, s_values",
+    [
+        # one block of 7 trials per cell
+        ("snr", [0.0, 10.0], base_config(K=10, N=16), [0.2, 0.4]),
+        # interior errors, realized mode: 12 sensors span two draw chunks,
+        # and 400 sensors put two trials in a block (blocks of 2, 2, 2, 1)
+        (
+            "k",
+            [1, 12, 400],
+            base_config(N=256, eval_mode="realized", error_sampling="interior"),
+            None,
+        ),
+    ],
+)
+def test_block_size_cannot_change_an_output(monkeypatch, kind, values, base, s_values):
+    import aircomp_ris.experiments as experiments
+    from aircomp_ris.cli import records_to_csv
+
+    spec = SweepSpec(
+        kind=kind,
+        values=values,
+        trials=7,
+        schemes=["multistart", "nonrobust"],
+        base=base,
+        master_seed=11,
+        s_values=s_values,
+    )
+    blocked = records_to_csv(run_sweep(spec))
+    monkeypatch.setattr(experiments, "trials_per_block", lambda config: 1)
+    assert records_to_csv(run_sweep(spec)) == blocked
 
 
 @pytest.mark.parametrize("scheme", ["multistart", "nonrobust", "robust_exact"])

@@ -310,6 +310,8 @@ def reference_synthesis(config, rng):
         # several draw blocks of a few sensors each
         (9, 700, 0.4, "surface"),
         (9, 700, 0.4, "interior"),
+        # a sweep_k_large trial: draw blocks of 10 rows, so it spans two
+        (12, 256, 0.3, "interior"),
     ],
 )
 def test_synthesis_matches_per_sensor_draws(K, N, s, sampling):
@@ -365,10 +367,14 @@ def test_trials_per_block():
     def block(K, N):
         return trials_per_block(SystemConfig(K=K, N=N, P=1.0, noise_var=0.1))
 
+    # at most 1024 sensor rows per block, whatever N
+    assert block(1, 1) == block(1, 4096) == 1024
     assert block(7, 16) == 146
-    assert block(64, 100) == 2
-    assert block(64, 256) == 1
-    assert block(20, 1000) == 1
+    assert block(10, 16) == block(10, 256) == 102
+    assert block(100, 256) == 10
+    assert block(512, 1) == 2
+    # more sensors than the cap: one trial per block
+    assert block(1025, 4) == block(5000, 64) == 1
 
 
 @pytest.mark.parametrize(
@@ -381,8 +387,10 @@ def test_trials_per_block():
         # (3, 8, 1024) arrays: past the 16384 entries where numpy may reuse
         # a temporary in place
         (8, 1024, 0.3, "surface", 3),
-        # K * N above the block cap: one trial per block
+        # draw blocks of 2 rows: each of the 51 trials spans ten
         (20, 1000, 0.3, "interior", None),
+        # the sweep_k_large shape: 85 trials of 12 rows in draw blocks of 10
+        (12, 256, 0.3, "interior", None),
     ],
 )
 def test_trial_block_matches_per_trial_draws(K, N, s, sampling, trials):
