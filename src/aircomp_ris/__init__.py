@@ -2,7 +2,7 @@
 computation under bounded CSI error."""
 
 from .model import ChannelInstance, Design, SystemConfig, synthesize_instance
-from .optimizer import nonrobust_design, robust_design
+from .optimizer import nonrobust_scalars, robust_scalars
 from .worst_case import (
     WorstCaseCert,
     brute_force_worst_case,

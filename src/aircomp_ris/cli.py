@@ -25,7 +25,7 @@ from .config import load_config
 from .errors import AirCompError, ConfigError
 from .experiments import run_sweep
 from .model import synthesize_instance
-from .optimizer import robust_design
+from .optimizer import robust_scalars
 from .svgplot import line_plot_svg, records_to_series
 from .verify import SUITES, run_suite
 from .worst_case import certificate
@@ -55,10 +55,12 @@ def _atomic_write(path, data):
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def _design_document(design, cert, P):
-    # phases in (-pi, pi]: np.angle gives -pi for a negative real with a
-    # negative-zero imaginary part
-    phases = np.angle(design.v)
+def _design_document(h_hat, design, cert, P):
+    # the co-phasing v_k = h_hat_k/|h_hat_k| has the phases of h_hat, and
+    # v = 1 where an entry is zero (of either sign). Phases lie in (-pi, pi]:
+    # np.angle gives -pi for a negative real with a negative-zero imaginary part
+    phases = np.angle(h_hat)
+    phases[h_hat == 0] = 0.0
     phases[phases == -np.pi] = np.pi
     return {
         "m": design.m,
@@ -85,9 +87,12 @@ def cmd_solve(config_path, out_path):
         else:
             inst = synthesize_instance(system, np.random.default_rng(cfg.master_seed))
             h_hat, eps = inst.h_hat, inst.eps
-        design = robust_design(system, h_hat, eps)
-        cert = certificate(design, h_hat, eps, system.noise_var)
-        doc = _design_document(design, cert, system.P)
+        # co-phasing gives sensor k the gain a_k = ||h_hat_k||_1, summed from
+        # real planes, which round alike at every numpy dispatch level
+        a = np.sqrt(h_hat.real * h_hat.real + h_hat.imag * h_hat.imag).sum(axis=-1)
+        design = robust_scalars(system, a, eps * np.sqrt(system.N))
+        cert = certificate(design, a, eps, system.N, system.noise_var)
+        doc = _design_document(h_hat, design, cert, system.P)
         # ValueError: a non-finite number, which JSON cannot represent
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     except (AirCompError, ValueError) as exc:

@@ -111,22 +111,18 @@ def nmse(mse, K):
 
 
 def design_for_scheme(config, scheme, draw):
-    """Run the designer a scheme refers to on a block of trials; returns
-    (Design, iterations per trial). draw is what synthesis gave the block
-    with gains_only; its (T, K) gains and radii (a, eps) fix m and t. Both
-    schemes co-phase, so the design's RIS vectors are left unset."""
+    """Run the designer a scheme refers to on a block of trials. draw is
+    what synthesis gave the block with gains_only; its (T, K) gains and
+    radii (a, eps) fix m and t. Both schemes co-phase, so the design's RIS
+    vectors are left unset."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     # multistart and robust_exact: two historical names of the closed-form
     # global optimum
-    robust = scheme != "nonrobust"
     a, eps = draw[:2]
-    if robust:
-        design = robust_scalars(config, a, eps * np.sqrt(config.N))
-    else:
-        design = nonrobust_scalars(config, a)
-    passes = ALGORITHM1_PASSES if scheme == "robust_exact" else 0
-    return design, np.full(len(design.t), passes)
+    if scheme == "nonrobust":
+        return nonrobust_scalars(config, a)
+    return robust_scalars(config, a, eps * np.sqrt(config.N))
 
 
 def _int_words(n):
@@ -254,14 +250,14 @@ def _seed_words_type():
 
 def _design_and_score(config, scheme, draw):
     """Design a scheme on a block's draw (see design_for_scheme); returns
-    the NMSE and iterations of each trial."""
-    design, iters = design_for_scheme(config, scheme, draw)
+    the NMSE of each trial."""
+    design = design_for_scheme(config, scheme, draw)
     a, eps, *errors = draw
     if config.eval_mode == "worst":
         mse = worst_case_objective(design, a, eps * np.sqrt(config.N), config.noise_var)
     else:
         mse = mse_at_error(design, a, *errors, eps, config.noise_var)
-    return nmse(mse, config.K), iters
+    return nmse(mse, config.K)
 
 
 def _config_at(base, kind, value, s):
@@ -297,7 +293,6 @@ def run_sweep(spec):
             config = _config_at(spec.base, spec.kind, value, s)
             block = trials_per_block(config)
             nmses = np.empty((len(spec.schemes), spec.trials))
-            iters = np.empty_like(nmses)
             words = seed_words(
                 _cell_entropy(spec.master_seed, spec.kind, vi, si),
                 np.arange(spec.trials, dtype=np.uint64),
@@ -307,10 +302,9 @@ def run_sweep(spec):
                 rngs = trial_generators(words[lo:hi])
                 draw = synthesize_instance(config, rngs, gains_only=True)
                 for j, scheme in enumerate(spec.schemes):
-                    nmses[j, lo:hi], iters[j, lo:hi] = _design_and_score(
-                        config, scheme, draw
-                    )
+                    nmses[j, lo:hi] = _design_and_score(config, scheme, draw)
             for j, scheme in enumerate(spec.schemes):
+                passes = ALGORITHM1_PASSES if scheme == "robust_exact" else 0
                 row.append(
                     AggregateRecord(
                         kind=spec.kind,
@@ -319,7 +313,7 @@ def run_sweep(spec):
                         nmse_mean=float(np.mean(nmses[j])),
                         nmse_std=float(np.std(nmses[j])),
                         trials=spec.trials,
-                        mean_iters=float(np.mean(iters[j])),
+                        mean_iters=float(passes),
                     )
                 )
         row.sort(key=lambda rec: rec.scheme)

@@ -234,7 +234,7 @@ def synthesize_instance(config, rng, gains_only=False):
             gains[lo:hi] = mag.sum(axis=-1)
             if realized and robust:
                 if not mag.all():
-                    # v_i = 1 where h_hat_i = 0, as update_phases sets it
+                    # v_i = 1 where h_hat_i = 0, as co-phasing sets it
                     zero = mag == 0
                     h_re, mag = np.where(zero, 1.0, h_re), np.where(zero, 1.0, mag)
                 # c = delta @ v for v = h_hat / |h_hat|

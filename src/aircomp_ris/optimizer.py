@@ -1,31 +1,21 @@
 """Joint design of RIS phases and transceiver scalings.
 
-`robust_design` is the closed-form global optimum: each sensor has its own
-RIS and the power constraint is active, so the problem splits into K scalar
-problems, each solved by co-phasing and the exact 1-D minimizer `t_exact`.
-Co-phasing leaves sensor k the gain a_k = ||h_hat_k||_1, so each designer
-is a scalar core, m and t from (a_k, eps_k sqrt(N)), and a wrapper that
-adds the RIS vectors. The paper's alternating loop (Algorithm 1) lands on
-this point in its first pass and stops after a second that changes nothing.
+Each sensor has its own RIS and the power constraint is active, so the
+worst-case problem splits into K scalar problems, each solved globally by
+co-phasing, v_k = h_hat_k/|h_hat_k|, and the exact 1-D minimizer `t_exact`.
+Co-phasing leaves sensor k the gain a_k = ||h_hat_k||_1, so the designers
+are scalar cores: `robust_scalars` and `nonrobust_scalars` give m and t
+from (a_k, eps_k sqrt(N)) and leave the co-phasing v to their callers. The
+paper's alternating loop (Algorithm 1) lands on this point in its first
+pass and stops after a second that changes nothing.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import AllZeroScalers
 from .model import Design
-
-
-def update_phases(h_hat):
-    """Co-phasing RIS vector: v_i = exp(j*arg(h_hat_i)) (zero entries get
-    phase 0), which makes inner(h_hat, v) = sum_i |h_hat_i| real and maximal
-    among unit-modulus vectors. Works row by row on a (K, N) array."""
-    h_hat = np.asarray(h_hat, dtype=complex)
-    ones = np.ones_like(h_hat)
-    return np.divide(h_hat, np.abs(h_hat), out=ones, where=h_hat != 0)
 
 
 def t_exact(a, eps_rootN, noise_var, P):
@@ -54,12 +44,6 @@ def recover_m_t(t_hat_set, P):
     return (float(m) if np.ndim(m) == 0 else m), t
 
 
-def _l1_gains(h_hat_set):
-    """a_k = ||h_hat_k||_1 of a (..., K, N) block, the gain co-phasing gives
-    each sensor."""
-    return np.abs(h_hat_set).sum(axis=-1)
-
-
 def _scalar_design(a, t_hat, P):
     """The Design of the effective scalars t_hat, without RIS vectors. No
     design serves a trial whose every estimate is zero."""
@@ -83,18 +67,3 @@ def robust_scalars(config, a, eps_rootN):
     for a trial whose every sensor is silenced."""
     t_hat = t_exact(a, eps_rootN, config.noise_var, config.P)
     return _scalar_design(a, t_hat, config.P)
-
-
-def nonrobust_design(config, h_hat_set):
-    """Baseline ignoring CSI uncertainty: nonrobust_scalars with co-phased
-    RIS vectors, for each trial of a (..., K, N) block."""
-    design = nonrobust_scalars(config, _l1_gains(h_hat_set))
-    return replace(design, v=update_phases(h_hat_set))
-
-
-def robust_design(config, h_hat_set, eps_set):
-    """Global optimum of the worst-case design: robust_scalars with
-    co-phased RIS vectors, for each trial of a (..., K, N) block."""
-    eps_rootN = np.asarray(eps_set, dtype=float) * np.sqrt(config.N)
-    design = robust_scalars(config, _l1_gains(h_hat_set), eps_rootN)
-    return replace(design, v=update_phases(h_hat_set))

@@ -92,20 +92,31 @@ def worst_case_objective(design, a, eps_rootN, noise_var):
     """Total worst-case MSE of a co-phased design, h_hat_k^H v_k = a_k, per
     trial of a (..., K) block of gains a_k = ||h_hat_k||_1 and radii eps_k
     sqrt(N): sum_k (|t_hat_k a_k - 1| + |t_hat_k| eps_k sqrt(N))^2 + noise_var m^2."""
+    return _worst_terms(design, a, eps_rootN, noise_var)[1]
+
+
+def certificate(design, a, eps, N, noise_var):
+    """The per-sensor worst-case certificate of a co-phased design from its
+    (K,) gains a_k = ||h_hat_k||_1, radii eps_k and RIS size N: the terms of
+    worst_case_objective, and lambda_worst with rho_k = t_hat_k a_k - 1."""
+    eps = np.asarray(eps, dtype=float)
+    terms, total = _worst_terms(design, a, eps * np.sqrt(N), noise_var)
+    t_hat = design.t_hat
+    at = np.abs(t_hat)
+    live = eps != 0
+    scale = np.divide(np.sqrt(N), eps, out=np.zeros_like(eps), where=live)
+    lambdas = np.where(live, at**2 * N + scale * at * np.abs(t_hat * a - 1.0), np.inf)
+    return WorstCaseCert(lambdas=lambdas, terms=terms, total=total)
+
+
+def _worst_terms(design, a, eps_rootN, noise_var):
+    """The per-sensor worst MSE terms of a co-phased design and their total
+    with the noise term, per trial of a (..., K) block."""
     if np.shape(a)[-1] != design.K or np.shape(eps_rootN) != np.shape(a):
         raise DimensionMismatch("a/eps_rootN must have K entries per trial")
     t_hat = design.t_hat
     terms = (np.abs(t_hat * a - 1.0) + np.abs(t_hat) * eps_rootN) ** 2
-    return _total(terms, design.m, noise_var)
-
-
-def certificate(design, h_hat_set, eps_set, noise_var):
-    """Assemble the per-sensor worst-case certificate for a design."""
-    t_hat = design.t_hat
-    lambdas = lambda_worst(t_hat, h_hat_set, design.v, eps_set)
-    terms = worst_case_term(t_hat, h_hat_set, design.v, eps_set)
-    total = _total(terms, design.m, noise_var)
-    return WorstCaseCert(lambdas=lambdas, terms=terms, total=total)
+    return terms, _total(terms, design.m, noise_var)
 
 
 def mse_at_error(design, a, c, delta_norms, eps, noise_var):

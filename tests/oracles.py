@@ -1,17 +1,21 @@
 """Reference evaluators the tests check the package against: numpy's own
 seeding of a trial's generator, a stand-in generator of fixed normals, one
-sweep trial run alone, the worst-case objective and the MSE at given errors
+sweep trial run alone, co-phasing RIS vectors and the designs of the
+scalar cores with them, the worst-case objective and the MSE at given errors
 evaluated on the full channel arrays and the design's RIS vectors, row
 norms of complex arrays, the MSE of a design on known true channels, in
 closed form and by Monte Carlo, a sampler of perturbations inside an
 uncertainty ball, the paper's alternating loop (Algorithm 1) written sensor
 by sensor with np.vdot, and the inverse of config parsing."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from aircomp_ris.errors import DimensionMismatch, PerturbationOutOfBall
 from aircomp_ris.experiments import _cell_entropy, _design_and_score
 from aircomp_ris.model import Design, inner, sample_rayleigh_vector, synthesize_instance
+from aircomp_ris.optimizer import nonrobust_scalars, robust_scalars
 from aircomp_ris.worst_case import worst_case_term
 
 
@@ -38,10 +42,31 @@ def channel_seed(master_seed, kind, value_index, s_index, trial):
 def run_trial(config, scheme, seed):
     """One Monte Carlo trial as a sweep runs it, a block of one trial drawn
     from numpy's own seeding of the seed tuple as the per-sensor scalars of
-    the config's eval_mode; returns (NMSE, iterations)."""
+    the config's eval_mode; returns its NMSE."""
     draw = synthesize_instance(config, [seeded_rng(seed)], gains_only=True)
-    values, iters = _design_and_score(config, scheme, draw)
-    return float(values[0]), int(iters[0])
+    return float(_design_and_score(config, scheme, draw)[0])
+
+
+def cophase(h_hat):
+    """Co-phasing RIS vectors v_i = exp(j*arg(h_hat_i)) (phase 0 where an
+    entry is zero), which make inner(h_hat, v) = sum_i |h_hat_i| real and
+    maximal among unit-modulus vectors; row by row on a (..., K, N) array."""
+    h_hat = np.asarray(h_hat, dtype=complex)
+    ones = np.ones_like(h_hat)
+    return np.divide(h_hat, np.abs(h_hat), out=ones, where=h_hat != 0)
+
+
+def cophased_design(config, h_hat, eps=None):
+    """m and t of the scalar cores, robust_scalars given the radii eps and
+    nonrobust_scalars without them, from the gains ||h_hat_k||_1, with
+    co-phased RIS vectors; for each trial of a (..., K, N) block."""
+    a = np.abs(h_hat).sum(axis=-1)
+    if eps is None:
+        design = nonrobust_scalars(config, a)
+    else:
+        eps_rootN = np.asarray(eps, dtype=float) * np.sqrt(config.N)
+        design = robust_scalars(config, a, eps_rootN)
+    return replace(design, v=cophase(h_hat))
 
 
 def worst_case_objective(design, h_hat_set, eps_set, noise_var):

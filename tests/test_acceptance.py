@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     channel_seed,
+    cophased_design,
     mse_at_error,
     ref_loop_design,
     run_trial,
@@ -18,11 +19,7 @@ from oracles import (
 from aircomp_ris.cli import main
 from aircomp_ris.experiments import snr_to_noise_var
 from aircomp_ris.model import Design, SystemConfig, synthesize_instance
-from aircomp_ris.optimizer import (
-    nonrobust_design,
-    robust_design,
-    t_exact,
-)
+from aircomp_ris.optimizer import t_exact
 from aircomp_ris.verify import random_instance
 from aircomp_ris.worst_case import (
     brute_force_worst_case,
@@ -194,7 +191,7 @@ def _sweep_cells(kind, values, s_values, base_kwargs, schemes):
                 vals = np.empty(TRIALS)
                 for trial in range(TRIALS):
                     seed = channel_seed(MASTER_SEED, kind, vi, si, trial)
-                    vals[trial], _ = run_trial(config, scheme, seed)
+                    vals[trial] = run_trial(config, scheme, seed)
                 cells[(value, s, scheme)] = vals
     return cells
 
@@ -313,9 +310,9 @@ def test_criterion_11_closed_form_global_optimum():
         def objective(design):
             return worst_case_objective(design, inst.h_hat, inst.eps, config.noise_var)
 
-        best = objective(robust_design(config, inst.h_hat, inst.eps))
+        best = objective(cophased_design(config, inst.h_hat, inst.eps))
         others = [
-            objective(nonrobust_design(config, inst.h_hat)),
+            objective(cophased_design(config, inst.h_hat)),
             objective(ref_loop_design(config, inst.h_hat, inst.eps)),
         ]
         # random feasible designs: random phases, |t_hat_k| on a grid

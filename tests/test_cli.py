@@ -130,13 +130,46 @@ class TestSolve:
                 assert -math.pi < phi <= math.pi
 
     def test_minus_pi_phase_written_as_pi(self, tmp_path):
-        # co-phasing -1 - 0j gives a v whose np.angle is -pi
+        # np.angle(-1 - 0j) is -pi
         raw = golden_solve_config()
         raw["instance"]["h_hat"] = [[[-1.0, -0.0]]]
         cfg = write_json(tmp_path / "cfg.json", raw)
         out = tmp_path / "design.json"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["v_phases"] == [[math.pi]]
+
+    @staticmethod
+    def solve_instance(tmp_path, h_hat, eps):
+        raw = golden_solve_config()
+        raw["system"].update(K=len(h_hat), N=len(h_hat[0]))
+        raw["instance"] = {"h_hat": h_hat, "eps": eps}
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        out = tmp_path / "design.json"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_v_phases_co_phase(self, tmp_path):
+        # sum_i conj(h_hat_i) exp(j phi_i) = ||h_hat||_1 for every sensor
+        rng = np.random.default_rng(23)
+        h_hat = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+        pairs = [[[z.real, z.imag] for z in row] for row in h_hat.tolist()]
+        eps = (0.3 * np.linalg.norm(h_hat, axis=1)).tolist()
+        doc = self.solve_instance(tmp_path, pairs, eps)
+        gain = np.sum(np.conj(h_hat) * np.exp(1j * np.array(doc["v_phases"])), axis=1)
+        np.testing.assert_allclose(gain, np.abs(h_hat).sum(axis=1), rtol=0, atol=1e-12)
+
+    def test_v_phases_of_hand_instance(self, tmp_path):
+        h_hat = [[[1.0, 1.0], [-2.0, 0.0], [3.0, 0.0], [0.5, 0.0]]]
+        doc = self.solve_instance(tmp_path, h_hat, [0.1])
+        assert doc["v_phases"] == [[math.pi / 4, math.pi, 0.0, 0.0]]
+
+    def test_zero_entries_get_phase_zero(self, tmp_path):
+        # np.angle gives -pi for -0 - 0j and -0.0 for 0 - 0j
+        h_hat = [[[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]]
+        doc = self.solve_instance(tmp_path, h_hat, [0.0])
+        phases = doc["v_phases"][0]
+        assert phases == [0.0, 0.0, 0.0, 0.0, math.pi / 2]
+        assert all(math.copysign(1.0, phi) == 1.0 for phi in phases[:4])
 
 
 _P = [1.0, -0.5]
@@ -604,8 +637,10 @@ def test_figure_csv_bytes(tmp_path, kind):
 def test_figure_csv_bytes_at_baseline_dispatch(tmp_path):
     """numpy picks SIMD kernels by CPU, and some of them round differently
     at each level. In a process limited to numpy's baseline kernels, as on a
-    CPU without the others, the figure sweeps write the pinned bytes, and a
-    realized-mode K sweep with interior errors the bytes it writes here."""
+    CPU without the others, the figure sweeps write the pinned bytes, a
+    realized-mode K sweep with interior errors the bytes it writes here, and
+    `aircomp solve` the design it writes here but for v_phases, whose
+    np.arctan2 may round differently."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     # a name the CPU lacks is already off, and numpy warns when asked to
@@ -630,11 +665,20 @@ def test_figure_csv_bytes_at_baseline_dispatch(tmp_path):
         },
         "master_seed": 4,
     }
+    # a synthesized instance larger than the example's K=4, N=16
+    large = {
+        "system": {"K": 32, "N": 64, "P": 10.0, "noise_var": 1.0, "s": 0.4},
+        "master_seed": 9,
+    }
     runs = [
         (f"fig_{kind}", kind, str(CONFIGS / f"fig_{kind}.json"))
         for kind in FIGURE_CSV_SHA256
     ]
     runs.append(("realized", "k", write_json(tmp_path / "realized.json", realized)))
+    solves = [
+        ("solve_example", "solve", str(CONFIGS / "solve_example.json")),
+        ("solve_large", "solve", write_json(tmp_path / "large.json", large)),
+    ]
     code = (
         "import sys\n"
         "from numpy._core._multiarray_umath import __cpu_features__\n"
@@ -642,12 +686,17 @@ def test_figure_csv_bytes_at_baseline_dispatch(tmp_path):
         "out, names, *runs = sys.argv[1:]\n"
         "assert not any(__cpu_features__[name] for name in names.split())\n"
         "for name, kind, config in zip(runs[::3], runs[1::3], runs[2::3]):\n"
-        "    argv = ['sweep', '--kind', kind, '--config', config]\n"
-        "    assert main([*argv, '--out', f'{out}/{name}.csv']) == 0\n"
+        "    if kind == 'solve':\n"
+        "        argv = ['solve', '--config', config, '--out', f'{out}/{name}.json']\n"
+        "    else:\n"
+        "        argv = ['sweep', '--kind', kind, '--config', config]\n"
+        "        argv += ['--out', f'{out}/{name}.csv']\n"
+        "    assert main(argv) == 0\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC), NPY_DISABLE_CPU_FEATURES=" ".join(names))
+    args = [str(tmp_path), " ".join(names), *sum(runs + solves, ())]
     subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path), " ".join(names), *sum(runs, ())],
+        [sys.executable, "-c", code, *args],
         env=env,
         check=True,
         timeout=300,
@@ -659,6 +708,14 @@ def test_figure_csv_bytes_at_baseline_dispatch(tmp_path):
     argv = ["sweep", "--kind", "k", "--config", runs[-1][2], "--out", str(here)]
     assert main(argv) == 0
     assert (tmp_path / "realized.csv").read_bytes() == here.read_bytes()
+    for name, _, config in solves:
+        out = tmp_path / f"{name}_here.json"
+        assert main(["solve", "--config", config, "--out", str(out)]) == 0
+        baseline = json.loads((tmp_path / f"{name}.json").read_text())
+        design = json.loads(out.read_text())
+        phases = [np.array(doc.pop("v_phases")) for doc in (baseline, design)]
+        assert baseline == design, name
+        np.testing.assert_allclose(*phases, rtol=0, atol=1e-15, err_msg=name)
 
 
 class TestCsvFormat:

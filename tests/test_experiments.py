@@ -51,14 +51,14 @@ class TestRunTrial:
         cfg_r = base_config(eval_mode="realized")
         for trial in range(10):
             seed = (9, trial)
-            w, _ = run_trial(cfg_w, "robust_exact", seed)
-            r, _ = run_trial(cfg_r, "robust_exact", seed)
+            w = run_trial(cfg_w, "robust_exact", seed)
+            r = run_trial(cfg_r, "robust_exact", seed)
             assert w >= r - 1e-12
 
     def test_zero_s_realized_equals_nominal(self):
         # with s = 0 the estimate is the true channel
         cfg = base_config(s=0.0, eval_mode="realized")
-        val, _ = run_trial(cfg, "nonrobust", (4, 2))
+        val = run_trial(cfg, "nonrobust", (4, 2))
         assert val >= 0
 
     def test_shared_channel_seed_across_schemes(self):
@@ -66,16 +66,11 @@ class TestRunTrial:
         seed = channel_seed(0, "snr", 0, 0, 5)
         # (master seed, kind code, value index, s index, channel stream, trial)
         assert seed == (0, 0, 0, 0, 4, 5)
-        robust, _ = run_trial(cfg, "multistart", seed)
-        nonrob, _ = run_trial(cfg, "nonrobust", seed)
+        robust = run_trial(cfg, "multistart", seed)
+        nonrob = run_trial(cfg, "nonrobust", seed)
         # multistart is the global optimum, so on shared channels it can
         # never do worse under the worst-case metric
         assert robust <= nonrob + 1e-12
-
-    def test_returns_iters(self):
-        cfg = base_config()
-        val, iters = run_trial(cfg, "robust_exact", (0,))
-        assert val >= 0 and iters == 2
 
 
 class TestRunSweep:
@@ -93,7 +88,7 @@ class TestRunSweep:
         rec = recs[0]
         cfg = base_config(noise_var=snr_to_noise_var(10.0, 10.0))
         seed = channel_seed(3, "snr", 0, 0, 0)
-        assert rec.nmse_mean == run_trial(cfg, "nonrobust", seed)[0]
+        assert rec.nmse_mean == run_trial(cfg, "nonrobust", seed)
         assert rec.nmse_std == 0.0
         assert rec.trials == 1
 
@@ -276,9 +271,9 @@ def test_one_synthesis_per_trial_block_shared_by_schemes(monkeypatch):
         return draw
 
     def recording_design(config, scheme, draw):
-        design, iters = real["design_for_scheme"](config, scheme, draw)
+        design = real["design_for_scheme"](config, scheme, draw)
         events.append(("design", scheme, draw, design))
-        return design, iters
+        return design
 
     def recording_score(name):
         def score(design, channels, *args, **kwargs):
@@ -380,17 +375,17 @@ def test_block_scores_match_single_trials(scheme, eval_mode, sampling):
     seeds = [channel_seed(7, "snr", 0, 0, trial) for trial in range(9)]
     rngs = [seeded_rng(seed) for seed in seeds]
     draw = synthesize_instance(config, rngs, gains_only=True)
-    values, iters = _design_and_score(config, scheme, draw)
+    values = _design_and_score(config, scheme, draw)
     for t, seed in enumerate(seeds):
-        assert (values[t], iters[t]) == run_trial(config, scheme, seed)
+        assert values[t] == run_trial(config, scheme, seed)
 
 
 SEED_PREFIXES = [
     # a sweep cell's (master_seed, kind, value index, s index, stream)
     *((master, 0, 1, 2, 4) for master in (0, 2**32 - 1, 2**32, 2**70 + 5)),
-    # with trials 0 and 2, () and (4,) give the run_trial tests' (0,) and
-    # (4, 2); the lengths around the pool of 4 words put a trial's second
-    # word in the pool or past it
+    # () seeds from the trial alone, and with trial 2, (4,) gives the
+    # run_trial tests' (4, 2); the lengths around the pool of 4 words put a
+    # trial's second word in the pool or past it
     (),
     (4,),
     (1, 2),

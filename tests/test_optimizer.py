@@ -3,51 +3,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_loop, ref_loop_design, worst_case_objective
+from oracles import cophased_design, ref_loop, ref_loop_design, worst_case_objective
 
 from aircomp_ris.errors import AllZeroScalers
-from aircomp_ris.model import (
-    Design,
-    SystemConfig,
-    inner,
-    sample_rayleigh_vector,
-    synthesize_instance,
-)
-from aircomp_ris.optimizer import (
-    nonrobust_design,
-    recover_m_t,
-    robust_design,
-    t_exact,
-    update_phases,
-)
+from aircomp_ris.model import Design, SystemConfig, synthesize_instance
+from aircomp_ris.optimizer import recover_m_t, t_exact
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(31)
-
-
-class TestUpdatePhases:
-    def test_phase_extraction(self):
-        h = np.array([1 + 1j, -2.0 + 0j])
-        v = update_phases(h)
-        assert np.allclose(v, [np.exp(1j * np.pi / 4), -1.0])
-        assert inner(h, v) == pytest.approx(np.sqrt(2) + 2)
-
-    def test_real_positive_gives_ones(self):
-        assert np.allclose(update_phases(np.array([1.0, 2.0, 0.5])), 1.0)
-
-    def test_zero_entry_gets_phase_zero(self):
-        v = update_phases(np.array([0.0 + 0j, 1j]))
-        assert v[0] == 1.0 and v[1] == pytest.approx(1j)
-
-    def test_triangle_inequality_optimality(self, rng):
-        h = sample_rayleigh_vector(8, 1.0, rng)
-        a = inner(h, update_phases(h))
-        assert abs(a.imag) < 1e-12
-        for _ in range(1000):
-            u = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
-            assert a.real >= abs(inner(h, u)) - 1e-12
 
 
 class TestTExact:
@@ -134,20 +99,20 @@ def _random_problem(rng, K=None, N=None, s=None):
 class TestNonRobust:
     def test_scalar_instance(self):
         config = SystemConfig(K=1, N=1, P=10.0, noise_var=1.0)
-        design = nonrobust_design(config, np.array([[1.0 + 0j]]))
+        design = cophased_design(config, np.array([[1.0 + 0j]]))
         assert design.t_hat[0] == pytest.approx(1 / 1.1)
 
     def test_matches_algorithm_at_zero_eps(self, rng):
         config, inst = _random_problem(rng, K=3, N=4, s=0.0)
         design = ref_loop_design(config, inst.h_hat, inst.eps)
-        baseline = nonrobust_design(config, inst.h_hat)
+        baseline = cophased_design(config, inst.h_hat)
         assert np.allclose(design.t_hat, baseline.t_hat, rtol=1e-10)
         assert np.allclose(design.v, baseline.v)
         assert design.m == pytest.approx(baseline.m, rel=1e-10)
 
     def test_nominal_residual_below_one(self, rng):
         config, inst = _random_problem(rng, K=2, N=4)
-        design = nonrobust_design(config, inst.h_hat)
+        design = cophased_design(config, inst.h_hat)
         for k in range(2):
             a = np.sum(np.abs(inst.h_hat[k]))
             resid = abs(design.t_hat[k] * a - 1)
@@ -159,7 +124,7 @@ class TestNonRobust:
     def test_all_zero_channels_rejected(self):
         config = SystemConfig(K=2, N=2, P=1.0, noise_var=0.5)
         with pytest.raises(AllZeroScalers):
-            nonrobust_design(config, np.zeros((2, 2), dtype=complex))
+            cophased_design(config, np.zeros((2, 2), dtype=complex))
 
 
 def _flags(draw, n):
@@ -213,7 +178,7 @@ def _random_feasible_designs(config, h_hat, rng, count):
 class TestRobustDesign:
     def test_scalar_instance(self):
         config = SystemConfig(K=1, N=1, P=10.0, noise_var=1.0)
-        design = robust_design(config, np.array([[1.0 + 0j]]), np.array([0.0]))
+        design = cophased_design(config, np.array([[1.0 + 0j]]), np.array([0.0]))
         assert design.t_hat[0] == pytest.approx(1 / 1.1, rel=1e-12)
         assert _objective(config, design, np.array([[1.0 + 0j]]), [0.0]) == (
             pytest.approx(1 / 11, rel=1e-12)
@@ -223,7 +188,7 @@ class TestRobustDesign:
     @given(robust_problems())
     def test_equals_exact_alternating_loop(self, problem):
         config, h_hat, eps, rng = problem
-        got = robust_design(config, h_hat, eps)
+        got = cophased_design(config, h_hat, eps)
         v_ref, t_ref, objectives = ref_loop(config, h_hat, eps)
         np.testing.assert_allclose(got.t_hat, t_ref, rtol=1e-12, atol=0)
         np.testing.assert_allclose(got.v, v_ref, rtol=1e-12, atol=0)
@@ -240,8 +205,8 @@ class TestRobustDesign:
     @given(robust_problems())
     def test_never_worse_than_other_designs(self, problem):
         config, h_hat, eps, rng = problem
-        best = _objective(config, robust_design(config, h_hat, eps), h_hat, eps)
-        others = [nonrobust_design(config, h_hat)]
+        best = _objective(config, cophased_design(config, h_hat, eps), h_hat, eps)
+        others = [cophased_design(config, h_hat)]
         others.append(ref_loop_design(config, h_hat, eps))
         others.extend(_random_feasible_designs(config, h_hat, rng, 200))
         for design in others:
@@ -250,7 +215,7 @@ class TestRobustDesign:
     def test_all_zero_channels_rejected(self):
         config = SystemConfig(K=2, N=2, P=1.0, noise_var=0.5)
         with pytest.raises(AllZeroScalers):
-            robust_design(config, np.zeros((2, 2), dtype=complex), np.zeros(2))
+            cophased_design(config, np.zeros((2, 2), dtype=complex), np.zeros(2))
 
 
 class TestTrialBlock:
@@ -274,21 +239,21 @@ class TestTrialBlock:
 
     def test_robust_block_matches_single_trials(self, rng):
         h_hat, eps = self.block(rng)
-        design = robust_design(self.config, h_hat, eps)
+        design = cophased_design(self.config, h_hat, eps)
         assert design.m[1] == 0.0 and not design.t[1].any()
         for t in range(4):
-            self.assert_same(design, robust_design(self.config, h_hat[t], eps[t]), t)
+            self.assert_same(design, cophased_design(self.config, h_hat[t], eps[t]), t)
 
     def test_nonrobust_block_matches_single_trials(self, rng):
         h_hat, _ = self.block(rng)
-        design = nonrobust_design(self.config, h_hat)
+        design = cophased_design(self.config, h_hat)
         for t in range(4):
-            self.assert_same(design, nonrobust_design(self.config, h_hat[t]), t)
+            self.assert_same(design, cophased_design(self.config, h_hat[t]), t)
 
     def test_one_all_zero_trial_rejected(self, rng):
         h_hat, eps = self.block(rng)
         h_hat[3] = 0.0
         with pytest.raises(AllZeroScalers):
-            robust_design(self.config, h_hat, eps)
+            cophased_design(self.config, h_hat, eps)
         with pytest.raises(AllZeroScalers):
-            nonrobust_design(self.config, h_hat)
+            cophased_design(self.config, h_hat)

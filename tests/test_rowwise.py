@@ -1,16 +1,22 @@
-"""The row-wise evaluators and the closed-form design against per-sensor
-loops written with np.vdot, including the degenerate cases: eps = 0,
-t_hat = 0, zero channel entries and K = 1."""
+"""The row-wise evaluators, the certificate and the closed-form design
+against per-sensor loops written with np.vdot, including the degenerate
+cases: eps = 0, t_hat = 0, zero channel entries and K = 1."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mse_at_error, ref_loop, ref_term, worst_case_objective
+from oracles import (
+    cophase,
+    cophased_design,
+    mse_at_error,
+    ref_loop,
+    ref_term,
+    worst_case_objective,
+)
 
 from aircomp_ris.model import Design, SystemConfig
-from aircomp_ris.optimizer import robust_design
 from aircomp_ris.worst_case import certificate, delta_worst
 
 RTOL = 1e-12
@@ -48,14 +54,11 @@ def test_objective_and_certificate_match_loops(problem):
     design, h_hat, eps, noise_var, _ = problem
     K, N = h_hat.shape
     t_hat = design.t_hat
-    terms, lambdas, deltas = [], [], []
+    terms, deltas = [], []
     for k in range(K):
         rho = t_hat[k] * np.vdot(h_hat[k], design.v[k]) - 1.0
         terms.append(ref_term(t_hat[k], h_hat[k], design.v[k], eps[k]))
         at = abs(t_hat[k])
-        lambdas.append(
-            np.inf if eps[k] == 0 else at**2 * N + np.sqrt(N) / eps[k] * at * abs(rho)
-        )
         w = np.conj(t_hat[k]) * rho
         if abs(w) > 0:
             u = w / abs(w)
@@ -67,10 +70,21 @@ def test_objective_and_certificate_match_loops(problem):
     total = noise_var * design.m**2 + sum(terms)
 
     close(worst_case_objective(design, h_hat, eps, noise_var), total)
-    cert = certificate(design, h_hat, eps, noise_var)
-    close(cert.terms, terms)
     close(delta_worst(t_hat, h_hat, design.v, eps), np.array(deltas).reshape(K, N))
-    close(cert.total, total)
+
+    # the certificate is that of the co-phased v, built from a_k = ||h_hat_k||_1
+    v = cophase(h_hat)
+    terms, lambdas = [], []
+    for k in range(K):
+        rho = t_hat[k] * np.vdot(h_hat[k], v[k]) - 1.0
+        terms.append(ref_term(t_hat[k], h_hat[k], v[k], eps[k]))
+        at = abs(t_hat[k])
+        lambdas.append(
+            np.inf if eps[k] == 0 else at**2 * N + np.sqrt(N) / eps[k] * at * abs(rho)
+        )
+    cert = certificate(design, np.abs(h_hat).sum(axis=1), eps, N, noise_var)
+    close(cert.terms, terms)
+    close(cert.total, noise_var * design.m**2 + sum(terms))
     assert np.array_equal(np.isinf(cert.lambdas), eps == 0)
     close(cert.lambdas[eps > 0], np.array(lambdas)[eps > 0])
 
@@ -99,13 +113,14 @@ def test_single_sensor_loop_and_rows_agree():
     # rho = 0.5*2 - 1 = 0, so the worst term is (0.5 * 0.3 * sqrt(2))^2
     expected = (0.5 * 0.3 * np.sqrt(2)) ** 2 + 0.1 * 0.25
     assert worst_case_objective(design, h, [0.3], 0.1) == pytest.approx(expected)
-    cert = certificate(design, h, np.array([0.3]), 0.1)
+    # h^H v = 2 = ||h||_1: v co-phases h where h is nonzero
+    cert = certificate(design, np.array([2.0]), np.array([0.3]), 2, 0.1)
     assert cert.total == pytest.approx(expected)
     delta = delta_worst(design.t_hat, h, v, np.array([0.3]))
     assert np.linalg.norm(delta[0]) == pytest.approx(0.3)
     config = SystemConfig(K=1, N=2, P=1.0, noise_var=0.1)
     eps = np.array([0.3])
-    got = robust_design(config, h, eps)
+    got = cophased_design(config, h, eps)
     v_ref, t_ref, _ = ref_loop(config, h, eps)
     close(got.t_hat, t_ref)
     close(got.v, v_ref)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from oracles import (
     FixedNormals,
     ball_perturbation,
+    cophase,
+    cophased_design,
     mse_at_error,
     seeded_rng,
     worst_case_objective,
@@ -20,7 +22,6 @@ from aircomp_ris.model import (
     inner,
     synthesize_instance,
 )
-from aircomp_ris.optimizer import nonrobust_design, robust_design
 from aircomp_ris.verify import random_instance
 from aircomp_ris.worst_case import (
     brute_force_worst_case,
@@ -152,8 +153,8 @@ class TestWorstCaseTerm:
 
 # each scheme designed on the channel arrays, with co-phased RIS vectors
 ARRAY_DESIGNS = {
-    "multistart": lambda config, inst: robust_design(config, inst.h_hat, inst.eps),
-    "nonrobust": lambda config, inst: nonrobust_design(config, inst.h_hat),
+    "multistart": lambda config, inst: cophased_design(config, inst.h_hat, inst.eps),
+    "nonrobust": lambda config, inst: cophased_design(config, inst.h_hat),
 }
 
 
@@ -254,7 +255,7 @@ class TestScoreFromGains:
             )
             inst = ChannelInstance(h_hat=h_hat, eps=eps, deltas=np.zeros_like(h_hat))
             full = ARRAY_DESIGNS[scheme](config, inst)
-            scalar, _ = design_for_scheme(config, scheme, (a, eps))
+            scalar = design_for_scheme(config, scheme, (a, eps))
             assert scalar.v is None
             assert np.array_equal(scalar.m, full.m) and np.array_equal(scalar.t, full.t)
             got = score_from_gains(scalar, a, eps * np.sqrt(self.N), config.noise_var)
@@ -284,7 +285,7 @@ class TestRealizedScore:
         return SystemConfig(**{**base, **kw})
 
     def check(self, config, scheme, inst, draw):
-        scalar, _ = design_for_scheme(config, scheme, draw)
+        scalar = design_for_scheme(config, scheme, draw)
         a, eps, c, delta_norms = draw
         got = realized_score(scalar, a, c, delta_norms, eps, config.noise_var)
         full = ARRAY_DESIGNS[scheme](config, inst)
@@ -333,7 +334,7 @@ class TestRealizedScore:
         a, eps, c, delta_norms = synthesize_instance(
             config, [seeded_rng(seed) for seed in seeds], gains_only=True
         )
-        design, _ = design_for_scheme(config, "multistart", (a, eps))
+        design = design_for_scheme(config, "multistart", (a, eps))
         # the slack admits roundoff, not an error past the ball
         delta_norms[3, 1] = eps[3, 1] * (1 + 1e-10)
         realized_score(design, a, c, delta_norms, eps, 0.3)
@@ -461,24 +462,78 @@ class TestKkt:
 
 
 class TestCertificate:
+    """The certificate of a co-phased design, built from the gains
+    a_k = ||h_hat_k||_1 and radii eps_k alone."""
+
+    @staticmethod
+    def cophased_k1(rng):
+        t_hat, h_hat, _, eps = random_instance(rng)
+        v = cophase(h_hat)
+        return _design_k1(t_hat, v), h_hat, np.array([np.abs(h_hat).sum()]), eps
+
     def test_fields(self, rng):
-        t_hat, h_hat, v, eps = random_instance(rng)
-        design = _design_k1(t_hat, v)
-        cert = certificate(design, h_hat[None, :], np.array([eps]), 0.4)
+        design, h_hat, a, eps = self.cophased_k1(rng)
+        cert = certificate(design, a, np.array([eps]), len(h_hat), 0.4)
         assert cert.total == pytest.approx(float(cert.terms.sum()) + 0.4 * design.m**2)
         # delta_worst gives the perturbation that attains the certificate
         delta = delta_worst(design.t_hat, h_hat[None, :], design.v, np.array([eps]))
         assert np.linalg.norm(delta[0]) == pytest.approx(eps, rel=1e-10)
         attained = mse_at_error(design, h_hat[None, :], delta, 0.4)
         assert attained == pytest.approx(cert.total, rel=1e-10)
+        t_hat = design.t_hat[0]
         assert cert.lambdas[0] > abs(t_hat) ** 2 * len(h_hat) or abs(
-            residual(t_hat, h_hat, v)
+            residual(t_hat, h_hat, design.v[0])
         ) < 1e-12
 
     def test_zero_eps_lambda_inf(self, rng):
-        t_hat, h_hat, v, _ = random_instance(rng)
-        design = _design_k1(t_hat, v)
-        cert = certificate(design, h_hat[None, :], np.array([0.0]), 0.0)
+        design, h_hat, a, _ = self.cophased_k1(rng)
+        cert = certificate(design, a, np.array([0.0]), len(h_hat), 0.0)
         assert np.isinf(cert.lambdas[0])
         delta = delta_worst(design.t_hat, h_hat[None, :], design.v, np.array([0.0]))
         assert np.all(delta == 0)
+
+    @pytest.mark.parametrize("K", [1, 2, 4])
+    def test_matches_per_sensor_forms_on_cophased_v(self, rng, K):
+        """lambda_worst, worst_case_term and the oracle objective evaluated
+        on the co-phased RIS vectors, with eps_k = 0 (lambda = inf), silenced
+        sensors (t_hat_k = 0) and a zero entry of h_hat among the cases."""
+        N = 5
+        config = SystemConfig(K=K, N=N, P=2.0, noise_var=0.3)
+        seen = set()
+        for trial in range(40):
+            h_hat = rng.normal(size=(K, N)) + 1j * rng.normal(size=(K, N))
+            h_hat[0, trial % N] = 0.0
+            a = np.abs(h_hat).sum(axis=1)
+            # a ratio >= 1 silences the sensor
+            eps = rng.uniform(0.0, 1.5, K) * a / np.sqrt(N)
+            eps[rng.uniform(size=K) < 0.3] = 0.0
+            design = cophased_design(config, h_hat, eps)
+            t_hat = design.t_hat
+            cert = certificate(design, a, eps, N, config.noise_var)
+            np.testing.assert_allclose(
+                cert.lambdas, lambda_worst(t_hat, h_hat, design.v, eps), rtol=1e-12
+            )
+            np.testing.assert_allclose(
+                cert.terms,
+                worst_case_term(t_hat, h_hat, design.v, eps),
+                rtol=1e-12,
+                atol=1e-14,
+            )
+            want = worst_case_objective(design, h_hat, eps, config.noise_var)
+            assert cert.total == pytest.approx(want, rel=1e-12, abs=1e-14)
+            seen.update(
+                name
+                for name, hit in (
+                    ("eps = 0", (eps == 0).any()),
+                    ("eps > 0", (eps > 0).any()),
+                    ("silenced", (t_hat == 0).any()),
+                    ("live", (t_hat != 0).any()),
+                )
+                if hit
+            )
+        assert seen == {"eps = 0", "eps > 0", "silenced", "live"}
+
+    def test_shape_mismatch(self):
+        design = Design(m=1.0, t=np.ones(3))
+        with pytest.raises(DimensionMismatch):
+            certificate(design, np.ones(2), np.zeros(2), 4, 0.1)
