@@ -25,7 +25,7 @@ from .config import load_config
 from .errors import AirCompError, ConfigError
 from .experiments import run_sweep
 from .model import synthesize_instance
-from .optimizer import robust_scalars
+from .optimizer import ris_phases, robust_scalars
 from .svgplot import line_plot_svg, records_to_series
 from .verify import SUITES, run_suite
 from .worst_case import certificate
@@ -56,16 +56,10 @@ def _atomic_write(path, data):
 
 
 def _design_document(h_hat, design, cert, P):
-    # the co-phasing v_k = h_hat_k/|h_hat_k| has the phases of h_hat, and
-    # v = 1 where an entry is zero (of either sign). Phases lie in (-pi, pi]:
-    # np.angle gives -pi for a negative real with a negative-zero imaginary part
-    phases = np.angle(h_hat)
-    phases[h_hat == 0] = 0.0
-    phases[phases == -np.pi] = np.pi
     return {
         "m": design.m,
         "t": np.stack([design.t.real, design.t.imag], axis=-1).tolist(),
-        "v_phases": phases.tolist(),
+        "v_phases": ris_phases(h_hat).tolist(),
         "lambda": np.where(np.isfinite(cert.lambdas), cert.lambdas, None).tolist(),
         "worst_case_terms": cert.terms.tolist(),
         "objective": cert.total,

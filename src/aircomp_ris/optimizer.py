@@ -5,7 +5,7 @@ worst-case problem splits into K scalar problems, each solved globally by
 co-phasing, v_k = h_hat_k/|h_hat_k|, and the exact 1-D minimizer `t_exact`.
 Co-phasing leaves sensor k the gain a_k = ||h_hat_k||_1, so the designers
 are scalar cores: `robust_scalars` and `nonrobust_scalars` give m and t
-from (a_k, eps_k sqrt(N)) and leave the co-phasing v to their callers. The
+from (a_k, eps_k sqrt(N)), and `ris_phases` gives the phases of v. The
 paper's alternating loop (Algorithm 1) lands on this point in its first
 pass and stops after a second that changes nothing.
 """
@@ -51,6 +51,13 @@ def _scalar_design(a, t_hat, P):
         raise AllZeroScalers("every channel estimate is zero")
     m, t = recover_m_t(t_hat, P)
     return Design(m=m, t=t)
+
+
+def ris_phases(h_hat):
+    """Phases in (-pi, pi] of the co-phasing v = h_hat/|h_hat|: 0 at zero
+    entries of either sign, pi where np.angle gives -pi (-x - 0j)."""
+    phi = np.angle(h_hat)
+    return np.where(h_hat == 0, 0.0, np.where(phi == -np.pi, np.pi, phi))
 
 
 def nonrobust_scalars(config, a):

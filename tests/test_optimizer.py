@@ -6,13 +6,48 @@ from hypothesis import strategies as st
 from oracles import cophased_design, ref_loop, ref_loop_design, worst_case_objective
 
 from aircomp_ris.errors import AllZeroScalers
-from aircomp_ris.model import Design, SystemConfig, synthesize_instance
-from aircomp_ris.optimizer import recover_m_t, t_exact
+from aircomp_ris.model import (
+    Design,
+    SystemConfig,
+    inner,
+    sample_rayleigh_vector,
+    synthesize_instance,
+)
+from aircomp_ris.optimizer import recover_m_t, ris_phases, t_exact
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(31)
+
+
+class TestUpdatePhases:
+    def test_phase_extraction(self):
+        h = np.array([1 + 1j, -2.0 + 0j])
+        phi = ris_phases(h)
+        assert np.allclose(phi, [np.pi / 4, np.pi])
+        assert inner(h, np.exp(1j * phi)) == pytest.approx(np.sqrt(2) + 2)
+        # np.angle gives -pi for a negative real with a negative-zero imaginary part
+        assert ris_phases(np.array([complex(-2.0, -0.0)])).tolist() == [np.pi]
+
+    def test_real_positive_gives_ones(self):
+        assert np.allclose(np.exp(1j * ris_phases(np.array([1.0, 2.0, 0.5]))), 1.0)
+
+    def test_zero_entry_gets_phase_zero(self):
+        # np.angle gives -pi for -0 - 0j and -0.0 for 0 - 0j
+        h = np.array([complex(-0.0, -0.0), complex(0.0, -0.0), 0j, 1j])
+        phi = ris_phases(h)
+        assert phi.tolist()[:3] == [0.0, 0.0, 0.0]
+        assert all(np.copysign(1.0, phi[:3]) == 1.0)
+        assert phi[3] == pytest.approx(np.pi / 2)
+
+    def test_triangle_inequality_optimality(self, rng):
+        h = sample_rayleigh_vector(8, 1.0, rng)
+        a = inner(h, np.exp(1j * ris_phases(h)))
+        assert abs(a.imag) < 1e-12
+        for _ in range(1000):
+            u = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
+            assert a.real >= abs(inner(h, u)) - 1e-12
 
 
 class TestTExact:
