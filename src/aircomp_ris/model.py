@@ -14,6 +14,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,12 @@ ERROR_SAMPLING_MODES = ("surface", "interior")
 
 # Doubles drawn per synthesis chunk: bounds the temporaries at large K*N.
 _DRAW_BLOCK = 1 << 14
+# Chunk of a range of trials drawn beside others on threads: its fewer,
+# larger ufunc calls hand the GIL between the threads half as often.
+_SPLIT_BLOCK = 2 * _DRAW_BLOCK
+# Doubles per generator call below which threads drawing a block's trials
+# spend more time handing each other the GIL than they save.
+_SPLIT_CALL = 1 << 10
 # Sensor rows per sweep trial block: bounds its generators and (T, K) arrays.
 _BLOCK_ROWS = 1 << 10
 
@@ -158,6 +166,50 @@ def trials_per_block(config):
     return max(1, _BLOCK_ROWS // config.K)
 
 
+def _trial_ranges(trials, doubles_per_trial, doubles_per_call):
+    """Split trials into contiguous [lo, hi) ranges, one per CPU this process
+    may run on, when each range draws at least a chunk of _SPLIT_BLOCK
+    doubles in generator calls of at least _SPLIT_CALL doubles; else one
+    range."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    n = min(cpus, trials, trials * doubles_per_trial // _SPLIT_BLOCK)
+    if n < 2 or doubles_per_call < _SPLIT_CALL:
+        return [(0, trials)]
+    bounds = [trials * i // n for i in range(n + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _run_ranges(fn, ranges):
+    """Call fn(lo, hi) for every range: the first on this thread, each other
+    on a thread of its own. Returns once all have finished, raising the
+    first exception a range raised."""
+    errors = [None] * len(ranges)
+
+    def run(i, lo, hi):
+        try:
+            fn(lo, hi)
+        except BaseException as exc:  # raised again on the calling thread
+            errors[i] = exc
+
+    threads = [
+        threading.Thread(target=run, args=(i, lo, hi))
+        for i, (lo, hi) in enumerate(ranges[1:], 1)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        fn(*ranges[0])
+    finally:
+        for thread in threads:
+            thread.join()  # every range writes the caller's arrays
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 def synthesize_instance(config, rng, gains_only=False):
     """Draw a ChannelInstance: Rayleigh segments g_k (RIS->receiver) and
     r_k (sensor->RIS) give true channels with row(h_k) = conj(g_k) * r_k,
@@ -176,12 +228,18 @@ def synthesize_instance(config, rng, gains_only=False):
     re(g_k), im(g_k), re(r_k), im(r_k), and when s > 0 (so eps_k > 0) for
     the real and imaginary parts of the error direction, then one uniform
     for an interior error's radius (gen.random(), the double gen.uniform()
-    gives). The rows are drawn in chunks of _DRAW_BLOCK doubles; a trial's
-    rows without uniforms take one call, which fills in that same order,
-    rows with them one normal call and one random() each. The arithmetic
+    gives). The rows are drawn in chunks of _DRAW_BLOCK doubles, or of
+    _SPLIT_BLOCK in a block split across CPUs (below); a trial's rows
+    without uniforms take one call, which fills in that same order, rows
+    with them one normal call and one random() each. The arithmetic
     runs on real planes, one ufunc per real multiply, add, divide or sqrt,
     and np.vecdot: unlike complex multiply and abs, they round alike at
-    every numpy SIMD dispatch level."""
+    every numpy SIMD dispatch level.
+
+    A block large enough (see _trial_ranges) is split into contiguous
+    ranges of trials, one per CPU, drawn at once on threads into disjoint
+    rows; each row's draws and arithmetic are those of the serial draw, so
+    the output does not depend on the CPU count."""
     batched = isinstance(rng, (list, tuple))
     rngs = list(rng) if batched else [rng]
     K, N = config.K, config.N
@@ -189,9 +247,13 @@ def synthesize_instance(config, rng, gains_only=False):
     robust = config.s > 0
     interior = robust and config.error_sampling == "interior"
     parts = 6 if robust else 4
-    step = max(1, _DRAW_BLOCK // (parts * N))
-    z = np.empty((min(step, rows), parts, N))
-    radius = np.ones(len(z))
+    # a generator call draws one row with interior errors, else a trial's
+    # rows (two calls where a chunk's edge splits them)
+    per_call = parts * N * (1 if interior else K)
+    ranges = _trial_ranges(len(rngs), K * parts * N, per_call)
+    if len(set(map(id, rngs))) < len(rngs):
+        ranges = [(0, len(rngs))]  # a generator shared by trials draws them in order
+    step = max(1, (_DRAW_BLOCK if len(ranges) == 1 else _SPLIT_BLOCK) // (parts * N))
     seg_scale = np.sqrt(config.channel_var / 2.0)
     radius_power = 1.0 / (2 * N)  # U^(1/(2N)): uniform over the 2N-dim ball
     eps = np.empty(rows)
@@ -203,50 +265,60 @@ def synthesize_instance(config, rng, gains_only=False):
     else:
         h_hat = np.empty((rows, N), dtype=complex)
         deltas = np.zeros_like(h_hat)
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        zb = z[: hi - lo]
-        for trial in range(lo // K, (hi - 1) // K + 1):
-            gen = rngs[trial]
-            first, last = max(lo, trial * K) - lo, min(hi, trial * K + K) - lo
-            if interior:
-                normal, uniform = gen.standard_normal, gen.random
-                for i in range(first, last):
-                    normal(out=zb[i])
-                    radius[i] = uniform() ** radius_power
-            else:
-                gen.standard_normal(out=zb[first:last])
-        g_re, g_im, r_re, r_im = (zb[:, i] * seg_scale for i in range(4))
-        # h = g * conj(r)
-        h_re = g_re * r_re + g_im * r_im
-        h_im = g_im * r_re - g_re * r_im
-        eps[lo:hi] = config.s * np.sqrt(np.vecdot(h_re, h_re) + np.vecdot(h_im, h_im))
-        if robust:
-            d_re, d_im = zb[:, 4], zb[:, 5]
-            norm = np.sqrt(np.vecdot(d_re, d_re) + np.vecdot(d_im, d_im))
-            scale = (eps[lo:hi] * radius[: hi - lo] / norm)[:, None]
-            del_re, del_im = d_re * scale, d_im * scale
-            # h_hat = h - conj(delta)
-            h_re -= del_re
-            h_im += del_im
-        if gains_only:
-            mag = np.sqrt(h_re * h_re + h_im * h_im)
-            gains[lo:hi] = mag.sum(axis=-1)
-            if realized and robust:
-                if not mag.all():
-                    # v_i = 1 where h_hat_i = 0, as co-phasing sets it
-                    zero = mag == 0
-                    h_re, mag = np.where(zero, 1.0, h_re), np.where(zero, 1.0, mag)
-                # c = delta @ v for v = h_hat / |h_hat|
-                w = 1.0 / mag
-                c.real[lo:hi] = np.vecdot(del_re * h_re - del_im * h_im, w)
-                c.imag[lo:hi] = np.vecdot(del_re * h_im + del_im * h_re, w)
-                sq = np.vecdot(del_re, del_re) + np.vecdot(del_im, del_im)
-                delta_norms[lo:hi] = np.sqrt(sq)
-            continue
-        h_hat.real[lo:hi], h_hat.imag[lo:hi] = h_re, h_im
-        if robust:
-            deltas.real[lo:hi], deltas.imag[lo:hi] = del_re, del_im
+
+    def draw(trial_lo, trial_hi):
+        """Draw trials [trial_lo, trial_hi) into their rows, chunk by chunk."""
+        start, stop = trial_lo * K, trial_hi * K
+        z = np.empty((min(step, stop - start), parts, N))
+        radius = np.ones(len(z))
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            zb = z[: hi - lo]
+            for trial in range(lo // K, (hi - 1) // K + 1):
+                gen = rngs[trial]
+                first, last = max(lo, trial * K) - lo, min(hi, trial * K + K) - lo
+                if interior:
+                    normal, uniform = gen.standard_normal, gen.random
+                    for i in range(first, last):
+                        normal(out=zb[i])
+                        radius[i] = uniform() ** radius_power
+                else:
+                    gen.standard_normal(out=zb[first:last])
+            g_re, g_im, r_re, r_im = (zb[:, i] * seg_scale for i in range(4))
+            # h = g * conj(r)
+            h_re = g_re * r_re + g_im * r_im
+            h_im = g_im * r_re - g_re * r_im
+            eps[lo:hi] = config.s * np.sqrt(
+                np.vecdot(h_re, h_re) + np.vecdot(h_im, h_im)
+            )
+            if robust:
+                d_re, d_im = zb[:, 4], zb[:, 5]
+                norm = np.sqrt(np.vecdot(d_re, d_re) + np.vecdot(d_im, d_im))
+                scale = (eps[lo:hi] * radius[: hi - lo] / norm)[:, None]
+                del_re, del_im = d_re * scale, d_im * scale
+                # h_hat = h - conj(delta)
+                h_re -= del_re
+                h_im += del_im
+            if gains_only:
+                mag = np.sqrt(h_re * h_re + h_im * h_im)
+                gains[lo:hi] = mag.sum(axis=-1)
+                if realized and robust:
+                    if not mag.all():
+                        # v_i = 1 where h_hat_i = 0, as co-phasing sets it
+                        zero = mag == 0
+                        h_re, mag = np.where(zero, 1.0, h_re), np.where(zero, 1.0, mag)
+                    # c = delta @ v for v = h_hat / |h_hat|
+                    w = 1.0 / mag
+                    c.real[lo:hi] = np.vecdot(del_re * h_re - del_im * h_im, w)
+                    c.imag[lo:hi] = np.vecdot(del_re * h_im + del_im * h_re, w)
+                    sq = np.vecdot(del_re, del_re) + np.vecdot(del_im, del_im)
+                    delta_norms[lo:hi] = np.sqrt(sq)
+                continue
+            h_hat.real[lo:hi], h_hat.imag[lo:hi] = h_re, h_im
+            if robust:
+                deltas.real[lo:hi], deltas.imag[lo:hi] = del_re, del_im
+
+    _run_ranges(draw, ranges)
     lead = (len(rngs), K) if batched else (K,)
     eps = eps.reshape(lead)
     if gains_only:

@@ -471,6 +471,13 @@ class TestLazyRandom:
             "assert 'jsonschema' not in sys.modules"
         )
 
+    def test_importing_cli_does_not_load_concurrent_futures(self):
+        # ~7 ms of start-up; synthesis splits a block on plain threads
+        self.run_fresh(
+            "import sys, aircomp_ris.cli\n"
+            "assert 'concurrent.futures' not in sys.modules"
+        )
+
     def test_solve_on_an_instance_does_not_load_numpy_random(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", golden_solve_config())
         out = tmp_path / "design.json"
@@ -632,6 +639,66 @@ def test_figure_csv_bytes(tmp_path, kind):
     config = str(CONFIGS / f"fig_{kind}.json")
     assert main(["sweep", "--kind", kind, "--config", config, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_CSV_SHA256[kind]
+
+
+def test_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    """Synthesis draws a large block's trials on every CPU the process may
+    run on; a process pinned to one CPU writes the same CSV bytes, for a
+    realized-mode K sweep with interior errors and for the figure N sweep."""
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs the CPU affinity API and at least two CPUs")
+    from aircomp_ris import model
+
+    realized = {
+        "system": {
+            "K": 3,
+            "N": 192,
+            "P": 10.0,
+            "noise_var": 1.0,
+            "s": 0.4,
+            "eval_mode": "realized",
+            "error_sampling": "interior",
+        },
+        "sweep": {
+            "values": [3, 9],
+            "trials": 31,
+            "schemes": ["robust_exact", "nonrobust"],
+        },
+        "master_seed": 5,
+    }
+    runs = [
+        ("realized", "k", write_json(tmp_path / "realized.json", realized)),
+        ("fig_n", "n", str(CONFIGS / "fig_n.json")),
+    ]
+    code = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "assert len(os.sched_getaffinity(0)) == 1\n"
+        "from aircomp_ris.cli import main\n"
+        "out, *runs = sys.argv[1:]\n"
+        "for name, kind, config in zip(runs[::3], runs[1::3], runs[2::3]):\n"
+        "    argv = ['sweep', '--kind', kind, '--config', config]\n"
+        "    assert main(argv + ['--out', f'{out}/{name}_one_cpu.csv']) == 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    args = [str(tmp_path), *sum(runs, ())]
+    subprocess.run([sys.executable, "-c", code, *args], env=env, check=True, timeout=300)
+    split = []
+    run_ranges = model._run_ranges
+
+    def spy(fn, ranges):
+        split.append(len(ranges) > 1)
+        return run_ranges(fn, ranges)
+
+    monkeypatch.setattr(model, "_run_ranges", spy)
+    for name, kind, config in runs:
+        split.clear()
+        out = tmp_path / f"{name}.csv"
+        argv = ["sweep", "--kind", kind, "--config", config, "--out", str(out)]
+        assert main(argv) == 0
+        assert any(split), name
+        one_cpu = (tmp_path / f"{name}_one_cpu.csv").read_bytes()
+        assert out.read_bytes() == one_cpu, name
 
 
 def test_figure_csv_bytes_at_baseline_dispatch(tmp_path):

@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +17,7 @@ from oracles import (
     seeded_rng,
 )
 
+from aircomp_ris import model
 from aircomp_ris.errors import DimensionMismatch, InvalidDimension
 from aircomp_ris.model import (
     ChannelInstance,
@@ -380,16 +383,19 @@ def test_trials_per_block():
 @pytest.mark.parametrize(
     "K, N, s, sampling, trials",
     [
-        # draw blocks of 170 rows split the 7-sensor trials
+        # draw chunks of 170 rows (256 without errors) split the 7-sensor
+        # trials, drawn on one thread
         (7, 16, 0.4, "surface", None),
         (7, 16, 0.4, "interior", None),
         (7, 16, 0.0, "surface", None),
         # (3, 8, 1024) arrays: past the 16384 entries where numpy may reuse
         # a temporary in place
         (8, 1024, 0.3, "surface", 3),
-        # draw blocks of 2 rows: each of the 51 trials spans ten
+        # split across CPUs, in draw chunks of 5 rows: each of the 51
+        # trials spans four
         (20, 1000, 0.3, "interior", None),
-        # the sweep_k_large shape: 85 trials of 12 rows in draw blocks of 10
+        # the sweep_k_large shape: 85 trials of 12 rows in draw chunks of 21,
+        # split across CPUs
         (12, 256, 0.3, "interior", None),
     ],
 )
@@ -406,3 +412,163 @@ def test_trial_block_matches_per_trial_draws(K, N, s, sampling, trials):
         for name in ("h_hat", "eps", "deltas"):
             got = getattr(block, name)[t]
             assert got.tobytes() == getattr(alone, name).tobytes(), (name, t)
+
+
+def cpus(monkeypatch, n):
+    """Make this process look as if it may run on n CPUs."""
+
+    def affinity(pid):
+        return set(range(n))
+
+    monkeypatch.setattr(model.os, "sched_getaffinity", affinity, raising=False)
+
+
+def spy_ranges(monkeypatch):
+    """Record the trial ranges of every synthesis call."""
+    used = []
+    run_ranges = model._run_ranges
+
+    def spy(fn, ranges):
+        used.append(ranges)
+        return run_ranges(fn, ranges)
+
+    monkeypatch.setattr(model, "_run_ranges", spy)
+    return used
+
+
+# 13 trials of 7 sensors at N=300: draw chunks of 9 rows on one CPU and 18
+# split across CPUs (13 and 27 without errors) split the trials, and 3
+# ranges of 4, 4 and 5 trials split the chunks
+SPLIT_TRIALS, SPLIT_RANGES = 13, [(0, 4), (4, 8), (8, 13)]
+
+
+def split_config(s=0.4, sampling="surface", eval_mode="worst"):
+    return SystemConfig(
+        K=7,
+        N=300,
+        P=1.0,
+        noise_var=0.1,
+        s=s,
+        eval_mode=eval_mode,
+        error_sampling=sampling,
+    )
+
+
+def split_rngs(seed=9):
+    return [seeded_rng((seed, trial)) for trial in range(SPLIT_TRIALS)]
+
+
+@pytest.mark.parametrize("output", ["instance", "worst", "realized"])
+@pytest.mark.parametrize(
+    "s, sampling", [(0.0, "surface"), (0.4, "surface"), (0.4, "interior")]
+)
+def test_split_block_matches_one_range(monkeypatch, output, s, sampling):
+    """Trial ranges drawn on threads give the bytes one range gives, with
+    more ranges than this machine may have CPUs and the GIL handed over as
+    often as the interpreter allows."""
+    eval_mode = "worst" if output == "instance" else output
+    config = split_config(s, sampling, eval_mode)
+    used = spy_ranges(monkeypatch)
+
+    def draw():
+        got = synthesize_instance(config, split_rngs(), gains_only=output != "instance")
+        return (got.h_hat, got.eps, got.deltas) if output == "instance" else got
+
+    cpus(monkeypatch, 1)
+    serial = draw()
+    cpus(monkeypatch, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = draw()
+    finally:
+        sys.setswitchinterval(interval)
+    assert used == [[(0, SPLIT_TRIALS)], SPLIT_RANGES]
+    arrays = {"instance": 3, "worst": 2, "realized": 4}[output]
+    assert len(serial) == len(split) == arrays
+    for one, many in zip(serial, split):
+        assert one.tobytes() == many.tobytes()
+
+
+def test_generator_shared_by_trials_draws_them_in_order(monkeypatch):
+    used = spy_ranges(monkeypatch)
+    draws = []
+    for n in (1, 3):
+        cpus(monkeypatch, n)
+        rng = seeded_rng(4)
+        draws.append(synthesize_instance(split_config(), [rng] * SPLIT_TRIALS))
+    assert used == [[(0, SPLIT_TRIALS)]] * 2
+    assert draws[0].h_hat.tobytes() == draws[1].h_hat.tobytes()
+
+
+class FailingGenerator:
+    """Stands in for a Generator whose first draw raises, noting the thread
+    that drew."""
+
+    def __init__(self):
+        self.error = RuntimeError("draw failed")
+        self.thread = None
+
+    def standard_normal(self, out):
+        self.thread = threading.current_thread()
+        raise self.error
+
+
+@pytest.mark.parametrize("bad", [0, SPLIT_TRIALS - 1])
+def test_a_failing_range_raises_its_error(monkeypatch, bad):
+    """A range's exception reaches the caller, from the calling thread's
+    range (trial 0) or another thread's (the last trial), and the next block
+    is drawn as before."""
+    cpus(monkeypatch, 3)
+    used = spy_ranges(monkeypatch)
+    rngs = split_rngs()
+    failing = rngs[bad] = FailingGenerator()
+    with pytest.raises(RuntimeError) as info:
+        synthesize_instance(split_config(), rngs)
+    assert info.value is failing.error
+    assert (failing.thread is threading.main_thread()) == (bad == 0)
+    again = synthesize_instance(split_config(), split_rngs())
+    assert used == [SPLIT_RANGES] * 2
+    cpus(monkeypatch, 1)
+    alone = synthesize_instance(split_config(), split_rngs())
+    assert again.h_hat.tobytes() == alone.h_hat.tobytes()
+
+
+class CountingThread(threading.Thread):
+    """A Thread that counts the threads started."""
+
+    started = 0
+
+    def start(self):
+        CountingThread.started += 1
+        super().start()
+
+
+def test_small_blocks_stay_on_the_calling_thread(monkeypatch):
+    def trial_rngs(trials):
+        return [seeded_rng((2, trial)) for trial in range(trials)]
+
+    monkeypatch.setattr(CountingThread, "started", 0)
+    monkeypatch.setattr(model.threading, "Thread", CountingThread)
+    cpus(monkeypatch, 64)
+    # the example SNR sweep's cells: 50 trials of 10 sensors at N=16
+    for s in (0.0, 0.4, 0.6):
+        config = SystemConfig(K=10, N=16, P=10.0, noise_var=1.0, s=s)
+        synthesize_instance(config, trial_rngs(50), gains_only=True)
+    # large, but drawn in calls of one 384-double row: handing the GIL
+    # between threads that often costs more than it saves
+    fine = SystemConfig(
+        K=25,
+        N=64,
+        P=10.0,
+        noise_var=1.0,
+        s=0.4,
+        eval_mode="realized",
+        error_sampling="interior",
+    )
+    synthesize_instance(fine, trial_rngs(40), gains_only=True)
+    assert CountingThread.started == 0
+    # a cell of the large K sweep, 10 trials of 25 sensors at N=256, is
+    # split into a range per trial
+    synthesize_instance(replace(fine, N=256), trial_rngs(10), gains_only=True)
+    assert CountingThread.started == 9
