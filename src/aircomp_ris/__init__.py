@@ -3,13 +3,6 @@ computation under bounded CSI error."""
 
 from .model import ChannelInstance, Design, SystemConfig, synthesize_instance
 from .optimizer import nonrobust_scalars, robust_scalars
-from .worst_case import (
-    WorstCaseCert,
-    brute_force_worst_case,
-    certificate,
-    delta_worst,
-    kkt_residual,
-    lambda_worst,
-)
+from .worst_case import WorstCaseCert, certificate
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .config import load_config
 from .errors import AirCompError, ConfigError
 from .experiments import run_sweep
 from .model import synthesize_instance
-from .optimizer import ris_phases, robust_scalars
+from .optimizer import cophased_gains, ris_phases, robust_scalars
 from .svgplot import line_plot_svg, records_to_series
 from .verify import SUITES, run_suite
 from .worst_case import certificate
@@ -81,9 +81,7 @@ def cmd_solve(config_path, out_path):
         else:
             inst = synthesize_instance(system, np.random.default_rng(cfg.master_seed))
             h_hat, eps = inst.h_hat, inst.eps
-        # co-phasing gives sensor k the gain a_k = ||h_hat_k||_1, summed from
-        # real planes, which round alike at every numpy dispatch level
-        a = np.sqrt(h_hat.real * h_hat.real + h_hat.imag * h_hat.imag).sum(axis=-1)
+        a = cophased_gains(h_hat)
         design = robust_scalars(system, a, eps * np.sqrt(system.N))
         cert = certificate(design, a, eps, system.N, system.noise_var)
         doc = _design_document(h_hat, design, cert, system.P)
@@ -146,13 +144,11 @@ def cmd_sweep(config_path, kind, out_csv, plot_path=None):
 
 
 def cmd_verify(suite, trials, seed):
-    if trials < 1:
-        print("error: trials must be >= 1", file=sys.stderr)
+    try:
+        report = run_suite(suite, trials, seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if seed < 0:
-        print("error: seed must be >= 0", file=sys.stderr)
-        return EXIT_CONFIG
-    report = run_suite(suite, trials, seed)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"{status} suite={report.suite} trials={report.trials} "

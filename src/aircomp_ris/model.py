@@ -4,8 +4,8 @@ dataclasses, and channel synthesis with a bounded CSI error.
 Conventions used throughout the package:
 
 * Column vectors are 1-D complex ndarrays; a (K, N) array holds one per
-  sensor row. The Hermitian inner product is
-  ``inner(a, b) = sum_i conj(a_i) * b_i`` over the last axis.
+  sensor row. The Hermitian inner product h^H v = sum_i conj(h_i) * v_i
+  is ``np.vdot(h, v)``, or ``np.vecdot(h, v)`` row by row.
 * Row covectors (e.g. the CSI perturbation) are stored as plain 1-D complex
   ndarrays and applied to a column vector WITHOUT conjugation:
   ``row @ v = sum_i row_i * v_i``. The row h^H of a column h is
@@ -38,16 +38,6 @@ _BLOCK_ROWS = 1 << 10
 
 # Largest count numpy accepts as an array dimension.
 MAX_DIMENSION = int(np.iinfo(np.intp).max)
-
-
-def inner(a, b):
-    """Hermitian inner product sum_i conj(a_i) b_i over the last axis, so
-    (K, N) operands give the K row products."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"inner: {a.shape} vs {b.shape}")
-    return np.vecdot(a, b)
 
 
 def _check_finite(name, value):
@@ -147,16 +137,6 @@ class Design:
     @property
     def K(self):
         return self.t.shape[-1]
-
-
-def sample_rayleigh_vector(n, variance, rng):
-    """Draw a length-n vector of i.i.d. CN(0, variance) entries."""
-    if n < 1:
-        raise InvalidDimension(f"n={n} must be >= 1")
-    if variance < 0:
-        raise ValueError("variance must be >= 0")
-    scale = np.sqrt(variance / 2.0)
-    return rng.normal(0.0, 1.0, n) * scale + 1j * rng.normal(0.0, 1.0, n) * scale
 
 
 def trials_per_block(config):

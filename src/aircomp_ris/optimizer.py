@@ -3,11 +3,11 @@
 Each sensor has its own RIS and the power constraint is active, so the
 worst-case problem splits into K scalar problems, each solved globally by
 co-phasing, v_k = h_hat_k/|h_hat_k|, and the exact 1-D minimizer `t_exact`.
-Co-phasing leaves sensor k the gain a_k = ||h_hat_k||_1, so the designers
-are scalar cores: `robust_scalars` and `nonrobust_scalars` give m and t
-from (a_k, eps_k sqrt(N)), and `ris_phases` gives the phases of v. The
-paper's alternating loop (Algorithm 1) lands on this point in its first
-pass and stops after a second that changes nothing.
+Co-phasing leaves sensor k the gain a_k = ||h_hat_k||_1 (`cophased_gains`),
+so the designers are scalar cores: `robust_scalars` and `nonrobust_scalars`
+give m and t from (a_k, eps_k sqrt(N)), and `ris_phases` gives the phases
+of v. The paper's alternating loop (Algorithm 1) lands on this point in its
+first pass and stops after a second that changes nothing.
 """
 
 from __future__ import annotations
@@ -51,6 +51,13 @@ def _scalar_design(a, t_hat, P):
         raise AllZeroScalers("every channel estimate is zero")
     m, t = recover_m_t(t_hat, P)
     return Design(m=m, t=t)
+
+
+def cophased_gains(h_hat):
+    """The gains a_k = h_hat_k^H v_k = ||h_hat_k||_1 that co-phasing leaves
+    each sensor row of h_hat, summed from real planes, which round alike at
+    every numpy dispatch level."""
+    return np.sqrt(h_hat.real * h_hat.real + h_hat.imag * h_hat.imag).sum(axis=-1)
 
 
 def ris_phases(h_hat):

@@ -1,22 +1,42 @@
-"""Reference evaluators the tests check the package against: numpy's own
-seeding of a trial's generator, a stand-in generator of fixed normals, one
-sweep trial run alone, co-phasing RIS vectors and the designs of the
-scalar cores with them, the worst-case objective and the MSE at given errors
-evaluated on the full channel arrays and the design's RIS vectors, row
-norms of complex arrays, the MSE of a design on known true channels, in
-closed form and by Monte Carlo, a sampler of perturbations inside an
-uncertainty ball, the paper's alternating loop (Algorithm 1) written sensor
-by sensor with np.vdot, and the inverse of config parsing."""
+"""Reference evaluators the tests check the package against: the Hermitian
+inner product and a complex Gaussian sampler, numpy's own seeding of a
+trial's generator, a stand-in generator of fixed normals, one sweep trial
+run alone, co-phasing RIS vectors and the designs of the scalar cores with
+them, the per-sensor worst-case term, the worst-case objective and the MSE
+at given errors evaluated on the full channel arrays and the design's RIS
+vectors, row norms of complex arrays, the MSE of a design on known true
+channels, in closed form and by Monte Carlo, a sampler of perturbations
+inside an uncertainty ball, the paper's alternating loop (Algorithm 1)
+written sensor by sensor, and the inverse of config parsing."""
 
 from dataclasses import replace
 
 import numpy as np
 
-from aircomp_ris.errors import DimensionMismatch, PerturbationOutOfBall
+from aircomp_ris.errors import (
+    DimensionMismatch,
+    InvalidDimension,
+    PerturbationOutOfBall,
+)
 from aircomp_ris.experiments import _cell_entropy, _design_and_score
-from aircomp_ris.model import Design, inner, sample_rayleigh_vector, synthesize_instance
+from aircomp_ris.model import Design, synthesize_instance
 from aircomp_ris.optimizer import nonrobust_scalars, robust_scalars
-from aircomp_ris.worst_case import worst_case_term
+
+
+def inner(a, b):
+    """Hermitian inner product sum_i conj(a_i) b_i over the last axis, so
+    (K, N) operands give the K row products."""
+    return np.vecdot(a, b)
+
+
+def sample_rayleigh_vector(n, variance, rng):
+    """Draw a length-n vector of i.i.d. CN(0, variance) entries."""
+    if n < 1:
+        raise InvalidDimension(f"n={n} must be >= 1")
+    if variance < 0:
+        raise ValueError("variance must be >= 0")
+    scale = np.sqrt(variance / 2.0)
+    return rng.normal(0.0, 1.0, n) * scale + 1j * rng.normal(0.0, 1.0, n) * scale
 
 
 def seeded_rng(seed):
@@ -71,11 +91,11 @@ def cophased_design(config, h_hat, eps=None):
 
 def worst_case_objective(design, h_hat_set, eps_set, noise_var):
     """Total worst-case MSE from the channel arrays and the design's RIS
-    vectors: sum_k worst_case_term + noise_var * m^2, per trial of a
-    (..., K, N) block."""
+    vectors: sum_k ref_term + noise_var * m^2, per trial of a (..., K, N)
+    block."""
     if np.shape(h_hat_set)[-2] != design.K or np.shape(eps_set)[-1] != design.K:
         raise DimensionMismatch("h_hat_set/eps_set must have K rows")
-    terms = worst_case_term(design.t_hat, h_hat_set, design.v, eps_set)
+    terms = ref_term(design.t_hat, h_hat_set, design.v, eps_set)
     total = noise_var * np.float_power(design.m, 2) + np.sum(terms, axis=-1)
     return float(total) if np.ndim(total) == 0 else total
 
@@ -167,9 +187,11 @@ def ball_perturbation(n, radius, rng):
 
 
 def ref_term(t_hat, h, v, eps):
-    """One sensor's worst-case term (|t_hat h^H v - 1| + |t_hat| eps sqrt(N))^2."""
-    rho = t_hat * np.vdot(h, v) - 1.0
-    return (abs(rho) + abs(t_hat) * eps * np.sqrt(len(h))) ** 2
+    """The worst-case term (|t_hat h^H v - 1| + |t_hat| eps sqrt(N))^2 of one
+    sensor, or of each sensor row of (..., K, N) arrays."""
+    rho = t_hat * inner(h, v) - 1.0
+    term = (np.abs(rho) + np.abs(t_hat) * eps * np.sqrt(np.shape(h)[-1])) ** 2
+    return float(term) if np.ndim(term) == 0 else term
 
 
 def ref_iteration(config, h_hat, eps, v, t_hat):

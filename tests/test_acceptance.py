@@ -10,7 +10,6 @@ import pytest
 from oracles import (
     channel_seed,
     cophased_design,
-    mse_at_error,
     ref_loop_design,
     run_trial,
     worst_case_objective,
@@ -20,16 +19,7 @@ from aircomp_ris.cli import main
 from aircomp_ris.experiments import snr_to_noise_var
 from aircomp_ris.model import Design, SystemConfig, synthesize_instance
 from aircomp_ris.optimizer import t_exact
-from aircomp_ris.verify import random_instance
-from aircomp_ris.worst_case import (
-    brute_force_worst_case,
-    delta_worst,
-    kkt_residual,
-    lagrangian_gradient,
-    lagrangian_value,
-    lambda_worst,
-    worst_case_term,
-)
+from aircomp_ris.verify import run_suite
 
 MASTER_SEED = 20240823
 TRIALS = 200
@@ -54,74 +44,41 @@ def _non_increasing_within_2se(means, ses):
     return True
 
 
-def test_criterion_1_certificate_exactness():
+def _suite_criterion(num, name, suite, trials, seed, bound_s):
+    """Criteria 1-3: one `aircomp verify` suite on the shipped design path,
+    within its tolerances and an elapsed-time bound."""
     t0 = time.time()
-    rng = np.random.default_rng(MASTER_SEED)
-    worst_norm = worst_att = 0.0
-    for _ in range(1000):
-        t_hat, h_hat, v, eps = random_instance(rng)
-        delta = delta_worst(t_hat, h_hat, v, eps)
-        worst_norm = max(worst_norm, abs(np.linalg.norm(delta) - eps) / eps)
-        design = Design(m=1.0, t=np.array([t_hat]), v=np.array([v]))
-        attained = mse_at_error(design, h_hat[None, :], delta[None, :], 0.0)
-        term = worst_case_term(t_hat, h_hat, v, eps)
-        worst_att = max(worst_att, abs(attained - term) / term)
+    rep = run_suite(suite, trials, seed)
     elapsed = time.time() - t0
     report(
-        1,
-        "worst-case certificate exactness",
-        worst_norm <= 1e-10 and worst_att <= 1e-10 and elapsed < 10,
-        f"(norm dev {worst_norm:.2e}, attain dev {worst_att:.2e}, {elapsed:.1f}s)",
+        num,
+        name,
+        rep.passed and elapsed < bound_s,
+        f"({rep.failures} failing of {trials} trials, worst deviation "
+        f"{rep.worst_deviation:.2e} at tolerance {rep.tolerance:.0e}, {elapsed:.1f}s)",
+    )
+
+
+def test_criterion_1_certificate_exactness():
+    _suite_criterion(
+        1, "worst-case certificate exactness", "worstcase", 1000, MASTER_SEED, 10
     )
 
 
 def test_criterion_2_oracle_equivalence():
-    t0 = time.time()
-    rng = np.random.default_rng(MASTER_SEED + 1)
-    worst_gap = 0.0
-    overshoot = 0.0
-    for _ in range(1000):
-        t_hat, h_hat, v, eps = random_instance(rng)
-        term = worst_case_term(t_hat, h_hat, v, eps)
-        found = brute_force_worst_case(t_hat, h_hat, v, eps, 10**4, 50, rng)
-        overshoot = max(overshoot, found - term)
-        worst_gap = max(worst_gap, (term - found) / term)
-    elapsed = time.time() - t0
-    report(
-        2,
-        "brute-force oracle equivalence",
-        overshoot <= 1e-9 and worst_gap <= 0.01 and elapsed < 60,
-        f"(overshoot {overshoot:.2e}, rel gap {worst_gap:.2e}, {elapsed:.1f}s)",
+    _suite_criterion(
+        2, "brute-force oracle equivalence", "oracle", 300, MASTER_SEED + 1, 60
     )
 
 
 def test_criterion_3_kkt_stationarity():
-    t0 = time.time()
-    rng = np.random.default_rng(MASTER_SEED + 2)
-    worst_res = worst_fd = 0.0
-    step = 1e-6
-    for _ in range(100):
-        t_hat, h_hat, v, eps = random_instance(rng)
-        lam = lambda_worst(t_hat, h_hat, v, eps)
-        delta = delta_worst(t_hat, h_hat, v, eps)
-        worst_res = max(worst_res, kkt_residual(t_hat, h_hat, v, eps, delta, lam))
-        grad = lagrangian_gradient(t_hat, h_hat, v, delta, lam)
-        for i in range(len(delta)):
-            for direction, part in ((1.0, np.real), (1j, np.imag)):
-                dp, dm = delta.copy(), delta.copy()
-                dp[i] += direction * step
-                dm[i] -= direction * step
-                fd = (
-                    lagrangian_value(t_hat, h_hat, v, eps, dp, lam)
-                    - lagrangian_value(t_hat, h_hat, v, eps, dm, lam)
-                ) / (2 * step)
-                worst_fd = max(worst_fd, abs(fd - 2 * part(grad[i])))
-    elapsed = time.time() - t0
-    report(
+    _suite_criterion(
         3,
         "KKT stationarity and finite-difference gradient",
-        worst_res <= 1e-8 and worst_fd <= 1e-5 and elapsed < 10,
-        f"(residual {worst_res:.2e}, fd dev {worst_fd:.2e}, {elapsed:.1f}s)",
+        "kkt",
+        100,
+        MASTER_SEED + 2,
+        10,
     )
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import serialize_config
 
+from aircomp_ris import optimizer, verify
 from aircomp_ris.cli import main, records_to_csv
 from aircomp_ris.config import ConfigError, load_config, parse_config
 from aircomp_ris.experiments import AggregateRecord, snr_to_noise_var
@@ -420,21 +422,44 @@ class TestVerifyCommand:
     def test_zero_trials_invalid(self):
         assert main(["verify", "--suite", "oracle", "--trials", "0"]) == 1
 
-    def test_kkt_reports_finite_difference_deviation(self, monkeypatch, capsys):
-        import aircomp_ris.verify as verify
+    def test_run_suite_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="trials"):
+            verify.run_suite("kkt", 0, 1)
+        with pytest.raises(ValueError, match="seed"):
+            verify.run_suite("kkt", 1, -1)
 
-        real = verify.lagrangian_gradient
-        # a wrong analytic gradient fails only the finite-difference check
-        monkeypatch.setattr(
-            verify, "lagrangian_gradient", lambda *args: real(*args) + 1e-3
-        )
-        assert main(["verify", "--suite", "kkt", "--trials", "5", "--seed", "1"]) == 4
+    # each suite fails on a mutated copy of the shipped design path
+    def fails(self, capsys, suite):
+        assert main(["verify", "--suite", suite, "--trials", "20", "--seed", "1"]) == 4
         out = capsys.readouterr().out
-        assert out.startswith("FAIL suite=kkt")
+        assert out.startswith(f"FAIL suite={suite} ")
         fields = dict(item.split("=") for item in out.split()[1:])
-        assert int(fields["failures"]) == 5
+        assert int(fields["failures"]) > 0
         assert float(fields["worst_deviation"]) > float(fields["tolerance"])
 
+    def test_t_exact_without_its_clip_fails_oracle(self, monkeypatch, capsys):
+        def unclipped(a, eps_rootN, noise_var, P):
+            b = np.asarray(a - eps_rootN, dtype=float)
+            tau = np.zeros_like(b)
+            return np.divide(b, b * b + noise_var / P, out=tau, where=b > 0)
+
+        monkeypatch.setattr(optimizer, "t_exact", unclipped)
+        self.fails(capsys, "oracle")
+
+    def test_scaled_multiplier_fails_kkt(self, monkeypatch, capsys):
+        real = verify.certificate
+
+        def scaled(*args):
+            cert = real(*args)
+            return replace(cert, lambdas=cert.lambdas * 1.01)
+
+        monkeypatch.setattr(verify, "certificate", scaled)
+        self.fails(capsys, "kkt")
+
+    def test_offset_phases_fail_worstcase(self, monkeypatch, capsys):
+        real = verify.ris_phases
+        monkeypatch.setattr(verify, "ris_phases", lambda h_hat: real(h_hat) + 0.3)
+        self.fails(capsys, "worstcase")
 
 
 class TestUsageErrors:

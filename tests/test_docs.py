@@ -1,8 +1,13 @@
 """README examples and tables checked against the code they document."""
 
+import inspect
 import re
+from importlib import import_module
 from pathlib import Path
 
+import aircomp_ris
+from aircomp_ris import verify
+from aircomp_ris.cli import main
 from aircomp_ris.experiments import SCHEMES
 from aircomp_ris.model import (
     _DRAW_BLOCK,
@@ -18,21 +23,78 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
 )
 
 
-def table_rows(header):
-    """First cells of the markdown table that starts with the header line."""
+def table(header):
+    """Rows, as lists of cells, of the markdown table that starts with the
+    header line."""
     lines = README.split("\n")
     start = lines.index(header) + 2  # skip the header and its separator
     rows = []
     for line in lines[start:]:
         if not line.startswith("|"):
             break
-        rows.append(line.split("|")[1].strip().strip("`"))
+        rows.append([cell.strip() for cell in line.split("|")[1:-1]])
     return rows
 
 
-def test_verify_examples_name_real_suites():
-    named = re.findall(r"aircomp verify --suite (\w+)", README)
-    assert named and set(named) <= set(SUITES)
+def table_rows(header):
+    """First cells of the markdown table that starts with the header line."""
+    return [row[0].strip("`") for row in table(header)]
+
+
+def verify_examples():
+    """The argv of every `aircomp verify` example in README."""
+    return [
+        ["verify", *args.split()]
+        for args in re.findall(r"aircomp verify ((?:--\w+ \w+ ?)+)", README)
+    ]
+
+
+def test_verify_examples_name_real_suites(capsys):
+    examples = verify_examples()
+    assert sorted(argv[2] for argv in examples) == sorted(SUITES)
+    for argv in examples:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out.startswith(f"PASS suite={argv[2]} "), argv
+
+
+def test_worstcase_example_meets_every_regime(monkeypatch):
+    """The README's worstcase example designs sensors in each branch of
+    t_exact: silenced (a <= eps sqrt(N)), clipped at 1/a, and interior."""
+    seen = set()
+    real = verify.robust_scalars
+
+    def spy(config, a, eps_rootN):
+        c = config.noise_var / config.P
+        for b, gain in zip(a - eps_rootN, a):
+            clipped = b > 0 and b / (b * b + c) >= 1.0 / gain
+            seen.add("silenced" if b <= 0 else "clipped" if clipped else "interior")
+        return real(config, a, eps_rootN)
+
+    monkeypatch.setattr(verify, "robust_scalars", spy)
+    (argv,) = [argv for argv in verify_examples() if "worstcase" in argv]
+    assert main(argv) == 0
+    assert seen == {"silenced", "clipped", "interior"}
+
+
+def test_root_exports_the_table_functions_and_classes():
+    """README: the package root exports the function and class names in the
+    "What's in the box" table, and no others."""
+
+    def api(names, namespace):
+        return {
+            name
+            for name in names
+            if inspect.isfunction(getattr(namespace, name, None))
+            or inspect.isclass(getattr(namespace, name, None))
+        }
+
+    named = set()
+    for modules, contents in table("| Module | Contents |"):
+        names = re.findall(r"`(\w+)`", contents)
+        for module in re.findall(r"`(?:aircomp_ris\.)?(\w+)`", modules):
+            named |= api(names, import_module(f"aircomp_ris.{module}"))
+    exported = api([n for n in vars(aircomp_ris) if not n.startswith("_")], aircomp_ris)
+    assert exported == named
 
 
 def test_scheme_table_lists_every_scheme():

@@ -12,8 +12,10 @@ from oracles import (
     closed_form_mse,
     cophase,
     empirical_mse,
+    inner,
     mse_at_error,
     row_norms,
+    sample_rayleigh_vector,
     seeded_rng,
 )
 
@@ -23,8 +25,6 @@ from aircomp_ris.model import (
     ChannelInstance,
     Design,
     SystemConfig,
-    inner,
-    sample_rayleigh_vector,
     synthesize_instance,
     trials_per_block,
 )

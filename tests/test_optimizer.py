@@ -3,16 +3,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import cophased_design, ref_loop, ref_loop_design, worst_case_objective
+from oracles import (
+    cophased_design,
+    inner,
+    ref_loop,
+    ref_loop_design,
+    sample_rayleigh_vector,
+    worst_case_objective,
+)
 
 from aircomp_ris.errors import AllZeroScalers
-from aircomp_ris.model import (
-    Design,
-    SystemConfig,
-    inner,
-    sample_rayleigh_vector,
-    synthesize_instance,
-)
+from aircomp_ris.model import Design, SystemConfig, synthesize_instance
 from aircomp_ris.optimizer import recover_m_t, ris_phases, t_exact
 
 

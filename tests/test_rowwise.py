@@ -1,5 +1,5 @@
 """The row-wise evaluators, the certificate and the closed-form design
-against per-sensor loops written with np.vdot, including the degenerate
+against per-sensor loops, including the degenerate
 cases: eps = 0, t_hat = 0, zero channel entries and K = 1."""
 
 import numpy as np
@@ -17,7 +17,7 @@ from oracles import (
 )
 
 from aircomp_ris.model import Design, SystemConfig
-from aircomp_ris.worst_case import certificate, delta_worst
+from aircomp_ris.worst_case import certificate
 
 RTOL = 1e-12
 
@@ -54,23 +54,9 @@ def test_objective_and_certificate_match_loops(problem):
     design, h_hat, eps, noise_var, _ = problem
     K, N = h_hat.shape
     t_hat = design.t_hat
-    terms, deltas = [], []
-    for k in range(K):
-        rho = t_hat[k] * np.vdot(h_hat[k], design.v[k]) - 1.0
-        terms.append(ref_term(t_hat[k], h_hat[k], design.v[k], eps[k]))
-        at = abs(t_hat[k])
-        w = np.conj(t_hat[k]) * rho
-        if abs(w) > 0:
-            u = w / abs(w)
-        elif at > 0:
-            u = np.conj(t_hat[k]) / at
-        else:
-            u = 1.0
-        deltas.append(eps[k] / np.sqrt(N) * u * np.conj(design.v[k]))
+    terms = [ref_term(t_hat[k], h_hat[k], design.v[k], eps[k]) for k in range(K)]
     total = noise_var * design.m**2 + sum(terms)
-
     close(worst_case_objective(design, h_hat, eps, noise_var), total)
-    close(delta_worst(t_hat, h_hat, design.v, eps), np.array(deltas).reshape(K, N))
 
     # the certificate is that of the co-phased v, built from a_k = ||h_hat_k||_1
     v = cophase(h_hat)
@@ -116,8 +102,6 @@ def test_single_sensor_loop_and_rows_agree():
     # h^H v = 2 = ||h||_1: v co-phases h where h is nonzero
     cert = certificate(design, np.array([2.0]), np.array([0.3]), 2, 0.1)
     assert cert.total == pytest.approx(expected)
-    delta = delta_worst(design.t_hat, h, v, np.array([0.3]))
-    assert np.linalg.norm(delta[0]) == pytest.approx(0.3)
     config = SystemConfig(K=1, N=2, P=1.0, noise_var=0.1)
     eps = np.array([0.3])
     got = cophased_design(config, h, eps)
