@@ -1,7 +1,7 @@
 """Worst-case robust transceiver and RIS phase design for over-the-air
 computation under bounded CSI error."""
 
-from .model import ChannelInstance, Design, SystemConfig, synthesize_instance
+from .model import Design, SystemConfig, synthesize_instance
 from .optimizer import nonrobust_scalars, robust_scalars
 from .worst_case import WorstCaseCert, certificate
 

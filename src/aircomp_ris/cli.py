@@ -79,8 +79,7 @@ def cmd_solve(config_path, out_path):
         if cfg.instance is not None:
             h_hat, eps = cfg.instance
         else:
-            inst = synthesize_instance(system, np.random.default_rng(cfg.master_seed))
-            h_hat, eps = inst.h_hat, inst.eps
+            h_hat, eps = synthesize_instance(system, np.random.default_rng(cfg.master_seed))
         a = cophased_gains(h_hat)
         design = robust_scalars(system, a, eps * np.sqrt(system.N))
         cert = certificate(design, a, eps, system.N, system.noise_var)

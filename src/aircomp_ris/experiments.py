@@ -67,6 +67,11 @@ class SweepSpec:
             raise ValueError(f"values and s_values must be finite: {exc}") from exc
         if not np.isfinite(numbers).all():
             raise ValueError("values and s_values must be finite")
+        s_values = self.s_values or [self.base.s]
+        multiple_s = len(s_values) > 1
+        labels = [scheme_label(x, s, multiple_s) for s in s_values for x in self.schemes]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"sweep rows must have distinct labels, got {labels}")
         if self.kind in ("n", "k"):
             if not all(
                 float(v).is_integer() and 1 <= v <= MAX_DIMENSION for v in self.values
@@ -78,7 +83,7 @@ class SweepSpec:
             self.values = [int(v) for v in self.values]
         # every cell's SystemConfig checks its own ranges, s >= 0 among them
         for value in self.values:
-            for s in self.s_values or [self.base.s]:
+            for s in s_values:
                 _config_at(self.base, self.kind, value, s)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDimension
+from .errors import InvalidDimension
 
 EVAL_MODES = ("worst", "realized")
 ERROR_SAMPLING_MODES = ("surface", "interior")
@@ -85,35 +85,6 @@ class SystemConfig:
             raise ValueError(
                 f"error_sampling must be one of {ERROR_SAMPLING_MODES}"
             )
-
-
-@dataclass
-class ChannelInstance:
-    """Per-sensor channels of Monte Carlo draws, over any leading trial axes.
-
-    h_hat is the (..., K, N) estimate available to the designer, deltas the
-    (..., K, N) row perturbations and eps the (..., K) radii bounding them.
-    The true channel has row(h_k) = row(h_hat_k) + delta_k.
-    """
-
-    h_hat: np.ndarray
-    eps: np.ndarray
-    deltas: np.ndarray
-
-    def __post_init__(self):
-        if self.deltas.shape != self.h_hat.shape:
-            raise DimensionMismatch(
-                f"channel arrays disagree: {self.h_hat.shape} vs {self.deltas.shape}"
-            )
-        if self.eps.shape != self.h_hat.shape[:-1]:
-            raise DimensionMismatch("eps must hold one radius per channel row")
-        if np.any(self.eps < 0):
-            raise ValueError("eps must be >= 0")
-
-    @property
-    def h(self):
-        """The true channel, rebuilt from the estimate to within rounding."""
-        return self.h_hat + np.conj(self.deltas)
 
 
 @dataclass
@@ -191,10 +162,10 @@ def _run_ranges(fn, ranges):
 
 
 def synthesize_instance(config, rng, gains_only=False):
-    """Draw a ChannelInstance: Rayleigh segments g_k (RIS->receiver) and
-    r_k (sensor->RIS) give true channels with row(h_k) = conj(g_k) * r_k,
-    and estimates row(h_hat_k) = row(h_k) - delta_k for a bounded error
-    delta_k of radius eps_k = s*||h_k||.
+    """Draw what the designer sees, (h_hat, eps): Rayleigh segments g_k
+    (RIS->receiver) and r_k (sensor->RIS) give true channels with row(h_k)
+    = conj(g_k) * r_k, and estimates row(h_hat_k) = row(h_k) - delta_k for
+    a bounded error delta_k of radius eps_k = s*||h_k||.
 
     With gains_only, return instead the per-sensor scalars that score the
     co-phased designs of config.eval_mode, v_k = h_hat_k/|h_hat_k| (1 where
@@ -244,7 +215,6 @@ def synthesize_instance(config, rng, gains_only=False):
         c, delta_norms = np.zeros(rows, dtype=complex), np.zeros(rows)
     else:
         h_hat = np.empty((rows, N), dtype=complex)
-        deltas = np.zeros_like(h_hat)
 
     def draw(trial_lo, trial_hi):
         """Draw trials [trial_lo, trial_hi) into their rows, chunk by chunk."""
@@ -295,8 +265,6 @@ def synthesize_instance(config, rng, gains_only=False):
                     delta_norms[lo:hi] = np.sqrt(sq)
                 continue
             h_hat.real[lo:hi], h_hat.imag[lo:hi] = h_re, h_im
-            if robust:
-                deltas.real[lo:hi], deltas.imag[lo:hi] = del_re, del_im
 
     _run_ranges(draw, ranges)
     lead = (len(rngs), K) if batched else (K,)
@@ -304,4 +272,4 @@ def synthesize_instance(config, rng, gains_only=False):
     if gains_only:
         more = (c.reshape(lead), delta_norms.reshape(lead)) if realized else ()
         return gains.reshape(lead), eps, *more
-    return ChannelInstance(h_hat.reshape(*lead, N), eps, deltas.reshape(*lead, N))
+    return h_hat.reshape(*lead, N), eps

@@ -50,15 +50,15 @@ def _sensors(rng):
         noise_var=float(rng.uniform(0.01, 2.0)),
         s=float(rng.uniform(0.05, 1.2)),
     )
-    inst = synthesize_instance(config, rng)
-    a = cophased_gains(inst.h_hat)
-    design = robust_scalars(config, a, inst.eps * np.sqrt(N))
-    cert = certificate(design, a, inst.eps, N, config.noise_var)
-    v = np.exp(1j * ris_phases(inst.h_hat))
+    h_hat, eps = synthesize_instance(config, rng)
+    a = cophased_gains(h_hat)
+    design = robust_scalars(config, a, eps * np.sqrt(N))
+    cert = certificate(design, a, eps, N, config.noise_var)
+    v = np.exp(1j * ris_phases(h_hat))
     c = config.noise_var / config.P
     for k in range(K):
         t_hat, term, lam = design.t_hat[k], cert.terms[k], cert.lambdas[k]
-        yield t_hat, inst.h_hat[k], v[k], inst.eps[k], a[k], c, term, lam
+        yield t_hat, h_hat[k], v[k], eps[k], a[k], c, term, lam
 
 
 def _delta_worst(t_hat, h_hat, v, eps):

@@ -1,13 +1,16 @@
 """Reference evaluators the tests check the package against: the Hermitian
 inner product and a complex Gaussian sampler, numpy's own seeding of a
-trial's generator, a stand-in generator of fixed normals, one sweep trial
-run alone, co-phasing RIS vectors and the designs of the scalar cores with
-them, the per-sensor worst-case term, the worst-case objective and the MSE
-at given errors evaluated on the full channel arrays and the design's RIS
-vectors, row norms of complex arrays, the MSE of a design on known true
-channels, in closed form and by Monte Carlo, a sampler of perturbations
-inside an uncertainty ball, the paper's alternating loop (Algorithm 1)
-written sensor by sensor, and the inverse of config parsing."""
+trial's generator, a stand-in generator of fixed normals, channel
+synthesis drawn sensor by sensor in complex numpy, which also gives the
+true channels and errors that synthesize_instance does not return, one
+sweep trial run alone, co-phasing RIS vectors and the designs of the
+scalar cores with them, the per-sensor worst-case term, the worst-case
+objective and the MSE at given errors evaluated on the full channel arrays
+and the design's RIS vectors, row norms of complex arrays, the MSE of a
+design on known true channels, in closed form and by Monte Carlo, a
+sampler of perturbations inside an uncertainty ball, the paper's
+alternating loop (Algorithm 1) written sensor by sensor, and the inverse
+of config parsing."""
 
 from dataclasses import replace
 
@@ -48,10 +51,50 @@ class FixedNormals:
     """Stands in for a Generator whose normal stream is the given values."""
 
     def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
+        self.values = np.asarray(values, dtype=float).ravel()
+        self.drawn = 0
+
+    def _next(self, n):
+        self.drawn += n
+        return self.values[self.drawn - n : self.drawn]
 
     def standard_normal(self, out):
-        out[...] = self.values.reshape(out.shape)
+        out[...] = self._next(out.size).reshape(out.shape)
+
+    def normal(self, loc, scale, size):
+        return loc + scale * self._next(size)
+
+
+def reference_synthesis(config, rng):
+    """synthesize_instance's draw written sensor by sensor in plain complex
+    numpy: g_k and r_k, then for eps_k > 0 the error direction and, for
+    interior errors, one uniform for its radius. Returns (g, r, h, h_hat,
+    eps, deltas) with h = g * conj(r) and h_hat = h - conj(deltas); for a
+    sequence of generators, one per trial, each array gains a trial axis."""
+    if isinstance(rng, (list, tuple)):
+        trials = [reference_synthesis(config, gen) for gen in rng]
+        return tuple(np.stack(arrays) for arrays in zip(*trials))
+    K, N = config.K, config.N
+    seg = np.sqrt(config.channel_var / 2.0)
+    g = np.empty((K, N), dtype=complex)
+    r = np.empty_like(g)
+    deltas = np.zeros_like(g)
+    eps = np.empty(K)
+    for k in range(K):
+        g[k] = rng.normal(0.0, 1.0, N) * seg + 1j * rng.normal(0.0, 1.0, N) * seg
+        r[k] = rng.normal(0.0, 1.0, N) * seg + 1j * rng.normal(0.0, 1.0, N) * seg
+        eps[k] = config.s * np.linalg.norm(g[k] * np.conj(r[k]))
+        if eps[k] > 0:
+            scale = np.sqrt(0.5)
+            d = rng.normal(0.0, 1.0, N) * scale + 1j * rng.normal(0.0, 1.0, N) * scale
+            d = d / np.linalg.norm(d)
+            if config.error_sampling == "interior":
+                d = eps[k] * rng.uniform() ** (1.0 / (2 * N)) * d
+            else:
+                d = eps[k] * d
+            deltas[k] = d
+    h = g * np.conj(r)
+    return g, r, h, h - np.conj(deltas), eps, deltas
 
 
 def channel_seed(master_seed, kind, value_index, s_index, trial):

@@ -262,18 +262,18 @@ def test_criterion_11_closed_form_global_optimum():
         config = SystemConfig(
             K=4, N=8, P=10.0, noise_var=1.0, s=float(rng.uniform(0.2, 0.6))
         )
-        inst = synthesize_instance(config, rng)
+        h_hat, eps = synthesize_instance(config, rng)
 
         def objective(design):
-            return worst_case_objective(design, inst.h_hat, inst.eps, config.noise_var)
+            return worst_case_objective(design, h_hat, eps, config.noise_var)
 
-        best = objective(cophased_design(config, inst.h_hat, inst.eps))
+        best = objective(cophased_design(config, h_hat, eps))
         others = [
-            objective(cophased_design(config, inst.h_hat)),
-            objective(ref_loop_design(config, inst.h_hat, inst.eps)),
+            objective(cophased_design(config, h_hat)),
+            objective(ref_loop_design(config, h_hat, eps)),
         ]
         # random feasible designs: random phases, |t_hat_k| on a grid
-        grid = np.linspace(0.0, 2.0 / np.abs(inst.h_hat).sum(axis=1).min(), 1001)
+        grid = np.linspace(0.0, 2.0 / np.abs(h_hat).sum(axis=1).min(), 1001)
         for _ in range(100):
             t_hat = grid[rng.integers(len(grid), size=config.K)] * np.exp(
                 1j * rng.uniform(0.0, 2.0 * np.pi, config.K)

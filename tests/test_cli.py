@@ -398,6 +398,30 @@ class TestSweep:
             outputs.append((csv_out.read_bytes(), design.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "schemes, s_values, label",
+        [
+            (["multistart", "nonrobust", "multistart"], None, "multistart"),
+            # {s:g} prints both as 0.4
+            (["multistart"], [0.4, 0.4000001], "multistart|s=0.4"),
+        ],
+        ids=["repeated_scheme", "s_values_alike"],
+    )
+    def test_rows_sharing_a_label_rejected(
+        self, tmp_path, capsys, schemes, s_values, label
+    ):
+        raw = sweep_config(schemes=schemes)
+        if s_values:
+            raw["sweep"]["s_values"] = s_values
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        out, svg = tmp_path / "r.csv", tmp_path / "r.svg"
+        argv = ["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]
+        assert main([*argv, "--plot", str(svg)]) == 1
+        assert not out.exists() and not svg.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep rows must have distinct labels")
+        assert err.count(repr(label)) == 2
+
     def test_missing_sweep_section(self, tmp_path):
         raw = golden_solve_config()
         cfg = write_json(tmp_path / "cfg.json", raw)

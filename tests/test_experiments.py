@@ -458,8 +458,8 @@ def test_algorithm1_passes_pinned_by_reference_loop():
     rng = np.random.default_rng(17)
     for s in (0.0, 0.3, 0.8, 3.0):
         config = base_config(K=4, N=5, s=s, noise_var=float(rng.uniform(0.0, 2.0)))
-        inst = synthesize_instance(config, rng)
-        _, _, objectives = ref_loop(config, inst.h_hat, inst.eps)
+        h_hat, eps = synthesize_instance(config, rng)
+        _, _, objectives = ref_loop(config, h_hat, eps)
         assert len(objectives) == ALGORITHM1_PASSES == 2
 
 

@@ -1,3 +1,4 @@
+import copy
 import sys
 import threading
 from dataclasses import replace
@@ -14,15 +15,15 @@ from oracles import (
     empirical_mse,
     inner,
     mse_at_error,
+    reference_synthesis,
     row_norms,
     sample_rayleigh_vector,
     seeded_rng,
 )
 
 from aircomp_ris import model
-from aircomp_ris.errors import DimensionMismatch, InvalidDimension
+from aircomp_ris.errors import InvalidDimension
 from aircomp_ris.model import (
-    ChannelInstance,
     Design,
     SystemConfig,
     synthesize_instance,
@@ -35,10 +36,31 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def draw(rng, K=4, N=6, s=0.3, sampling="surface"):
-    config = SystemConfig(K=K, N=N, P=1.0, noise_var=0.1, s=s, error_sampling=sampling)
-    inst = synthesize_instance(config, rng)
-    return inst, inst.deltas
+def small_config(K=4, N=6, s=0.3, sampling="surface"):
+    return SystemConfig(K=K, N=N, P=1.0, noise_var=0.1, s=s, error_sampling=sampling)
+
+
+def draw_errors(rng, **kw):
+    """The radii and the realized-mode scalars of the errors, (eps, c,
+    ||delta||)."""
+    config = replace(small_config(**kw), eval_mode="realized")
+    return synthesize_instance(config, rng, gains_only=True)[1:]
+
+
+def draw_with_reference(rng, **kw):
+    """synthesize_instance's (h_hat, eps) and reference_synthesis of the
+    same stream."""
+    config = small_config(**kw)
+    reference = reference_synthesis(config, copy.deepcopy(rng))
+    return synthesize_instance(config, rng), reference
+
+
+def assert_errors_match(c, delta_norms, h_hat, deltas):
+    """Realized-mode scalars against reference arrays: c_k = delta_k @ v_k
+    for the co-phasing v_k of h_hat_k, and the errors' norms."""
+    want_c = np.sum(deltas * cophase(h_hat), axis=-1)
+    np.testing.assert_allclose(c, want_c, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(delta_norms, row_norms(deltas), rtol=1e-13)
 
 
 class TestSampleRayleigh:
@@ -51,12 +73,12 @@ class TestSampleRayleigh:
             sample_rayleigh_vector(0, 1.0, rng)
 
     def test_per_entry_variance(self, rng):
-        draws = np.array([sample_rayleigh_vector(1, 0.5, rng)[0] for _ in range(10**5)])
+        draws = sample_rayleigh_vector(10**5, 0.5, rng)
         var = np.mean(np.abs(draws) ** 2)
         assert abs(var - 0.5) / 0.5 < 0.02
 
     def test_cross_entry_independence(self, rng):
-        draws = np.array([sample_rayleigh_vector(4, 1.0, rng) for _ in range(10**5)])
+        draws = sample_rayleigh_vector(4 * 10**5, 1.0, rng).reshape(10**5, 4)
         corr = draws.T @ np.conj(draws) / draws.shape[0]
         off = corr - np.diag(np.diag(corr))
         assert np.max(np.abs(off)) < 0.02
@@ -65,38 +87,34 @@ class TestSampleRayleigh:
 class TestCascade:
     """The synthesized true channel is the cascade row(h) = conj(g) * r."""
 
-    # channel_var 2 makes the segments the raw normals: g = re + 1j * im
+    # channel_var 2 makes the segments the raw normals: g = re + 1j * im;
+    # s = 0, so the estimate is the true channel
     unit = dict(K=1, P=1.0, noise_var=0.1, channel_var=2.0)
 
     def test_hand_example(self):
         # g = 1j, r = 2
         config = SystemConfig(N=1, **self.unit)
-        inst = synthesize_instance(config, FixedNormals([0.0, 1.0, 2.0, 0.0]))
-        assert inst.h[0, 0] == pytest.approx(2j)
+        h, _ = synthesize_instance(config, FixedNormals([0.0, 1.0, 2.0, 0.0]))
+        assert h[0, 0] == pytest.approx(2j)
         # row(h) must be conj(g)*r
-        assert np.conj(inst.h)[0, 0] == pytest.approx(-2j)
+        assert np.conj(h)[0, 0] == pytest.approx(-2j)
 
     def test_all_ones_reflector(self, rng):
         g = rng.normal(size=(2, 5))
         config = SystemConfig(N=5, **self.unit)
         normals = np.concatenate([g, np.ones((1, 5)), np.zeros((1, 5))])
-        inst = synthesize_instance(config, FixedNormals(normals))
-        assert np.allclose(inst.h[0], g[0] + 1j * g[1])
+        h, _ = synthesize_instance(config, FixedNormals(normals))
+        assert np.allclose(h[0], g[0] + 1j * g[1])
 
     def test_inner_product_expansion(self, rng):
         config = SystemConfig(K=3, N=4, P=1.0, noise_var=0.1, s=0.2)
-        inst = synthesize_instance(config, np.random.default_rng(5))
-        g, r = reference_synthesis(config, np.random.default_rng(5))[:2]
+        h_hat, _ = synthesize_instance(config, np.random.default_rng(5))
+        g, r, *_, deltas = reference_synthesis(config, np.random.default_rng(5))
+        h = h_hat + np.conj(deltas)
         for _ in range(100):
             v = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
             direct = np.sum(np.conj(g) * r * v, axis=1)
-            assert np.max(np.abs(inner(inst.h, v) - direct)) < 1e-12
-
-
-class TestChannelInstance:
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            ChannelInstance(h_hat=np.ones((2, 3)), eps=np.zeros(2), deltas=np.ones((2, 2)))
+            assert np.max(np.abs(inner(h, v) - direct)) < 1e-12
 
 
 class TestEpsilon:
@@ -115,42 +133,45 @@ class TestEpsilon:
         # g = 1j, r = 2: h = 2j has norm 2
         config = SystemConfig(s=0.4, **self.unit)
         normals = [0.0, 1.0, 2.0, 0.0, 1.0, 0.0]
-        assert synthesize_instance(config, FixedNormals(normals)).eps[0] == 0.8
+        assert synthesize_instance(config, FixedNormals(normals))[1][0] == 0.8
         _, eps = synthesize_instance(config, FixedNormals(normals), gains_only=True)
         assert eps[0] == 0.8
 
     def test_monotone_in_s(self):
         def radii(s):
             config = SystemConfig(K=5, N=6, P=1.0, noise_var=0.1, s=s)
-            return synthesize_instance(config, np.random.default_rng(8)).eps
+            return synthesize_instance(config, np.random.default_rng(8))[1]
 
         assert np.all(radii(0.6) > radii(0.4))
         np.testing.assert_allclose(radii(0.6) / radii(0.4), 1.5, rtol=1e-15)
 
 
 class TestBoundedError:
-    """The row perturbations synthesize_instance draws: delta_k on the
-    eps_k-sphere ("surface") or uniform over the eps_k-ball ("interior")."""
+    """The row perturbations synthesize_instance draws, read from their
+    realized-mode norms: delta_k on the eps_k-sphere ("surface") or uniform
+    over the eps_k-ball ("interior")."""
 
     def test_zero_radius(self, rng):
-        inst, deltas = draw(rng, s=0.0)
-        assert np.all(inst.eps == 0) and np.all(deltas == 0)
+        eps, c, delta_norms = draw_errors(rng, s=0.0)
+        assert np.all(eps == 0) and np.all(c == 0) and np.all(delta_norms == 0)
 
     def test_surface_norm(self, rng):
-        inst, deltas = draw(rng, K=6, N=5, s=0.8)
-        np.testing.assert_allclose(row_norms(deltas), inst.eps, rtol=1e-12)
+        eps, _, delta_norms = draw_errors(rng, K=6, N=5, s=0.8)
+        np.testing.assert_allclose(delta_norms, eps, rtol=1e-12)
 
     def test_interior_never_exceeds(self, rng):
-        inst, deltas = draw(rng, K=200, N=3, s=0.7, sampling="interior")
-        assert np.all(row_norms(deltas) <= inst.eps * (1 + 1e-12))
+        eps, _, delta_norms = draw_errors(rng, K=200, N=3, s=0.7, sampling="interior")
+        assert np.all(delta_norms <= eps * (1 + 1e-12))
 
     def test_interior_ball_volume_law(self, rng):
         # (norm/eps)^(2N) should be uniform on [0, 1]
         N, draws = 2, 10**5
         u = []
         for _ in range(draws // 10**4):
-            inst, deltas = draw(rng, K=10**4, N=N, s=0.5, sampling="interior")
-            u.append((row_norms(deltas) / inst.eps) ** (2 * N))
+            eps, _, delta_norms = draw_errors(
+                rng, K=10**4, N=N, s=0.5, sampling="interior"
+            )
+            u.append((delta_norms / eps) ** (2 * N))
         u = np.concatenate(u)
         grid = np.linspace(0, 1, 201)
         ecdf = np.searchsorted(np.sort(u), grid, side="right") / draws
@@ -159,20 +180,22 @@ class TestBoundedError:
 
 class TestApplyError:
     """Synthesis perturbs the estimate by the drawn rows:
-    row(h_hat_k) = row(h_k) - delta_k."""
+    row(h_hat_k) = row(h_k) - delta_k, with the true channels and errors
+    of reference_synthesis."""
 
     def test_zero_delta(self, rng):
-        inst, _ = draw(rng, s=0.0)
-        assert np.array_equal(inst.h_hat, inst.h)
+        (h_hat, eps), (*_, h, _, _, deltas) = draw_with_reference(rng, s=0.0)
+        assert np.all(eps == 0) and np.all(deltas == 0)
+        np.testing.assert_allclose(h_hat, h, rtol=1e-13, atol=0)
 
     def test_round_trip(self, rng):
-        inst, deltas = draw(rng)
-        recovered = np.conj(inst.h) - np.conj(inst.h_hat)
+        (h_hat, _), (*_, h, _, _, deltas) = draw_with_reference(rng)
+        recovered = np.conj(h) - np.conj(h_hat)
         assert np.allclose(recovered, deltas, atol=0)
 
     def test_isometry(self, rng):
-        inst, deltas = draw(rng)
-        gap = np.linalg.norm(np.conj(inst.h) - np.conj(inst.h_hat), axis=1)
+        (h_hat, _), (*_, h, _, _, deltas) = draw_with_reference(rng)
+        gap = np.linalg.norm(np.conj(h) - np.conj(h_hat), axis=1)
         np.testing.assert_allclose(gap, row_norms(deltas), rtol=1e-7)
 
 
@@ -185,8 +208,11 @@ class TestApplyError:
 )
 @settings(max_examples=100, deadline=None)
 def test_apply_error_round_trip_property(K, N, s, sampling, seed):
-    inst, deltas = draw(np.random.default_rng(seed), K, N, s, sampling)
-    assert np.allclose(np.conj(inst.h) - np.conj(inst.h_hat), deltas, atol=1e-15)
+    rng = np.random.default_rng(seed)
+    (h_hat, _), (*_, h, _, _, deltas) = draw_with_reference(
+        rng, K=K, N=N, s=s, sampling=sampling
+    )
+    assert np.allclose(np.conj(h) - np.conj(h_hat), deltas, atol=1e-15)
 
 
 def _aligned_design(channels, m=1.0):
@@ -214,15 +240,15 @@ class TestEmpiricalMse:
 
     def test_matches_closed_form(self, rng):
         config = SystemConfig(K=3, N=4, P=5.0, noise_var=0.3, s=0.2)
-        inst = synthesize_instance(config, rng)
+        h = reference_synthesis(config, rng)[2]
         design = Design(
             m=0.7,
             t=sample_rayleigh_vector(3, 1.0, rng),
             v=np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 4))),
         )
         trials = 200_000
-        expected = closed_form_mse(design, inst.h, config.noise_var)
-        samples_mean = empirical_mse(design, inst.h, config.noise_var, trials, rng)
+        expected = closed_form_mse(design, h, config.noise_var)
+        samples_mean = empirical_mse(design, h, config.noise_var, trials, rng)
         # crude bound: per-sample std is at most a few times the mean
         se = 3.0 * expected / np.sqrt(trials)
         assert abs(samples_mean - expected) <= 3 * se
@@ -232,19 +258,18 @@ class TestEmpiricalMse:
         config = SystemConfig(
             K=3, N=4, P=5.0, noise_var=0.3, s=0.2, error_sampling="interior"
         )
-        inst = synthesize_instance(config, rng)
+        _, _, h, _, _, deltas = reference_synthesis(config, copy.deepcopy(rng))
+        h_hat, eps = synthesize_instance(config, rng)
         design = Design(
             m=0.7,
             t=sample_rayleigh_vector(3, 1.0, rng),
             v=np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 4))),
         )
-        realized = mse_at_error(
-            design, inst.h_hat, inst.deltas, config.noise_var, eps_set=inst.eps
-        )
-        expected = closed_form_mse(design, inst.h, config.noise_var)
+        realized = mse_at_error(design, h_hat, deltas, config.noise_var, eps_set=eps)
+        expected = closed_form_mse(design, h, config.noise_var)
         assert realized == pytest.approx(expected, rel=1e-12)
         trials = 200_000
-        samples_mean = empirical_mse(design, inst.h, config.noise_var, trials, rng)
+        samples_mean = empirical_mse(design, h, config.noise_var, trials, rng)
         se = 3.0 * expected / np.sqrt(trials)
         assert abs(samples_mean - realized) <= 3 * se
 
@@ -266,40 +291,15 @@ class TestSystemConfig:
 class TestSynthesize:
     def test_cascade_and_ball(self):
         config = SystemConfig(K=4, N=6, P=1.0, noise_var=0.1, s=0.3)
-        inst = synthesize_instance(config, np.random.default_rng(3))
-        g, r = reference_synthesis(config, np.random.default_rng(3))[:2]
+        h_hat, eps = synthesize_instance(config, np.random.default_rng(3))
+        g, r, h, _, _, deltas = reference_synthesis(config, np.random.default_rng(3))
         for k in range(4):
-            assert np.allclose(np.conj(inst.h[k]), np.conj(g[k]) * r[k])
-            assert inst.eps[k] == pytest.approx(0.3 * np.linalg.norm(inst.h[k]))
-            gap = np.linalg.norm(np.conj(inst.h[k]) - np.conj(inst.h_hat[k]))
-            assert gap <= inst.eps[k] * (1 + 1e-12)
-            assert np.allclose(np.conj(inst.h[k]) - np.conj(inst.h_hat[k]), inst.deltas[k])
-
-
-def reference_synthesis(config, rng):
-    """Sensor-by-sensor draws: g_k, r_k, then for eps_k > 0 the error
-    direction and, for interior errors, one uniform for its radius."""
-    K, N = config.K, config.N
-    seg = np.sqrt(config.channel_var / 2.0)
-    g = np.empty((K, N), dtype=complex)
-    r = np.empty_like(g)
-    deltas = np.zeros_like(g)
-    eps = np.empty(K)
-    for k in range(K):
-        g[k] = rng.normal(0.0, 1.0, N) * seg + 1j * rng.normal(0.0, 1.0, N) * seg
-        r[k] = rng.normal(0.0, 1.0, N) * seg + 1j * rng.normal(0.0, 1.0, N) * seg
-        eps[k] = config.s * np.linalg.norm(g[k] * np.conj(r[k]))
-        if eps[k] > 0:
-            scale = np.sqrt(0.5)
-            d = rng.normal(0.0, 1.0, N) * scale + 1j * rng.normal(0.0, 1.0, N) * scale
-            d = d / np.linalg.norm(d)
-            if config.error_sampling == "interior":
-                d = eps[k] * rng.uniform() ** (1.0 / (2 * N)) * d
-            else:
-                d = eps[k] * d
-            deltas[k] = d
-    h = g * np.conj(r)
-    return g, r, h, h - np.conj(deltas), eps, deltas
+            # the estimate plus the error is the cascade conj(g) * r
+            assert np.allclose(np.conj(h_hat[k]) + deltas[k], np.conj(g[k]) * r[k])
+            assert eps[k] == pytest.approx(0.3 * np.linalg.norm(h[k]))
+            gap = np.linalg.norm(np.conj(h[k]) - np.conj(h_hat[k]))
+            assert gap <= eps[k] * (1 + 1e-12)
+            assert np.allclose(np.conj(h[k]) - np.conj(h_hat[k]), deltas[k])
 
 
 @pytest.mark.parametrize(
@@ -322,14 +322,19 @@ def test_synthesis_matches_per_sensor_draws(K, N, s, sampling):
         K=K, N=N, P=1.0, noise_var=0.1, channel_var=0.7, s=s, error_sampling=sampling
     )
     rng = np.random.default_rng(K * 1000 + N)
-    inst = synthesize_instance(config, rng)
+    got = synthesize_instance(config, rng)
     ref_rng = np.random.default_rng(K * 1000 + N)
-    expected = reference_synthesis(config, ref_rng)
-    got = (inst.h, inst.h_hat, inst.eps, inst.deltas)
-    for name, a, b in zip(("h", "h_hat", "eps", "deltas"), got, expected[2:]):
+    *_, h_hat, eps, deltas = reference_synthesis(config, ref_rng)
+    for name, a, b in zip(("h_hat", "eps"), got, (h_hat, eps)):
         np.testing.assert_allclose(a, b, rtol=1e-13, atol=0, err_msg=name)
     # both streams end at the same point
     assert rng.uniform() == ref_rng.uniform()
+    realized = replace(config, eval_mode="realized")
+    a, _, c, delta_norms = synthesize_instance(
+        realized, np.random.default_rng(K * 1000 + N), gains_only=True
+    )
+    np.testing.assert_allclose(a, np.abs(h_hat).sum(axis=-1), rtol=1e-13, atol=0)
+    assert_errors_match(c, delta_norms, h_hat, deltas)
 
 
 @pytest.mark.parametrize(
@@ -347,23 +352,22 @@ def test_gains_only_match_the_instance(s, sampling, trials):
         rngs = [seeded_rng(seed) for seed in seeds]
         return synthesize_instance(config, rngs, gains_only=gains_only)
 
-    inst = draw(config, False)
+    h_hat, radii = draw(config, False)
     a, eps = draw(config, True)
     realized = draw(replace(config, eval_mode="realized"), True)
-    re, im = inst.h_hat.real, inst.h_hat.imag
+    re, im = h_hat.real, h_hat.imag
     l1 = np.sqrt(re * re + im * im).sum(axis=-1)
     assert {x.shape for x in (a, eps, *realized)} == {(trials, config.K)}
     # both modes draw the same gains and radii, bit for bit
     for got in (a, realized[0]):
         assert got.tobytes() == l1.tobytes()
     for got in (eps, realized[1]):
-        assert got.tobytes() == inst.eps.tobytes()
-    np.testing.assert_allclose(a, np.abs(inst.h_hat).sum(axis=-1), rtol=1e-14)
-    # c_k = delta_k @ v_k for the co-phasing v_k, and the errors' norms
-    c, delta_norms = realized[2:]
-    v = cophase(inst.h_hat)
-    np.testing.assert_allclose(c, np.sum(inst.deltas * v, axis=-1), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(delta_norms, row_norms(inst.deltas), rtol=1e-15)
+        assert got.tobytes() == radii.tobytes()
+    np.testing.assert_allclose(a, np.abs(h_hat).sum(axis=-1), rtol=1e-14)
+    *_, ref_h_hat, _, deltas = reference_synthesis(
+        config, [seeded_rng(seed) for seed in seeds]
+    )
+    assert_errors_match(*realized[2:], ref_h_hat, deltas)
 
 
 def test_trials_per_block():
@@ -405,13 +409,20 @@ def test_trial_block_matches_per_trial_draws(K, N, s, sampling, trials):
     )
     trials = trials or trials_per_block(config)
     seeds = [(5, K, N, trial) for trial in range(trials)]
-    block = synthesize_instance(config, [seeded_rng(seed) for seed in seeds])
-    assert block.h_hat.shape == (trials, K, N) and block.eps.shape == (trials, K)
+    realized = replace(config, eval_mode="realized")
+
+    def draw(rng):
+        """(h_hat, eps) and the realized-mode (a, eps, c, ||delta||)."""
+        scalars = synthesize_instance(realized, copy.deepcopy(rng), gains_only=True)
+        return (*synthesize_instance(config, rng), *scalars)
+
+    names = ("h_hat", "eps", "a", "eps", "c", "delta_norms")
+    block = draw([seeded_rng(seed) for seed in seeds])
+    assert [x.shape for x in block] == [(trials, K, N)] + [(trials, K)] * 5
     for t, seed in enumerate(seeds):
-        alone = synthesize_instance(config, seeded_rng(seed))
-        for name in ("h_hat", "eps", "deltas"):
-            got = getattr(block, name)[t]
-            assert got.tobytes() == getattr(alone, name).tobytes(), (name, t)
+        alone = draw(seeded_rng(seed))
+        for name, got, want in zip(names, block, alone):
+            assert got[t].tobytes() == want.tobytes(), (name, t)
 
 
 def cpus(monkeypatch, n):
@@ -471,8 +482,7 @@ def test_split_block_matches_one_range(monkeypatch, output, s, sampling):
     used = spy_ranges(monkeypatch)
 
     def draw():
-        got = synthesize_instance(config, split_rngs(), gains_only=output != "instance")
-        return (got.h_hat, got.eps, got.deltas) if output == "instance" else got
+        return synthesize_instance(config, split_rngs(), gains_only=output != "instance")
 
     cpus(monkeypatch, 1)
     serial = draw()
@@ -484,7 +494,7 @@ def test_split_block_matches_one_range(monkeypatch, output, s, sampling):
     finally:
         sys.setswitchinterval(interval)
     assert used == [[(0, SPLIT_TRIALS)], SPLIT_RANGES]
-    arrays = {"instance": 3, "worst": 2, "realized": 4}[output]
+    arrays = {"instance": 2, "worst": 2, "realized": 4}[output]
     assert len(serial) == len(split) == arrays
     for one, many in zip(serial, split):
         assert one.tobytes() == many.tobytes()
@@ -498,7 +508,7 @@ def test_generator_shared_by_trials_draws_them_in_order(monkeypatch):
         rng = seeded_rng(4)
         draws.append(synthesize_instance(split_config(), [rng] * SPLIT_TRIALS))
     assert used == [[(0, SPLIT_TRIALS)]] * 2
-    assert draws[0].h_hat.tobytes() == draws[1].h_hat.tobytes()
+    assert draws[0][0].tobytes() == draws[1][0].tobytes()
 
 
 class FailingGenerator:
@@ -531,7 +541,7 @@ def test_a_failing_range_raises_its_error(monkeypatch, bad):
     assert used == [SPLIT_RANGES] * 2
     cpus(monkeypatch, 1)
     alone = synthesize_instance(split_config(), split_rngs())
-    assert again.h_hat.tobytes() == alone.h_hat.tobytes()
+    assert again[0].tobytes() == alone[0].tobytes()
 
 
 class CountingThread(threading.Thread):

@@ -128,8 +128,7 @@ def _random_problem(rng, K=None, N=None, s=None):
         noise_var=float(rng.uniform(0.05, 2.0)),
         s=s if s is not None else float(rng.uniform(0.0, 0.7)),
     )
-    inst = synthesize_instance(config, rng)
-    return config, inst
+    return config, *synthesize_instance(config, rng)
 
 
 class TestNonRobust:
@@ -139,18 +138,18 @@ class TestNonRobust:
         assert design.t_hat[0] == pytest.approx(1 / 1.1)
 
     def test_matches_algorithm_at_zero_eps(self, rng):
-        config, inst = _random_problem(rng, K=3, N=4, s=0.0)
-        design = ref_loop_design(config, inst.h_hat, inst.eps)
-        baseline = cophased_design(config, inst.h_hat)
+        config, h_hat, eps = _random_problem(rng, K=3, N=4, s=0.0)
+        design = ref_loop_design(config, h_hat, eps)
+        baseline = cophased_design(config, h_hat)
         assert np.allclose(design.t_hat, baseline.t_hat, rtol=1e-10)
         assert np.allclose(design.v, baseline.v)
         assert design.m == pytest.approx(baseline.m, rel=1e-10)
 
     def test_nominal_residual_below_one(self, rng):
-        config, inst = _random_problem(rng, K=2, N=4)
-        design = cophased_design(config, inst.h_hat)
+        config, h_hat, _ = _random_problem(rng, K=2, N=4)
+        design = cophased_design(config, h_hat)
         for k in range(2):
-            a = np.sum(np.abs(inst.h_hat[k]))
+            a = np.sum(np.abs(h_hat[k]))
             resid = abs(design.t_hat[k] * a - 1)
             assert resid == pytest.approx(
                 (config.noise_var / config.P) / (a**2 + config.noise_var / config.P)

@@ -11,6 +11,7 @@ from oracles import (
     cophase,
     cophased_design,
     mse_at_error,
+    reference_synthesis,
     ref_term,
     sample_rayleigh_vector,
     seeded_rng,
@@ -20,7 +21,7 @@ from oracles import (
 from aircomp_ris import verify
 from aircomp_ris.errors import DimensionMismatch, PerturbationOutOfBall
 from aircomp_ris.experiments import design_for_scheme
-from aircomp_ris.model import ChannelInstance, Design, SystemConfig, synthesize_instance
+from aircomp_ris.model import Design, SystemConfig, synthesize_instance
 from aircomp_ris.optimizer import cophased_gains
 from aircomp_ris.verify import (
     _delta_worst,
@@ -171,8 +172,8 @@ class TestWorstCaseTerm:
 
 # each scheme designed on the channel arrays, with co-phased RIS vectors
 ARRAY_DESIGNS = {
-    "multistart": lambda config, inst: cophased_design(config, inst.h_hat, inst.eps),
-    "nonrobust": lambda config, inst: cophased_design(config, inst.h_hat),
+    "multistart": lambda config, h_hat, eps: cophased_design(config, h_hat, eps),
+    "nonrobust": lambda config, h_hat, eps: cophased_design(config, h_hat),
 }
 
 
@@ -269,8 +270,7 @@ class TestScoreFromGains:
                 P=float(rng.uniform(0.5, 5.0)),
                 noise_var=float(rng.uniform(0.01, 2.0)),
             )
-            inst = ChannelInstance(h_hat=h_hat, eps=eps, deltas=np.zeros_like(h_hat))
-            full = ARRAY_DESIGNS[scheme](config, inst)
+            full = ARRAY_DESIGNS[scheme](config, h_hat, eps)
             scalar = design_for_scheme(config, scheme, (a, eps))
             assert scalar.v is None
             assert np.array_equal(scalar.m, full.m) and np.array_equal(scalar.t, full.t)
@@ -293,19 +293,21 @@ class TestRealizedScore:
     """The sweeps' realized-mode score: each scheme's design and MSE from
     the per-sensor scalars synthesis gives, a_k, eps_k, c_k = delta_k @ v_k
     and ||delta_k||, against the same scheme designed on the channel arrays
-    of the same stream and scored by the oracle on its RIS vectors."""
+    reference_synthesis draws from the same stream and scored by the oracle
+    on its RIS vectors."""
 
     @staticmethod
     def config(**kw):
         base = dict(K=2, N=4, P=2.0, noise_var=0.3, eval_mode="realized")
         return SystemConfig(**{**base, **kw})
 
-    def check(self, config, scheme, inst, draw):
+    def check(self, config, scheme, reference, draw):
         scalar = design_for_scheme(config, scheme, draw)
         a, eps, c, delta_norms = draw
         got = realized_score(scalar, a, c, delta_norms, eps, config.noise_var)
-        full = ARRAY_DESIGNS[scheme](config, inst)
-        want = mse_at_error(full, inst.h_hat, inst.deltas, config.noise_var, inst.eps)
+        *_, h_hat, ref_eps, deltas = reference
+        full = ARRAY_DESIGNS[scheme](config, h_hat, ref_eps)
+        want = mse_at_error(full, h_hat, deltas, config.noise_var, ref_eps)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         return scalar
 
@@ -316,12 +318,12 @@ class TestRealizedScore:
     def test_matches_oracle(self, scheme, s, sampling):
         config = self.config(s=s, error_sampling=sampling)
         seeds = [(11, trial) for trial in range(8)]
-        inst = synthesize_instance(config, [seeded_rng(seed) for seed in seeds])
+        reference = reference_synthesis(config, [seeded_rng(seed) for seed in seeds])
         draw = synthesize_instance(
             config, [seeded_rng(seed) for seed in seeds], gains_only=True
         )
         assert [x.shape for x in draw] == [(8, config.K)] * 4
-        scalar = self.check(config, scheme, inst, draw)
+        scalar = self.check(config, scheme, reference, draw)
         if s == 0:
             assert not draw[2].any() and not draw[3].any()
         if s == 0.85 and scheme == "multistart":
@@ -336,13 +338,15 @@ class TestRealizedScore:
         config = self.config(N=2, channel_var=2.0, s=0.6)
         crafted = [[0, 1], [1, 0], [3, 4], [0, 0], [0, 0], [-1, 0]]
         normals = [crafted, np.random.default_rng(2).normal(size=(6, 2))]
-        inst = synthesize_instance(config, FixedNormals(normals))
+        h_hat, _ = synthesize_instance(config, FixedNormals(normals))
         draw = synthesize_instance(config, FixedNormals(normals), gains_only=True)
-        assert inst.h_hat[0, 0] == 0 and inst.h_hat[0, 1] == 4
+        assert h_hat[0, 0] == 0 and h_hat[0, 1] == 4
         a, eps, c, delta_norms = draw
         # v_0 = 1 on the zero entry, so c_0 = delta_0 @ v_0 = -3j
         assert (a[0], eps[0], c[0], delta_norms[0]) == (4.0, 3.0, -3j, 3.0)
-        self.check(config, scheme, inst, draw)
+        reference = reference_synthesis(config, FixedNormals(normals))
+        assert reference[3][0, 0] == 0  # its h_hat has the same zero entry
+        self.check(config, scheme, reference, draw)
 
     def test_out_of_ball_rejected(self):
         config = self.config(K=3, s=0.4)
