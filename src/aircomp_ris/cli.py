@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -40,10 +39,13 @@ CSV_HEADER = ["kind", "value", "scheme", "nmse_mean", "nmse_std", "trials", "mea
 
 
 def _atomic_write(path, data):
-    """Write text atomically: temp file in the target directory + rename."""
+    """Write text atomically: temp file in the target directory + rename.
+    The temp file is created as open(path, "w") creates a file, so the
+    output gets the same mode, 0666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-aircomp-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-aircomp-")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(data)
@@ -75,11 +77,12 @@ def cmd_solve(config_path, out_path):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     system = cfg.system
+    # a checked config synthesizes without error, unless it cannot allocate
+    if cfg.instance is not None:
+        h_hat, eps = cfg.instance
+    else:
+        h_hat, eps = synthesize_instance(system, np.random.default_rng(cfg.master_seed))
     try:
-        if cfg.instance is not None:
-            h_hat, eps = cfg.instance
-        else:
-            h_hat, eps = synthesize_instance(system, np.random.default_rng(cfg.master_seed))
         a = cophased_gains(h_hat)
         design = robust_scalars(system, a, eps * np.sqrt(system.N))
         cert = certificate(design, a, eps, system.N, system.noise_var)
@@ -197,8 +200,12 @@ def main(argv=None):
         if args.command == "sweep":
             return cmd_sweep(args.config, args.kind, args.out, args.plot)
         return cmd_verify(args.suite, args.trials, args.seed)
-    except MemoryError as exc:
-        # outputs are written last, so a run that cannot allocate writes none
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses a size whose byte count overflows a pointer with a
+        # ValueError. Outputs are written last, so a run that cannot
+        # allocate writes none.
+        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+            raise
         print(
             f"error: cannot allocate what the config asks for: {exc}", file=sys.stderr
         )

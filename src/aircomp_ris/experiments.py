@@ -33,8 +33,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-# trials hashed per pass: bounds the temporaries, ~240 B per trial
-_SEED_CHUNK = 1 << 14
 
 
 @dataclass
@@ -130,21 +128,14 @@ def design_for_scheme(config, scheme, draw):
     return robust_scalars(config, a, eps * np.sqrt(config.N))
 
 
-def _int_words(n):
-    """The 32-bit words SeedSequence makes of a non-negative int, low first."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"seed entries must be >= 0, got {n}")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hashmix(value, before, after):
-    """SeedSequence's hash step: xor with one constant, multiply by the next
-    and fold the high half down. Constants may be columns of several steps."""
-    value = (value ^ before) * after & _MASK32
+def _hash(value, init, mult, first, n):
+    """SeedSequence's hash steps first .. first + n - 1 from constant init,
+    one per row of the result: step k xors value with init * mult^k,
+    multiplies by init * mult^(k+1) and folds the high half down, mod 2^32.
+    uint64 powers wrap mod 2^64, which 2^32 divides."""
+    steps = np.arange(first, first + n + 1, dtype=np.uint64)
+    consts = (init * mult**steps & _MASK32)[:, None]
+    value = (value ^ consts[:-1]) * consts[1:] & _MASK32
     return value ^ (value >> 16)
 
 
@@ -153,74 +144,31 @@ def _mix(x, y):
     return value ^ (value >> 16)
 
 
-@functools.cache
-def _constants(const, mult, n):
-    """Columns of the constants n successive hash steps xor and multiply
-    by, and the constant the step after them starts from. The sequence
-    does not depend on the data, so the columns are computed once."""
-    consts = [const]
-    for _ in range(n):
-        consts.append(consts[-1] * mult & _MASK32)
-    column = np.array(consts, dtype=np.uint64)[:, None]
-    column.setflags(write=False)
-    return column[:-1], column[1:], consts[-1]
-
-
 def seed_words(prefix, trials):
-    """PCG64 seed words of the seed tuples prefix + (trial,), one row of 4
-    uint64 per trial; row t equals
+    """PCG64 seed words of the seed tuples prefix + (trial,), one C-contiguous
+    row of 4 uint64 per trial; row t equals
     np.random.SeedSequence((*prefix, trials[t])).generate_state(4, np.uint64).
 
-    While the words are shared by every trial, the pool is filled and mixed
-    on Python ints. Each word past the pool is mixed into all 4 pool words
-    at once, on uint64 arrays over the trials, every product masked to 32
-    bits."""
-    prefix_words = [w for n in prefix for w in _int_words(n)]
+    numpy mixes the prefix into its pool of 4 32-bit words, so the prefix
+    must hold at least 4 words. Each trial's low word, then its high word
+    for a trial >= 2^32, is mixed into all 4 pool words at once, on uint64
+    arrays over the trials, every product masked to 32 bits."""
+    pool = np.random.SeedSequence(prefix).pool.astype(np.uint64)[:, None]
+    n_words = sum(max(1, -(-int(n).bit_length() // 32)) for n in prefix)
+    if n_words < _POOL:
+        raise ValueError(f"prefix {prefix} fills {n_words} of {_POOL} pool words")
+    # a hash step apiece: 4 fill the pool, 12 cross-mix it, 4 per later word
+    step = _POOL * n_words
     trials = np.asarray(trials, dtype=np.uint64)
-    out = np.empty((len(trials), 4), dtype=np.uint64)
-    for lo in range(0, len(trials), _SEED_CHUNK):
-        chunk = trials[lo : lo + _SEED_CHUNK]
-        out[lo : lo + _SEED_CHUNK] = _hash_seed_words(prefix_words, chunk)
-    return out
-
-
-def _hash_seed_words(prefix_words, trials):
-    words = [*prefix_words, trials & _MASK32]
-    # a trial >= 2^32 hashes a second word. Inside the pool an absent word
-    # hashes as the zero padding does; past it, only those trials mix it in.
+    pool = _mix(pool, _hash(trials & _MASK32, _INIT_A, _MULT_A, step, _POOL))
     high = trials >> 32
-    late_high = len(words) >= _POOL and bool(high.any())
-    if len(words) < _POOL:
-        words.append(high)
-    words += [0] * (_POOL - len(words))
-
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        after = const * _MULT_A & _MASK32
-        value, const = _hashmix(value, const, after), after
-        return value
-
-    pool = [hashmix(word) for word in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    pool = np.array(pool, dtype=np.uint64).reshape(_POOL, -1)
-    # each later word is mixed into every pool word, a step apiece
-    for word in words[_POOL:]:
-        before, after, const = _constants(const, _MULT_A, _POOL)
-        pool = _mix(pool, _hashmix(word, before, after))
-    if late_high:
-        before, after, const = _constants(const, _MULT_A, _POOL)
-        pool = np.where(high > 0, _mix(pool, _hashmix(high, before, after)), pool)
-
+    if high.any():
+        mixed = _mix(pool, _hash(high, _INIT_A, _MULT_A, step + _POOL, _POOL))
+        pool = np.where(high > 0, mixed, pool)
     # generate_state: 8 32-bit words cycling through the pool, paired
-    # little-endian into 4 uint64
-    before, after, _ = _constants(_INIT_B, _MULT_B, 2 * _POOL)
-    state = _hashmix(np.concatenate([pool, pool]), before, after)
-    return (state[0::2] | (state[1::2] << 32)).T
+    # little-endian into 4 uint64; PCG64 reads a row's buffer as it lies
+    state = _hash(np.concatenate([pool, pool]), _INIT_B, _MULT_B, 0, 2 * _POOL)
+    return np.ascontiguousarray((state[0::2] | (state[1::2] << 32)).T)
 
 
 def trial_generators(words):
@@ -287,8 +235,8 @@ def run_sweep(spec):
     its trials in blocks of trials_per_block(config), at most 1024 sensor
     rows: one synthesis call draws the block, each trial from its own
     generator, and every scheme is designed and scored on its (T, K)
-    per-sensor scalars. The generators' seed words are hashed once per
-    cell, in one array pass over its trials."""
+    per-sensor scalars. A block's seed words are hashed in one array pass
+    over its trials, next to its generators."""
     s_values = spec.s_values if spec.s_values is not None else [spec.base.s]
     multiple_s = len(s_values) > 1
     records = []
@@ -298,13 +246,10 @@ def run_sweep(spec):
             config = _config_at(spec.base, spec.kind, value, s)
             block = trials_per_block(config)
             nmses = np.empty((len(spec.schemes), spec.trials))
-            words = seed_words(
-                _cell_entropy(spec.master_seed, spec.kind, vi, si),
-                np.arange(spec.trials, dtype=np.uint64),
-            )
+            prefix = _cell_entropy(spec.master_seed, spec.kind, vi, si)
             for lo in range(0, spec.trials, block):
                 hi = min(lo + block, spec.trials)
-                rngs = trial_generators(words[lo:hi])
+                rngs = trial_generators(seed_words(prefix, np.arange(lo, hi)))
                 draw = synthesize_instance(config, rngs, gains_only=True)
                 for j, scheme in enumerate(spec.schemes):
                     nmses[j, lo:hi] = _design_and_score(config, scheme, draw)

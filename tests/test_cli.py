@@ -303,11 +303,21 @@ class TestNonFiniteInput:
 
 
     # K = 1, N = 2^56: synthesis asks for a 3 EiB buffer first, which no
-    # 64-bit address space can map, so this test allocates nothing
-    @pytest.mark.parametrize("command", ["solve", "sweep"])
-    def test_unallocatable_run_exits_1(self, tmp_path, capsys, command):
-        raw = sweep_config()
-        raw["system"].update(K=1, N=2**56, s=0.4)
+    # 64-bit address space can map; at 2^62 numpy refuses the size itself.
+    # Neither allocates anything.
+    @pytest.mark.parametrize(
+        "command, system, trials",
+        [
+            pytest.param("solve", {"K": 1, "N": 2**56}, 1, id="solve"),
+            pytest.param("sweep", {"K": 1, "N": 2**56}, 1, id="sweep"),
+            pytest.param("solve", {"K": 2**62, "N": 1}, 1, id="solve-K=2^62"),
+            pytest.param("sweep", {"K": 1, "N": 2**62}, 1, id="sweep-N=2^62"),
+            pytest.param("sweep", {}, 2**62, id="sweep-trials=2^62"),
+        ],
+    )
+    def test_unallocatable_run_exits_1(self, tmp_path, capsys, command, system, trials):
+        raw = sweep_config(trials=trials)
+        raw["system"].update(system)
         cfg = write_json(tmp_path / "cfg.json", raw)
         out = tmp_path / "out"
         argv = [command, "--config", cfg, "--out", str(out)]
@@ -432,6 +442,25 @@ class TestSweep:
         cfg = write_json(tmp_path / "cfg.json", sweep_config())
         out = tmp_path / "missing-dir" / "r.csv"
         assert main(["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_outputs_get_the_mode_of_a_plain_write(self, tmp_path, umask):
+        sweep_cfg = write_json(tmp_path / "sweep.json", sweep_config())
+        solve_cfg = write_json(tmp_path / "solve.json", golden_solve_config())
+        outputs = [tmp_path / name for name in ("r.csv", "r.svg", "design.json")]
+        plain = tmp_path / "plain.txt"
+        old = os.umask(umask)
+        try:
+            argv = ["sweep", "--kind", "snr", "--config", sweep_cfg]
+            assert main([*argv, "--out", str(outputs[0]), "--plot", str(outputs[1])]) == 0
+            assert main(["solve", "--config", solve_cfg, "--out", str(outputs[2])]) == 0
+            with open(plain, "w"):
+                pass
+        finally:
+            os.umask(old)
+        assert plain.stat().st_mode & 0o777 == 0o666 & ~umask
+        for out in outputs:
+            assert out.stat().st_mode == plain.stat().st_mode, out
 
 
 class TestVerifyCommand:

@@ -380,18 +380,8 @@ def test_block_scores_match_single_trials(scheme, eval_mode, sampling):
         assert values[t] == run_trial(config, scheme, seed)
 
 
-SEED_PREFIXES = [
-    # a sweep cell's (master_seed, kind, value index, s index, stream)
-    *((master, 0, 1, 2, 4) for master in (0, 2**32 - 1, 2**32, 2**70 + 5)),
-    # () seeds from the trial alone, and with trial 2, (4,) gives the
-    # run_trial tests' (4, 2); the lengths around the pool of 4 words put a
-    # trial's second word in the pool or past it
-    (),
-    (4,),
-    (1, 2),
-    (2**40, 3),
-    (1, 2, 3),
-]
+# a sweep cell's (master_seed, kind, value index, s index, stream)
+SEED_PREFIXES = [(master, 0, 1, 2, 4) for master in (0, 2**32 - 1, 2**32, 2**70 + 5)]
 SEED_TRIALS = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 7, 2**63 - 2]
 
 
@@ -409,8 +399,14 @@ def test_seed_words_equal_seed_sequence(prefix):
         ), seed
 
 
+# fewer than the pool's 4 32-bit words: a trial's words would land in it
+@pytest.mark.parametrize("prefix", [(), (4,), (1, 2), (2**40, 3), (1, 2, 3)])
+def test_seed_words_reject_short_prefixes(prefix):
+    with pytest.raises(ValueError):
+        seed_words(prefix, SEED_TRIALS)
+
+
 def test_seed_words_span_hash_passes():
-    # the trials straddle the boundary between two hashing passes
     prefix = (11, 2, 0, 1, 4)
     words = seed_words(prefix, np.arange(2**14 + 4))
     for trial in (0, 2**14 - 1, 2**14, 2**14 + 3):
@@ -420,11 +416,11 @@ def test_seed_words_span_hash_passes():
 
 def test_seed_words_reject_negative_entries():
     with pytest.raises(ValueError):
-        seed_words((-1, 0), [0])
+        seed_words((-1, 0, 0, 0, 4), [0])
 
 
 def test_seeded_bit_generator_serves_only_pcg64_state():
-    gen = trial_generators(seed_words((3,), [0]))[0]
+    gen = trial_generators(seed_words((3, 0, 0, 0, 4), [0]))[0]
     seq = gen.bit_generator.seed_seq
     with pytest.raises(ValueError):
         seq.generate_state(4, np.uint32)
