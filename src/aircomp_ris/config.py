@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError, InvalidDimension
+from .errors import ConfigError
 from .experiments import SweepSpec
 from .model import SystemConfig
 
@@ -42,7 +42,6 @@ _SHAPE = {
     "system": (
         {"K": "integer", "N": "integer", "P": "number", "noise_var": "number"},
         {
-            "channel_var": "number",
             "s": "number",
             "eval_mode": "string",
             "error_sampling": "string",
@@ -122,7 +121,7 @@ def parse_config(raw):
     master_seed = int(raw["master_seed"])
     try:
         system = SystemConfig(**dict(fields, K=int(fields["K"]), N=int(fields["N"])))
-    except (InvalidDimension, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
     instance = None

@@ -5,10 +5,6 @@ class AirCompError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidDimension(AirCompError):
-    """A vector length or count is outside its valid range."""
-
-
 class DimensionMismatch(AirCompError):
     """Two operands that must share a length do not."""
 

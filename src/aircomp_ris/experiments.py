@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import AirCompError
 from .model import MAX_DIMENSION, SystemConfig, synthesize_instance, trials_per_block
 from .optimizer import nonrobust_scalars, robust_scalars
 from .worst_case import mse_at_error, worst_case_objective
@@ -236,7 +237,8 @@ def run_sweep(spec):
     rows: one synthesis call draws the block, each trial from its own
     generator, and every scheme is designed and scored on its (T, K)
     per-sensor scalars. A block's seed words are hashed in one array pass
-    over its trials, next to its generators."""
+    over its trials, next to its generators. A cell whose NMSE is not
+    finite, as when |h_hat|^2 overflows at a huge s, raises AirCompError."""
     s_values = spec.s_values if spec.s_values is not None else [spec.base.s]
     multiple_s = len(s_values) > 1
     records = []
@@ -253,6 +255,8 @@ def run_sweep(spec):
                 draw = synthesize_instance(config, rngs, gains_only=True)
                 for j, scheme in enumerate(spec.schemes):
                     nmses[j, lo:hi] = _design_and_score(config, scheme, draw)
+            if not np.isfinite(nmses).all():
+                raise AirCompError(f"NMSE is not finite at {spec.kind} {value}, s {s}")
             for j, scheme in enumerate(spec.schemes):
                 passes = ALGORITHM1_PASSES if scheme == "robust_exact" else 0
                 row.append(

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension
-
 EVAL_MODES = ("worst", "realized")
 ERROR_SAMPLING_MODES = ("surface", "interior")
 
@@ -50,33 +48,29 @@ class SystemConfig:
     """Scenario parameters shared by the solver and the simulator.
 
     K sensors, each served by its own N-element RIS; P is the sum transmit
-    power budget, noise_var the receiver AWGN variance, channel_var the
-    per-segment Rayleigh variance, and s the relative CSI uncertainty
-    coefficient (eps_k = s * ||h_k||_2).
+    power budget, noise_var the receiver AWGN variance, and s the relative
+    CSI uncertainty coefficient (eps_k = s * ||h_k||_2).
     """
 
     K: int
     N: int
     P: float
     noise_var: float
-    channel_var: float = 0.5
     s: float = 0.0
     eval_mode: str = "worst"
     error_sampling: str = "surface"
 
     def __post_init__(self):
         if not (1 <= self.K <= MAX_DIMENSION and 1 <= self.N <= MAX_DIMENSION):
-            raise InvalidDimension(
+            raise ValueError(
                 f"K={self.K}, N={self.N} must be >= 1 and <= {MAX_DIMENSION}"
             )
-        for name in ("P", "noise_var", "channel_var", "s"):
+        for name in ("P", "noise_var", "s"):
             _check_finite(name, getattr(self, name))
         if self.P <= 0:
             raise ValueError("P must be > 0")
         if self.noise_var < 0:
             raise ValueError("noise_var must be >= 0")
-        if self.channel_var <= 0:
-            raise ValueError("channel_var must be > 0")
         if self.s < 0:
             raise ValueError("s must be >= 0")
         if self.eval_mode not in EVAL_MODES:
@@ -163,9 +157,9 @@ def _run_ranges(fn, ranges):
 
 def synthesize_instance(config, rng, gains_only=False):
     """Draw what the designer sees, (h_hat, eps): Rayleigh segments g_k
-    (RIS->receiver) and r_k (sensor->RIS) give true channels with row(h_k)
-    = conj(g_k) * r_k, and estimates row(h_hat_k) = row(h_k) - delta_k for
-    a bounded error delta_k of radius eps_k = s*||h_k||.
+    (RIS->receiver) and r_k (sensor->RIS) of i.i.d. CN(0, 1/2) entries give
+    true channels row(h_k) = conj(g_k) * r_k, and estimates row(h_hat_k) =
+    row(h_k) - delta_k for a bounded error delta_k of radius eps_k = s*||h_k||.
 
     With gains_only, return instead the per-sensor scalars that score the
     co-phased designs of config.eval_mode, v_k = h_hat_k/|h_hat_k| (1 where
@@ -176,10 +170,10 @@ def synthesize_instance(config, rng, gains_only=False):
     rng is one Generator, or a sequence of T Generators for a block of
     trials with (T, K, N) arrays; trial t is drawn from rng[t] exactly as
     it would be alone. Sensor by sensor, a stream yields N normals each for
-    re(g_k), im(g_k), re(r_k), im(r_k), and when s > 0 (so eps_k > 0) for
-    the real and imaginary parts of the error direction, then one uniform
-    for an interior error's radius (gen.random(), the double gen.uniform()
-    gives). The rows are drawn in chunks of _DRAW_BLOCK doubles, or of
+    re(g_k), im(g_k), re(r_k), im(r_k), and when s > 0 (even where eps_k
+    underflows to 0) for the real and imaginary parts of the error
+    direction, then one uniform for an interior error's radius
+    (gen.random(), the double gen.uniform() gives). The rows are drawn in chunks of _DRAW_BLOCK doubles, or of
     _SPLIT_BLOCK in a block split across CPUs (below); a trial's rows
     without uniforms take one call, which fills in that same order, rows
     with them one normal call and one random() each. The arithmetic
@@ -205,7 +199,6 @@ def synthesize_instance(config, rng, gains_only=False):
     if len(set(map(id, rngs))) < len(rngs):
         ranges = [(0, len(rngs))]  # a generator shared by trials draws them in order
     step = max(1, (_DRAW_BLOCK if len(ranges) == 1 else _SPLIT_BLOCK) // (parts * N))
-    seg_scale = np.sqrt(config.channel_var / 2.0)
     radius_power = 1.0 / (2 * N)  # U^(1/(2N)): uniform over the 2N-dim ball
     eps = np.empty(rows)
     realized = config.eval_mode == "realized"
@@ -234,10 +227,11 @@ def synthesize_instance(config, rng, gains_only=False):
                         radius[i] = uniform() ** radius_power
                 else:
                     gen.standard_normal(out=zb[first:last])
-            g_re, g_im, r_re, r_im = (zb[:, i] * seg_scale for i in range(4))
-            # h = g * conj(r)
-            h_re = g_re * r_re + g_im * r_im
-            h_im = g_im * r_re - g_re * r_im
+            g_re, g_im, r_re, r_im = zb[:, 0], zb[:, 1], zb[:, 2], zb[:, 3]
+            # h = g * conj(r) for CN(0, 1/2) segments, half their normals; a
+            # power of two scales the product with the same rounding
+            h_re = (g_re * r_re + g_im * r_im) * 0.25
+            h_im = (g_im * r_re - g_re * r_im) * 0.25
             eps[lo:hi] = config.s * np.sqrt(
                 np.vecdot(h_re, h_re) + np.vecdot(h_im, h_im)
             )

@@ -29,11 +29,11 @@ def _fmt(x):
     return f"{x:.2f}"
 
 
-def line_plot_svg(series, x_label, y_label="NMSE", title=""):
+def line_plot_svg(series, x_label, title=""):
     """Render series = {label: [(x, y), ...]} as an SVG string.
 
-    y is drawn on a log10 scale; non-positive y values are clamped to the
-    smallest positive value present.
+    y, the NMSE, is drawn on a log10 scale; non-positive y values are
+    clamped to the smallest positive value present.
     """
     all_x = [p[0] for pts in series.values() for p in pts]
     all_y = [p[1] for pts in series.values() for p in pts]
@@ -82,11 +82,9 @@ def line_plot_svg(series, x_label, y_label="NMSE", title=""):
             f"{x:g}</text>"
         )
     for dec in range(math.floor(ly_min), math.ceil(ly_max) + 1):
-        y = 10.0**dec
-        ly = dec
-        if ly < ly_min or ly > ly_max:
+        if dec < ly_min or dec > ly_max:
             continue
-        py = _MARGIN_T + ph * (1.0 - (ly - ly_min) / (ly_max - ly_min))
+        py = _MARGIN_T + ph * (1.0 - (dec - ly_min) / (ly_max - ly_min))
         parts.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{_fmt(py)}" x2="{_MARGIN_L}" '
             f'y2="{_fmt(py)}" stroke="#333"/>'
@@ -103,7 +101,7 @@ def line_plot_svg(series, x_label, y_label="NMSE", title=""):
     parts.append(
         f'<text x="15" y="{_MARGIN_T + ph / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 15 {_MARGIN_T + ph / 2:.0f})">{y_label}</text>'
+        f'transform="rotate(-90 15 {_MARGIN_T + ph / 2:.0f})">NMSE</text>'
     )
     for i, (label, pts) in enumerate(series.items()):
         color = _COLORS[i % len(_COLORS)]

@@ -16,11 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from aircomp_ris.errors import (
-    DimensionMismatch,
-    InvalidDimension,
-    PerturbationOutOfBall,
-)
+from aircomp_ris.errors import DimensionMismatch, PerturbationOutOfBall
 from aircomp_ris.experiments import _cell_entropy, _design_and_score
 from aircomp_ris.model import Design, synthesize_instance
 from aircomp_ris.optimizer import nonrobust_scalars, robust_scalars
@@ -35,7 +31,7 @@ def inner(a, b):
 def sample_rayleigh_vector(n, variance, rng):
     """Draw a length-n vector of i.i.d. CN(0, variance) entries."""
     if n < 1:
-        raise InvalidDimension(f"n={n} must be >= 1")
+        raise ValueError(f"n={n} must be >= 1")
     if variance < 0:
         raise ValueError("variance must be >= 0")
     scale = np.sqrt(variance / 2.0)
@@ -67,15 +63,16 @@ class FixedNormals:
 
 def reference_synthesis(config, rng):
     """synthesize_instance's draw written sensor by sensor in plain complex
-    numpy: g_k and r_k, then for eps_k > 0 the error direction and, for
-    interior errors, one uniform for its radius. Returns (g, r, h, h_hat,
+    numpy: g_k and r_k, then for s > 0 the error direction, even where
+    eps_k underflows to 0, and, for interior errors, one uniform for its
+    radius. Returns (g, r, h, h_hat,
     eps, deltas) with h = g * conj(r) and h_hat = h - conj(deltas); for a
     sequence of generators, one per trial, each array gains a trial axis."""
     if isinstance(rng, (list, tuple)):
         trials = [reference_synthesis(config, gen) for gen in rng]
         return tuple(np.stack(arrays) for arrays in zip(*trials))
     K, N = config.K, config.N
-    seg = np.sqrt(config.channel_var / 2.0)
+    seg = 0.5  # CN(0, 1/2) entries: real and imaginary parts of variance 1/4
     g = np.empty((K, N), dtype=complex)
     r = np.empty_like(g)
     deltas = np.zeros_like(g)
@@ -84,7 +81,7 @@ def reference_synthesis(config, rng):
         g[k] = rng.normal(0.0, 1.0, N) * seg + 1j * rng.normal(0.0, 1.0, N) * seg
         r[k] = rng.normal(0.0, 1.0, N) * seg + 1j * rng.normal(0.0, 1.0, N) * seg
         eps[k] = config.s * np.linalg.norm(g[k] * np.conj(r[k]))
-        if eps[k] > 0:
+        if config.s > 0:
             scale = np.sqrt(0.5)
             d = rng.normal(0.0, 1.0, N) * scale + 1j * rng.normal(0.0, 1.0, N) * scale
             d = d / np.linalg.norm(d)
@@ -188,7 +185,6 @@ def serialize_config(config):
             "N": config.system.N,
             "P": config.system.P,
             "noise_var": config.system.noise_var,
-            "channel_var": config.system.channel_var,
             "s": config.system.s,
             "eval_mode": config.system.eval_mode,
             "error_sampling": config.system.error_sampling,

@@ -462,6 +462,30 @@ class TestSweep:
         for out in outputs:
             assert out.stat().st_mode == plain.stat().st_mode, out
 
+    @pytest.mark.parametrize("plot", [False, True], ids=["csv", "plot"])
+    def test_non_finite_nmse_is_a_solver_error(self, tmp_path, plot):
+        """At s = 1e200, |h_hat|^2 overflows in synthesis and the design's
+        NMSE is NaN: the sweep exits 2 and writes nothing. It runs in a child
+        process, where numpy's overflow warnings stay warnings."""
+        raw = sweep_config(trials=5, values=[0.0, 10.0], schemes=["multistart"])
+        raw["system"].update(K=3, N=4, s=1e200)
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        out, svg = tmp_path / "r.csv", tmp_path / "r.svg"
+        argv = ["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]
+        argv += ["--plot", str(svg)] if plot else []
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        run = subprocess.run(
+            [sys.executable, "-m", "aircomp_ris.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.returncode == 2 and "Traceback" not in run.stderr
+        last = run.stderr.splitlines()[-1]
+        assert last == "solver error: NMSE is not finite at snr 0.0, s 1e+200"
+        assert not out.exists() and not svg.exists()
+
 
 class TestVerifyCommand:
     def test_worstcase_suite_passes(self, capsys):
@@ -600,7 +624,7 @@ def instance_configs(draw):
 def full_config():
     """A valid config with every section and every optional key."""
     raw = sweep_config()
-    raw["system"].update(channel_var=0.5, eval_mode="worst", error_sampling="surface")
+    raw["system"].update(eval_mode="worst", error_sampling="surface")
     raw["sweep"]["s_values"] = [0.4]
     raw["instance"] = {"h_hat": [[[1.0, 0.0]] * 3] * 2, "eps": [0.0, 0.0]}
     return raw
@@ -719,6 +743,63 @@ def test_figure_csv_bytes(tmp_path, kind):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_CSV_SHA256[kind]
 
 
+# a realized-mode K sweep with interior errors, small enough for tier-1
+REALIZED_K_SWEEP = {
+    "system": {
+        "K": 2,
+        "N": 5,
+        "P": 10.0,
+        "noise_var": 1.0,
+        "s": 0.4,
+        "eval_mode": "realized",
+        "error_sampling": "interior",
+    },
+    "sweep": {
+        "values": [1, 3, 8],
+        "trials": 200,
+        "schemes": ["robust_exact", "nonrobust"],
+    },
+    "master_seed": 4,
+}
+# sha256 of the example solve design without v_phases (see
+# test_figure_csv_bytes_at_baseline_dispatch), written as solve writes it,
+# of the example sweep's SVG and of the REALIZED_K_SWEEP CSV
+OUTPUT_SHA256 = {
+    "solve_example": "1826b68eb3087f0df73e3c395c360c01c07ad938f10424f5d814ede2e2eb6aa0",
+    "sweep_svg": "6001f59dc01ec9cf6d800144ab2aa3c0f3c4fc4e394785199740a62187d94848",
+    "realized_k": "35903f85c1d921990230a5990d54346a0b0e68db27c4953c31e466b873dfbbb6",
+}
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_solve_example_design_bytes(tmp_path):
+    out = tmp_path / "design.json"
+    config = str(CONFIGS / "solve_example.json")
+    assert main(["solve", "--config", config, "--out", str(out)]) == 0
+    design = json.loads(out.read_text())
+    del design["v_phases"]
+    text = json.dumps(design, indent=2) + "\n"
+    assert sha256(text.encode()) == OUTPUT_SHA256["solve_example"]
+
+
+def test_example_sweep_svg_bytes(tmp_path):
+    csv, svg = tmp_path / "r.csv", tmp_path / "r.svg"
+    config = str(CONFIGS / "sweep_snr_example.json")
+    argv = ["sweep", "--kind", "snr", "--config", config, "--out", str(csv)]
+    assert main(argv + ["--plot", str(svg)]) == 0
+    assert sha256(svg.read_bytes()) == OUTPUT_SHA256["sweep_svg"]
+
+
+def test_realized_k_sweep_csv_bytes(tmp_path):
+    config = write_json(tmp_path / "realized.json", REALIZED_K_SWEEP)
+    out = tmp_path / "realized.csv"
+    assert main(["sweep", "--kind", "k", "--config", config, "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == OUTPUT_SHA256["realized_k"]
+
+
 def test_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
     """Synthesis draws a large block's trials on every CPU the process may
     run on; a process pinned to one CPU writes the same CSV bytes, for a
@@ -793,23 +874,6 @@ def test_figure_csv_bytes_at_baseline_dispatch(tmp_path):
     names = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
     if not names:
         pytest.skip("numpy runs only its baseline kernels on this CPU")
-    realized = {
-        "system": {
-            "K": 2,
-            "N": 5,
-            "P": 10.0,
-            "noise_var": 1.0,
-            "s": 0.4,
-            "eval_mode": "realized",
-            "error_sampling": "interior",
-        },
-        "sweep": {
-            "values": [1, 3, 8],
-            "trials": 200,
-            "schemes": ["robust_exact", "nonrobust"],
-        },
-        "master_seed": 4,
-    }
     # a synthesized instance larger than the example's K=4, N=16
     large = {
         "system": {"K": 32, "N": 64, "P": 10.0, "noise_var": 1.0, "s": 0.4},
@@ -819,7 +883,8 @@ def test_figure_csv_bytes_at_baseline_dispatch(tmp_path):
         (f"fig_{kind}", kind, str(CONFIGS / f"fig_{kind}.json"))
         for kind in FIGURE_CSV_SHA256
     ]
-    runs.append(("realized", "k", write_json(tmp_path / "realized.json", realized)))
+    realized = write_json(tmp_path / "realized.json", REALIZED_K_SWEEP)
+    runs.append(("realized", "k", realized))
     solves = [
         ("solve_example", "solve", str(CONFIGS / "solve_example.json")),
         ("solve_large", "solve", write_json(tmp_path / "large.json", large)),

@@ -1,6 +1,8 @@
 """README examples and tables checked against the code they document."""
 
+import dataclasses
 import inspect
+import json
 import re
 from importlib import import_module
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import aircomp_ris
 from aircomp_ris import verify
 from aircomp_ris.cli import main
+from aircomp_ris.config import _SHAPE
 from aircomp_ris.experiments import SCHEMES
 from aircomp_ris.model import (
     _DRAW_BLOCK,
@@ -120,3 +123,42 @@ def test_draw_chunk_size_and_split_rule_match_the_code():
     call = re.search(r"each\s+generator call draws at least (\d+)\s+doubles", README)
     assert call, "README must state when a block splits across CPUs"
     assert int(call[1]) == _SPLIT_CALL
+
+
+def test_config_table_lists_every_key():
+    """README's config reference has one row per key of config._SHAPE, with
+    its JSON type, "required" exactly for the required keys, and the
+    SystemConfig default of each optional system key."""
+    rows = table("| Key | Section | Type | Default | Range | Read by |")
+    documented = {}
+    for key, section, kind, default, *_ in rows:
+        section = "config" if section == "top level" else section
+        documented[section, key.strip("`")] = (kind, default)
+    assert len(documented) == len(rows)
+    shape = {
+        (section, key): (kind, key in required)
+        for section, (required, optional) in _SHAPE.items()
+        for key, kind in {**required, **optional}.items()
+    }
+    assert documented.keys() == shape.keys()
+    for name, (kind, required) in shape.items():
+        assert documented[name][0] == kind, name
+        assert (documented[name][1] == "required") == required, name
+    for field in dataclasses.fields(SystemConfig):
+        if field.default is not dataclasses.MISSING:
+            default = documented["system", field.name][1]
+            assert json.loads(default.strip("`")) == field.default, field.name
+
+
+def test_retired_channel_var_is_rejected(tmp_path, capsys):
+    """A config that still sets channel_var exits 1 with the unknown-key
+    error README's conversion note quotes."""
+    message = "invalid config: 'channel_var' was unexpected in system"
+    assert f'"{message}"' in " ".join(README.split())
+    cfg = tmp_path / "cfg.json"
+    system = {"K": 1, "N": 1, "P": 1.0, "noise_var": 1.0, "channel_var": 0.5}
+    cfg.write_text(json.dumps({"system": system, "master_seed": 0}))
+    out = tmp_path / "design.json"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"

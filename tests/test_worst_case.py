@@ -332,11 +332,12 @@ class TestRealizedScore:
 
     @pytest.mark.parametrize("scheme", ["multistart", "nonrobust"])
     def test_zero_estimate_entry(self, scheme):
-        # channel_var 2 makes the segments the raw normals. Sensor 0 has
-        # h = (3j, 4), so eps = 0.6 * 5 = 3, and its error direction -1j on
-        # entry 0 scales to delta = (-3j, 0): h_hat = h - conj(delta) = (0, 4)
-        config = self.config(N=2, channel_var=2.0, s=0.6)
-        crafted = [[0, 1], [1, 0], [3, 4], [0, 0], [0, 0], [-1, 0]]
+        # doubled normals make the segments exactly the crafted values
+        # (0.5 * 2x = x). Sensor 0 has h = (3j, 4), so eps = 0.6 * 5 = 3, and
+        # its error direction -1j on entry 0 scales to delta = (-3j, 0):
+        # h_hat = h - conj(delta) = (0, 4)
+        config = self.config(N=2, s=0.6)
+        crafted = 2 * np.array([[0, 1], [1, 0], [3, 4], [0, 0], [0, 0], [-1, 0]])
         normals = [crafted, np.random.default_rng(2).normal(size=(6, 2))]
         h_hat, _ = synthesize_instance(config, FixedNormals(normals))
         draw = synthesize_instance(config, FixedNormals(normals), gains_only=True)
