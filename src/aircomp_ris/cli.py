@@ -57,8 +57,28 @@ def _atomic_write(path, data):
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def _design_document(h_hat, design, cert, P):
-    return {
+def cmd_solve(config_path, out_path):
+    cfg = load_config(config_path)
+    system = cfg.system
+    if cfg.instance is not None:
+        h_hat, eps = cfg.instance
+    else:
+        h_hat, eps = synthesize_instance(system, np.random.default_rng(cfg.master_seed))
+    a = cophased_gains(h_hat)
+    design = robust_scalars(system, a, eps * np.sqrt(system.N))
+    cert = certificate(design, a, eps, system.N, system.noise_var)
+    # lambda is inf where eps_k = 0 and written as null; NaN is never valid
+    finite = {
+        "m": np.isfinite(design.m),
+        "t": np.isfinite(design.t),
+        "lambda": ~np.isnan(cert.lambdas),
+        "worst_case_terms": np.isfinite(cert.terms),
+        "objective": np.isfinite(cert.total),
+    }
+    bad = [key for key, ok in finite.items() if not np.all(ok)]
+    if bad:
+        raise AirCompError(f"the design is not finite: {', '.join(bad)}")
+    doc = {
         "m": design.m,
         "t": np.stack([design.t.real, design.t.imag], axis=-1).tolist(),
         "v_phases": ris_phases(h_hat).tolist(),
@@ -66,37 +86,9 @@ def _design_document(h_hat, design, cert, P):
         "worst_case_terms": cert.terms.tolist(),
         "objective": cert.total,
         "sum_power": float(np.sum(np.abs(design.t) ** 2)),
-        "power_budget": P,
+        "power_budget": system.P,
     }
-
-
-def cmd_solve(config_path, out_path):
-    try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    system = cfg.system
-    # a checked config synthesizes without error, unless it cannot allocate
-    if cfg.instance is not None:
-        h_hat, eps = cfg.instance
-    else:
-        h_hat, eps = synthesize_instance(system, np.random.default_rng(cfg.master_seed))
-    try:
-        a = cophased_gains(h_hat)
-        design = robust_scalars(system, a, eps * np.sqrt(system.N))
-        cert = certificate(design, a, eps, system.N, system.noise_var)
-        doc = _design_document(h_hat, design, cert, system.P)
-        # ValueError: a non-finite number, which JSON cannot represent
-        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    except (AirCompError, ValueError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    try:
-        _atomic_write(out_path, text)
-    except IOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _atomic_write(out_path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -120,28 +112,12 @@ def records_to_csv(records):
 
 
 def cmd_sweep(config_path, kind, out_csv, plot_path=None):
-    try:
-        cfg = load_config(config_path)
-        spec = cfg.sweep_spec(kind)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        records = run_sweep(spec)
-    except AirCompError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    try:
-        _atomic_write(out_csv, records_to_csv(records))
-        if plot_path is not None:
-            x_label = {"snr": "SNR (dB)", "n": "RIS elements N", "k": "sensors K"}[kind]
-            svg = line_plot_svg(
-                records_to_series(records), x_label, title=f"NMSE vs {kind}"
-            )
-            _atomic_write(plot_path, svg)
-    except IOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    records = run_sweep(load_config(config_path).sweep_spec(kind))
+    _atomic_write(out_csv, records_to_csv(records))
+    if plot_path is not None:
+        x_label = {"snr": "SNR (dB)", "n": "RIS elements N", "k": "sensors K"}[kind]
+        svg = line_plot_svg(records_to_series(records), x_label, title=f"NMSE vs {kind}")
+        _atomic_write(plot_path, svg)
     return EXIT_OK
 
 
@@ -200,6 +176,15 @@ def main(argv=None):
         if args.command == "sweep":
             return cmd_sweep(args.config, args.kind, args.out, args.plot)
         return cmd_verify(args.suite, args.trials, args.seed)
+    except ConfigError as exc:  # an AirCompError, so it comes first
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except AirCompError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (MemoryError, ValueError) as exc:
         # numpy refuses a size whose byte count overflows a pointer with a
         # ValueError. Outputs are written last, so a run that cannot

@@ -83,15 +83,18 @@ class RunConfig:
     def sweep_spec(self, kind):
         if self.sweep_dict is None:
             raise ConfigError("config has no 'sweep' section")
-        return SweepSpec(
-            kind=kind,
-            values=list(self.sweep_dict["values"]),
-            trials=self.sweep_dict["trials"],
-            schemes=list(self.sweep_dict["schemes"]),
-            base=self.system,
-            master_seed=self.master_seed,
-            s_values=self.sweep_dict.get("s_values"),
-        )
+        try:
+            return SweepSpec(
+                kind=kind,
+                values=list(self.sweep_dict["values"]),
+                trials=self.sweep_dict["trials"],
+                schemes=list(self.sweep_dict["schemes"]),
+                base=self.system,
+                master_seed=self.master_seed,
+                s_values=self.sweep_dict.get("s_values"),
+            )
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _reject_constant(token):
@@ -133,11 +136,7 @@ def parse_config(raw):
         sweep_dict = dict(sweep_dict, trials=int(sweep_dict["trials"]))
     config = RunConfig(system, sweep_dict, instance, master_seed)
     if sweep_dict is not None:
-        try:
-            # validate everything except the kind, which the CLI supplies
-            config.sweep_spec("snr")
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
+        config.sweep_spec("snr")  # checks all but the kind, which the CLI gives
     return config
 
 

@@ -255,8 +255,7 @@ def synthesize_instance(config, rng, gains_only=False):
                     w = 1.0 / mag
                     c.real[lo:hi] = np.vecdot(del_re * h_re - del_im * h_im, w)
                     c.imag[lo:hi] = np.vecdot(del_re * h_im + del_im * h_re, w)
-                    sq = np.vecdot(del_re, del_re) + np.vecdot(del_im, del_im)
-                    delta_norms[lo:hi] = np.sqrt(sq)
+                    delta_norms[lo:hi] = scale[:, 0] * norm  # squaring could overflow
                 continue
             h_hat.real[lo:hi], h_hat.imag[lo:hi] = h_re, h_im
 

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from oracles import serialize_config
 
-from aircomp_ris import optimizer, verify
+from aircomp_ris import cli, optimizer, verify
 from aircomp_ris.cli import main, records_to_csv
 from aircomp_ris.config import ConfigError, load_config, parse_config
+from aircomp_ris.errors import AllZeroScalers
 from aircomp_ris.experiments import AggregateRecord, snr_to_noise_var
 
 
@@ -47,6 +48,19 @@ def sweep_config(trials=1, values=None, schemes=None):
         },
         "master_seed": 5,
     }
+
+
+def run_cli_child(argv):
+    """Run the CLI in a child process, where numpy's overflow warnings stay
+    warnings instead of the errors the test settings make them."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "aircomp_ris.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 class TestSolve:
@@ -116,6 +130,20 @@ class TestSolve:
         cfg = write_json(tmp_path / "cfg.json", raw)
         out = tmp_path / "design.json"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_non_finite_design_is_a_solver_error(self, tmp_path):
+        """At s = 1e200, |h_hat|^2 overflows in synthesis and the design is
+        NaN: solve names the keys that are not finite, exits 2 and writes
+        nothing."""
+        system = {"K": 3, "N": 4, "P": 10.0, "noise_var": 1.0, "s": 1e200}
+        cfg = write_json(tmp_path / "cfg.json", {"system": system, "master_seed": 5})
+        out = tmp_path / "design.json"
+        run = run_cli_child(["solve", "--config", cfg, "--out", str(out)])
+        assert run.returncode == 2 and "Traceback" not in run.stderr
+        last = run.stderr.splitlines()[-1]
+        assert last.startswith("solver error: the design is not finite: ")
+        assert "objective" in last.split(": ")[-1].split(", ")
         assert not out.exists()
 
     def test_phases_in_pi_interval(self, tmp_path):
@@ -462,25 +490,26 @@ class TestSweep:
         for out in outputs:
             assert out.stat().st_mode == plain.stat().st_mode, out
 
-    @pytest.mark.parametrize("plot", [False, True], ids=["csv", "plot"])
-    def test_non_finite_nmse_is_a_solver_error(self, tmp_path, plot):
+    @pytest.mark.parametrize(
+        "plot, modes",
+        [
+            (False, {}),
+            (True, {}),
+            (False, {"eval_mode": "realized", "error_sampling": "interior"}),
+        ],
+        ids=["csv", "plot", "realized"],
+    )
+    def test_non_finite_nmse_is_a_solver_error(self, tmp_path, plot, modes):
         """At s = 1e200, |h_hat|^2 overflows in synthesis and the design's
-        NMSE is NaN: the sweep exits 2 and writes nothing. It runs in a child
-        process, where numpy's overflow warnings stay warnings."""
+        NMSE is NaN (in realized mode the error's projection c overflows
+        too, while its norm stays finite): the sweep exits 2 and writes
+        nothing."""
         raw = sweep_config(trials=5, values=[0.0, 10.0], schemes=["multistart"])
-        raw["system"].update(K=3, N=4, s=1e200)
+        raw["system"].update(K=3, N=4, s=1e200, **modes)
         cfg = write_json(tmp_path / "cfg.json", raw)
         out, svg = tmp_path / "r.csv", tmp_path / "r.svg"
         argv = ["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]
-        argv += ["--plot", str(svg)] if plot else []
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        run = subprocess.run(
-            [sys.executable, "-m", "aircomp_ris.cli", *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        run = run_cli_child(argv + (["--plot", str(svg)] if plot else []))
         assert run.returncode == 2 and "Traceback" not in run.stderr
         last = run.stderr.splitlines()[-1]
         assert last == "solver error: NMSE is not finite at snr 0.0, s 1e+200"
@@ -537,6 +566,46 @@ class TestVerifyCommand:
         real = verify.ris_phases
         monkeypatch.setattr(verify, "ris_phases", lambda h_hat: real(h_hat) + 0.3)
         self.fails(capsys, "worstcase")
+
+
+def _raises(error):
+    def raise_error(*args, **kwargs):
+        raise error
+
+    return raise_error
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize(
+    "failure, code, prefix",
+    [
+        ("config", 1, "error: bad config\n"),
+        ("solver", 2, "solver error: every channel estimate is zero\n"),
+        ("io", 3, "error: cannot write "),
+    ],
+    ids=["config", "solver", "io"],
+)
+def test_main_maps_errors_to_exit_codes(
+    tmp_path, capsys, monkeypatch, command, failure, code, prefix
+):
+    """main turns a ConfigError, any other AirCompError and an OSError into
+    exit 1, 2 and 3 with their stderr line, whichever callee raised it, and
+    the failed run leaves no output, not even a temp file."""
+    if failure == "config":
+        monkeypatch.setattr(cli, "load_config", _raises(ConfigError("bad config")))
+    elif failure == "solver":
+        designer = "robust_scalars" if command == "solve" else "run_sweep"
+        error = AllZeroScalers("every channel estimate is zero")
+        monkeypatch.setattr(cli, designer, _raises(error))
+    else:  # the rename that puts a written output in place fails
+        monkeypatch.setattr(cli.os, "replace", _raises(OSError("disk full")))
+    raw = golden_solve_config() if command == "solve" else sweep_config()
+    cfg = write_json(tmp_path / "cfg.json", raw)
+    argv = ["solve"] if command == "solve" else ["sweep", "--kind", "snr"]
+    out = tmp_path / "out"
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(prefix)
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
 
 class TestUsageErrors:

@@ -8,7 +8,7 @@ from importlib import import_module
 from pathlib import Path
 
 import aircomp_ris
-from aircomp_ris import verify
+from aircomp_ris import cli, verify
 from aircomp_ris.cli import main
 from aircomp_ris.config import _SHAPE
 from aircomp_ris.experiments import SCHEMES
@@ -162,3 +162,30 @@ def test_retired_channel_var_is_rejected(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def exit_codes(text):
+    """{code: meaning} of the "Exit codes: 0 ok, 1 ..." sentence in text."""
+    sentence = re.search(r"Exit codes: ([^.]*)\.", " ".join(text.split()))
+    assert sentence, "the text must state its exit codes"
+    return {
+        int(code): meaning
+        for code, meaning in (part.split(" ", 1) for part in sentence[1].split(", "))
+    }
+
+
+def test_exit_codes_match_the_code():
+    """README and the cli docstring give each EXIT_* constant of cli the
+    same code and meaning."""
+    meanings = {
+        "EXIT_OK": "ok",
+        "EXIT_CONFIG": "config or usage error",
+        "EXIT_SOLVER": "solver error",
+        "EXIT_IO": "I/O error",
+        "EXIT_VERIFY": "verification failure",
+    }
+    constants = {name: v for name, v in vars(cli).items() if name.startswith("EXIT_")}
+    assert constants.keys() == meanings.keys()
+    expected = {constants[name]: meaning for name, meaning in meanings.items()}
+    assert exit_codes(README) == expected
+    assert exit_codes(cli.__doc__) == expected
