@@ -17,12 +17,13 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .config import load_config
 from .errors import AirCompError, ConfigError
-from .experiments import run_sweep
+from .experiments import SWEEP_KINDS, AggregateRecord, run_sweep
 from .model import synthesize_instance
 from .optimizer import cophased_gains, ris_phases, robust_scalars
 from .svgplot import line_plot_svg, records_to_series
@@ -35,7 +36,7 @@ EXIT_SOLVER = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
 
-CSV_HEADER = ["kind", "value", "scheme", "nmse_mean", "nmse_std", "trials", "mean_iters"]
+CSV_HEADER = [field.name for field in fields(AggregateRecord)]
 
 
 def _atomic_write(path, data):
@@ -97,27 +98,21 @@ def records_to_csv(records):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for rec in records:
-        writer.writerow(
-            [
-                rec.kind,
-                repr(float(rec.value)) if isinstance(rec.value, float) else rec.value,
-                rec.scheme,
-                repr(rec.nmse_mean),
-                repr(rec.nmse_std),
-                rec.trials,
-                repr(rec.mean_iters),
-            ]
-        )
+        row = vars(rec).values()  # a dataclass sets its fields in CSV_HEADER's order
+        writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
     return buf.getvalue()
 
 
 def cmd_sweep(config_path, kind, out_csv, plot_path=None):
     records = run_sweep(load_config(config_path).sweep_spec(kind))
-    _atomic_write(out_csv, records_to_csv(records))
+    # render every output before writing any, so a failed render writes none
+    outputs = [(out_csv, records_to_csv(records))]
     if plot_path is not None:
         x_label = {"snr": "SNR (dB)", "n": "RIS elements N", "k": "sensors K"}[kind]
         svg = line_plot_svg(records_to_series(records), x_label, title=f"NMSE vs {kind}")
-        _atomic_write(plot_path, svg)
+        outputs.append((plot_path, svg))
+    for path, text in outputs:
+        _atomic_write(path, text)
     return EXIT_OK
 
 
@@ -150,7 +145,7 @@ def build_parser():
     p_solve.add_argument("--out", required=True)
 
     p_sweep = sub.add_parser("sweep", help="run a Monte Carlo NMSE sweep")
-    p_sweep.add_argument("--kind", required=True, choices=["snr", "n", "k"])
+    p_sweep.add_argument("--kind", required=True, choices=list(SWEEP_KINDS))
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--plot", default=None)

@@ -7,6 +7,7 @@ misspelled parameter cannot silently fall back to a default.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,14 +72,14 @@ def _check_section(name, section):
             raise ConfigError(f"invalid config: {name} lacks the required {key!r}")
 
 
+@dataclass
 class RunConfig:
     """Parsed and validated run configuration."""
 
-    def __init__(self, system, sweep_dict, instance, master_seed):
-        self.system = system
-        self.sweep_dict = sweep_dict
-        self.instance = instance
-        self.master_seed = master_seed
+    system: SystemConfig
+    sweep_dict: dict | None
+    instance: tuple | None
+    master_seed: int
 
     def sweep_spec(self, kind):
         if self.sweep_dict is None:

@@ -83,17 +83,14 @@ class SystemConfig:
 
 @dataclass
 class Design:
-    """A transceiver/RIS operating point.
-
-    m is the receive scaling, t the (K,) transmit scalars, v the (K, N)
-    unit-modulus RIS phase vectors, unset when only the worst case, which
-    depends on the effective scalars t_hat = m * t alone, is scored. A block
-    of designs adds leading trial axes: m (T,), t (T, K) and v (T, K, N).
+    """A transceiver operating point: m is the receive scaling, t the (K,)
+    transmit scalars. The RIS phases co-phase each sensor to its estimate,
+    so they are a function of h_hat (optimizer.ris_phases) and never stored.
+    A block of designs adds a leading trial axis: m (T,) and t (T, K).
     """
 
     m: float | np.ndarray
     t: np.ndarray
-    v: np.ndarray | None = None
 
     @property
     def t_hat(self):

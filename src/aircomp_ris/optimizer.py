@@ -45,8 +45,8 @@ def recover_m_t(t_hat_set, P):
 
 
 def _scalar_design(a, t_hat, P):
-    """The Design of the effective scalars t_hat, without RIS vectors. No
-    design serves a trial whose every estimate is zero."""
+    """The Design of the effective scalars t_hat. No design serves a trial
+    whose every estimate is zero."""
     if not a.any(axis=-1).all():
         raise AllZeroScalers("every channel estimate is zero")
     m, t = recover_m_t(t_hat, P)

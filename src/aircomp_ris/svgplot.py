@@ -45,14 +45,18 @@ def line_plot_svg(series, x_label, title=""):
     x_min, x_max = min(all_x), max(all_x)
     ly_min, ly_max = min(logs), max(logs)
     if x_max == x_min:
-        x_max = x_min + 1.0
+        # a step that changes the float at any magnitude (1.0 does not past 2^53)
+        x_max = x_min + max(1.0, abs(x_min))
     if ly_max == ly_min:
         ly_max = ly_min + 1.0
     pw = _WIDTH - _MARGIN_L - _MARGIN_R
     ph = _HEIGHT - _MARGIN_T - _MARGIN_B
+    # a power of two keeps pw * (x - x_min) finite and rounds as without it
+    e = max(0, math.frexp(x_max - x_min)[1])
+    span = math.ldexp(x_max - x_min, -e)
 
     def sx(x):
-        return _MARGIN_L + pw * (x - x_min) / (x_max - x_min)
+        return _MARGIN_L + pw * math.ldexp(x - x_min, -e) / span
 
     def sy(y):
         ly = math.log10(max(y, y_floor))
@@ -81,9 +85,7 @@ def line_plot_svg(series, x_label, title=""):
             f'text-anchor="middle" font-family="sans-serif" font-size="11">'
             f"{x:g}</text>"
         )
-    for dec in range(math.floor(ly_min), math.ceil(ly_max) + 1):
-        if dec < ly_min or dec > ly_max:
-            continue
+    for dec in range(math.ceil(ly_min), math.floor(ly_max) + 1):
         py = _MARGIN_T + ph * (1.0 - (dec - ly_min) / (ly_max - ly_min))
         parts.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{_fmt(py)}" x2="{_MARGIN_L}" '

@@ -3,16 +3,16 @@ inner product and a complex Gaussian sampler, numpy's own seeding of a
 trial's generator, a stand-in generator of fixed normals, channel
 synthesis drawn sensor by sensor in complex numpy, which also gives the
 true channels and errors that synthesize_instance does not return, one
-sweep trial run alone, co-phasing RIS vectors and the designs of the
-scalar cores with them, the per-sensor worst-case term, the worst-case
-objective and the MSE at given errors evaluated on the full channel arrays
+sweep trial run alone, co-phasing RIS vectors, a Design that carries RIS
+vectors and the designs of the scalar cores with them, the per-sensor
+worst-case term, the worst-case objective and the MSE at given errors evaluated on the full channel arrays
 and the design's RIS vectors, row norms of complex arrays, the MSE of a
 design on known true channels, in closed form and by Monte Carlo, a
 sampler of perturbations inside an uncertainty ball, the paper's
 alternating loop (Algorithm 1) written sensor by sensor, and the inverse
 of config parsing."""
 
-from dataclasses import replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,6 +116,14 @@ def cophase(h_hat):
     return np.divide(h_hat, np.abs(h_hat), out=ones, where=h_hat != 0)
 
 
+@dataclass
+class RISDesign(Design):
+    """A Design with (..., K, N) unit-modulus RIS vectors v, for the
+    reference forms that score complex channel arrays."""
+
+    v: np.ndarray
+
+
 def cophased_design(config, h_hat, eps=None):
     """m and t of the scalar cores, robust_scalars given the radii eps and
     nonrobust_scalars without them, from the gains ||h_hat_k||_1, with
@@ -126,7 +134,7 @@ def cophased_design(config, h_hat, eps=None):
     else:
         eps_rootN = np.asarray(eps, dtype=float) * np.sqrt(config.N)
         design = robust_scalars(config, a, eps_rootN)
-    return replace(design, v=cophase(h_hat))
+    return RISDesign(design.m, design.t, cophase(h_hat))
 
 
 def worst_case_objective(design, h_hat_set, eps_set, noise_var):
@@ -290,4 +298,4 @@ def ref_loop_design(config, h_hat, eps):
     m = 0 when it silences every sensor."""
     v, t_hat, _ = ref_loop(config, h_hat, eps)
     m = np.sqrt(np.sum(np.abs(t_hat) ** 2) / config.P)
-    return Design(m=m, t=t_hat / m if m > 0 else np.zeros_like(t_hat), v=v)
+    return RISDesign(m=m, t=t_hat / m if m > 0 else np.zeros_like(t_hat), v=v)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    RISDesign,
     channel_seed,
     cophased_design,
     ref_loop_design,
@@ -17,7 +18,7 @@ from oracles import (
 
 from aircomp_ris.cli import main
 from aircomp_ris.experiments import snr_to_noise_var
-from aircomp_ris.model import Design, SystemConfig, synthesize_instance
+from aircomp_ris.model import SystemConfig, synthesize_instance
 from aircomp_ris.optimizer import t_exact
 from aircomp_ris.verify import run_suite
 
@@ -282,7 +283,7 @@ def test_criterion_11_closed_form_global_optimum():
                 continue
             v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (config.K, config.N)))
             m = np.sqrt(np.sum(np.abs(t_hat) ** 2) / config.P)
-            others.append(objective(Design(m=m, t=t_hat / m, v=v)))
+            others.append(objective(RISDesign(m=m, t=t_hat / m, v=v)))
         runner_up = min(others)
         if best > runner_up * (1 + 1e-12):
             ok = False

@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +22,13 @@ from aircomp_ris import cli, optimizer, verify
 from aircomp_ris.cli import main, records_to_csv
 from aircomp_ris.config import ConfigError, load_config, parse_config
 from aircomp_ris.errors import AllZeroScalers
-from aircomp_ris.experiments import AggregateRecord, snr_to_noise_var
+from aircomp_ris.experiments import (
+    SCHEMES,
+    SWEEP_KINDS,
+    AggregateRecord,
+    snr_to_noise_var,
+)
+from aircomp_ris.model import ERROR_SAMPLING_MODES, EVAL_MODES
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -395,6 +405,29 @@ class TestSweep:
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    def test_one_value_plot_at_any_magnitude(self, tmp_path):
+        """A one-value sweep plots its point at the left margin, also where
+        x + 1.0 == x (|x| >= 2^53), which used to divide by a zero width."""
+        raw = json.loads((CONFIGS / "sweep_snr_example.json").read_text())
+        raw["sweep"]["values"] = [1e16]
+        del raw["sweep"]["s_values"]
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        out, svg = tmp_path / "r.csv", tmp_path / "r.svg"
+        argv = ["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]
+        assert main([*argv, "--plot", str(svg)]) == 0
+        assert out.read_text().split("\n")[1].startswith("snr,1e+16,")
+        assert '<polyline points="70.00,' in svg.read_text()
+
+    def test_failed_plot_writes_no_csv(self, tmp_path, monkeypatch, capsys):
+        """Both outputs are rendered before either is written."""
+        monkeypatch.setattr(cli, "line_plot_svg", _raises(OSError("cannot render")))
+        cfg = write_json(tmp_path / "cfg.json", sweep_config())
+        out, svg = tmp_path / "r.csv", tmp_path / "r.svg"
+        argv = ["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]
+        assert main([*argv, "--plot", str(svg)]) == 3
+        assert capsys.readouterr().err == "error: cannot render\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
     @pytest.mark.parametrize(
         "kind, values", [("n", [16.5, 32]), ("k", [0, 2]), ("n", [-4, 8])]
     )
@@ -748,6 +781,136 @@ def test_config_shape_and_range_rules(tmp_path, capsys, raw):
     assert main(["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# extremes of a double and a few plain numbers; wrong JSON types
+_POSITIVE = [5e-324, 1e-300, 0.1, 0.4, 1, 1.0, 10.0, 2.0**53, 1e300, 1.7e308]
+_EXTREMES = st.sampled_from([0, -0.0, *_POSITIVE, *(-x for x in _POSITIVE)])
+_WRONG = st.sampled_from([None, True, "1", [1], {"a": 1}])
+# a size is small, or one the checks refuse before anything is allocated
+_SIZE_BAD = st.sampled_from([0, -1, 2.5, 1e300, 2**64 + 1])
+
+
+def _mostly(draw, good, bad):
+    """A draw of good, or about one time in 16 a draw of bad."""
+    return draw(bad if draw(st.integers(0, 15)) == 15 else good)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """Configs of the documented shape, mostly valid, with extreme numbers,
+    wrong types, unknown and missing keys, duplicate values and instance
+    sections."""
+    bad_number = st.one_of(_EXTREMES, _WRONG)
+    number = st.sampled_from([0, *_POSITIVE])
+    K, N = (_mostly(draw, st.integers(1, 4), _SIZE_BAD | _WRONG) for _ in "KN")
+    system = {"K": K, "N": N}
+    system["P"] = _mostly(draw, st.sampled_from(_POSITIVE), bad_number)
+    for key in ("noise_var", "s"):
+        system[key] = _mostly(draw, number, bad_number)
+    mode_keys = {"eval_mode": EVAL_MODES, "error_sampling": ERROR_SAMPLING_MODES}
+    for key, modes in mode_keys.items():
+        if draw(st.booleans()):
+            system[key] = _mostly(draw, st.sampled_from(modes), _WRONG | st.just("x"))
+    # sizes, which every kind takes, or numbers, which only an SNR sweep takes
+    value = draw(st.sampled_from([st.integers(1, 4), number]))
+    values = st.lists(value, min_size=1, max_size=3, unique=True).map(sorted)
+    unsorted = st.lists(_EXTREMES | st.integers(1, 4), max_size=3)
+    sweep = {
+        "values": _mostly(draw, values, unsorted | _WRONG),
+        "trials": _mostly(draw, st.integers(1, 3), _SIZE_BAD | _WRONG),
+        "schemes": _mostly(
+            draw,
+            st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=3, unique=True),
+            st.lists(st.sampled_from([*SCHEMES, "x"]), max_size=3) | _WRONG,
+        ),
+    }
+    if draw(st.booleans()):
+        s_values = st.lists(number, min_size=1, max_size=2, unique=True).map(sorted)
+        sweep["s_values"] = _mostly(draw, s_values, st.lists(bad_number) | _WRONG)
+    seeds = st.sampled_from([0, 7, 2**64 + 1, 2**70])
+    raw = {"system": system, "master_seed": _mostly(draw, seeds, bad_number)}
+    if draw(st.integers(0, 3)) < 3:
+        raw["sweep"] = sweep
+    if draw(st.booleans()):
+        rows, cols = (n if type(n) is int and 1 <= n <= 4 else 1 for n in (K, N))
+        pair = st.lists(_EXTREMES, min_size=2, max_size=2)
+        row = st.lists(pair, min_size=cols, max_size=cols)
+        h_hat = st.lists(row, min_size=rows, max_size=rows)
+        eps = st.lists(number, min_size=rows, max_size=rows)
+        raw["instance"] = {
+            "h_hat": _mostly(draw, h_hat, st.lists(st.lists(pair)) | _WRONG),
+            "eps": _mostly(draw, eps, st.lists(bad_number)),
+        }
+    sections = [raw, *(v for v in raw.values() if isinstance(v, dict))]
+    if draw(st.integers(0, 15)) == 15:
+        draw(st.sampled_from(sections))["extra"] = 1
+    if draw(st.integers(0, 15)) == 15:
+        section = draw(st.sampled_from(sections))
+        del section[draw(st.sampled_from(sorted(section)))]
+    return raw
+
+
+def _all_finite(node, key=None):
+    """Every number in a parsed JSON document is finite; a lambda may be null."""
+    if isinstance(node, dict):
+        return all(_all_finite(value, name) for name, value in node.items())
+    if isinstance(node, list):
+        return all(_all_finite(value, key) for value in node)
+    if node is None:
+        return key == "lambda"
+    return math.isfinite(node)
+
+
+def _output_is_finite(path):
+    text = path.read_text()
+    if path.suffix == ".json":
+        return _all_finite(json.loads(text))
+    if path.suffix == ".csv":
+        header, *rows = (line.split(",") for line in text.splitlines())
+        assert header == cli.CSV_HEADER and rows
+        # every column but kind and scheme is a number
+        numeric = [i for i, name in enumerate(header) if name not in ("kind", "scheme")]
+        return all(math.isfinite(float(row[i])) for row in rows for i in numeric)
+    coords = re.findall(r' (?:x1?|y1?|x2|y2|cx|cy|points)="([^"]*)"', text)
+    return all(math.isfinite(float(x)) for c in coords for x in re.split("[ ,]", c))
+
+
+_RUNS = [(["solve"], None)] + [
+    (["sweep", "--kind", kind], plot)
+    for kind in SWEEP_KINDS
+    for plot in ("r.svg", None)
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(raw=fuzzed_configs())
+# x + 1.0 == x past 2^53; pw * (x - x_min) overflows across the largest double
+@example(raw=sweep_config(values=[1e16]))
+@example(raw=sweep_config(values=[1, 1.7e308]))
+def test_every_config_gets_a_documented_exit(raw):
+    """solve and every sweep kind, with and without --plot, exit through
+    main with a documented code and its stderr prefix; a failed run writes
+    nothing, and a run that succeeds writes only finite numbers."""
+    prefixes = {cli.EXIT_CONFIG: "error: ", cli.EXIT_SOLVER: "solver error: "}
+    for argv, plot in _RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_json(Path(tmp) / "cfg.json", raw)
+            out = Path(tmp) / ("design.json" if argv == ["solve"] else "r.csv")
+            argv = [*argv, "--config", cfg, "--out", str(out)]
+            if plot:
+                argv += ["--plot", str(Path(tmp) / plot)]
+            err = io.StringIO()
+            with np.errstate(all="ignore"), contextlib.redirect_stderr(err):
+                code = main(argv)
+            written = sorted(p for p in Path(tmp).iterdir() if p.name != "cfg.json")
+            if code == cli.EXIT_OK:
+                assert len(written) == (2 if plot else 1), argv
+                assert all(map(_output_is_finite, written)), (argv, raw)
+            else:
+                assert code in prefixes, (code, argv, raw)
+                assert err.getvalue().startswith(prefixes[code]), err.getvalue()
+                assert written == [], (argv, raw)
 
 
 class TestConfigRoundTrip:

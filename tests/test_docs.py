@@ -150,6 +150,12 @@ def test_config_table_lists_every_key():
             assert json.loads(default.strip("`")) == field.default, field.name
 
 
+def test_csv_columns_match_the_code():
+    stated = re.search(r"\*\*CSV columns\*\*, in order: `([^`]*)`", README)
+    assert stated, "README must list the CSV columns in order"
+    assert stated[1].split(", ") == cli.CSV_HEADER
+
+
 def test_retired_channel_var_is_rejected(tmp_path, capsys):
     """A config that still sets channel_var exits 1 with the unknown-key
     error README's conversion note quotes."""

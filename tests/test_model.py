@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     FixedNormals,
+    RISDesign,
     closed_form_mse,
     cophase,
     empirical_mse,
@@ -23,7 +24,6 @@ from oracles import (
 
 from aircomp_ris import model
 from aircomp_ris.model import (
-    Design,
     SystemConfig,
     synthesize_instance,
     trials_per_block,
@@ -222,7 +222,7 @@ def _aligned_design(channels, m=1.0):
     K, N = channels.shape
     v = np.stack([ch / np.abs(ch) for ch in channels])
     t = np.array([1.0 / (m * inner(channels[k], v[k])) for k in range(K)])
-    return Design(m=m, t=t, v=v)
+    return RISDesign(m=m, t=t, v=v)
 
 
 class TestEmpiricalMse:
@@ -233,7 +233,7 @@ class TestEmpiricalMse:
 
     def test_half_gain_analytic(self, rng):
         channels = np.array([[1.0 + 0j]])
-        design = Design(m=1.0, t=np.array([0.5 + 0j]), v=np.array([[1.0 + 0j]]))
+        design = RISDesign(m=1.0, t=np.array([0.5 + 0j]), v=np.array([[1.0 + 0j]]))
         trials = 200_000
         est = empirical_mse(design, channels, 0.0, trials, rng)
         # E|0.5 x - x|^2 = 0.25 with Var = E[(0.25 x^2 - 0.25)^2] per sample
@@ -243,7 +243,7 @@ class TestEmpiricalMse:
     def test_matches_closed_form(self, rng):
         config = SystemConfig(K=3, N=4, P=5.0, noise_var=0.3, s=0.2)
         h = reference_synthesis(config, rng)[2]
-        design = Design(
+        design = RISDesign(
             m=0.7,
             t=sample_rayleigh_vector(3, 1.0, rng),
             v=np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 4))),
@@ -262,7 +262,7 @@ class TestEmpiricalMse:
         )
         _, _, h, _, _, deltas = reference_synthesis(config, copy.deepcopy(rng))
         h_hat, eps = synthesize_instance(config, rng)
-        design = Design(
+        design = RISDesign(
             m=0.7,
             t=sample_rayleigh_vector(3, 1.0, rng),
             v=np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 4))),

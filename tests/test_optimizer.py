@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    RISDesign,
     cophased_design,
     inner,
     ref_loop,
@@ -13,7 +14,7 @@ from oracles import (
 )
 
 from aircomp_ris.errors import AllZeroScalers
-from aircomp_ris.model import Design, SystemConfig, synthesize_instance
+from aircomp_ris.model import SystemConfig, synthesize_instance
 from aircomp_ris.optimizer import recover_m_t, ris_phases, t_exact
 
 
@@ -207,7 +208,7 @@ def _random_feasible_designs(config, h_hat, rng, count):
         v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (K, N)))
         power = config.P * rng.uniform(0.1, 1.0)
         m = np.sqrt(np.sum(tau**2) / power)
-        yield Design(m=m, t=t_hat / m, v=v)
+        yield RISDesign(m=m, t=t_hat / m, v=v)
 
 
 class TestRobustDesign:

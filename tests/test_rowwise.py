@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    RISDesign,
     cophase,
     cophased_design,
     mse_at_error,
@@ -16,7 +17,7 @@ from oracles import (
     worst_case_objective,
 )
 
-from aircomp_ris.model import Design, SystemConfig
+from aircomp_ris.model import SystemConfig
 from aircomp_ris.worst_case import certificate
 
 RTOL = 1e-12
@@ -45,7 +46,7 @@ def problems(draw):
     v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (K, N)))
     m = draw(st.floats(0.1, 3.0))
     noise_var = draw(st.floats(0.05, 2.0))
-    return Design(m=m, t=t, v=v), h_hat, eps, noise_var, rng
+    return RISDesign(m=m, t=t, v=v), h_hat, eps, noise_var, rng
 
 
 @settings(max_examples=150, deadline=None)
@@ -95,7 +96,7 @@ def test_single_sensor_loop_and_rows_agree():
     """K = 1 through every entry point, by hand."""
     h = np.array([[2.0 + 0j, 0.0]])
     v = np.array([[1.0 + 0j, 1j]])
-    design = Design(m=0.5, t=np.array([1.0 + 0j]), v=v)
+    design = RISDesign(m=0.5, t=np.array([1.0 + 0j]), v=v)
     # rho = 0.5*2 - 1 = 0, so the worst term is (0.5 * 0.3 * sqrt(2))^2
     expected = (0.5 * 0.3 * np.sqrt(2)) ** 2 + 0.1 * 0.25
     assert worst_case_objective(design, h, [0.3], 0.1) == pytest.approx(expected)

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     FixedNormals,
+    RISDesign,
     ball_perturbation,
     cophase,
     cophased_design,
@@ -178,7 +179,7 @@ ARRAY_DESIGNS = {
 
 
 def _design_k1(t_hat, v):
-    return Design(m=1.0, t=np.array([t_hat]), v=np.array([v]))
+    return RISDesign(m=1.0, t=np.array([t_hat]), v=np.array([v]))
 
 
 class TestObjectiveAndMseAtError:
@@ -194,7 +195,7 @@ class TestObjectiveAndMseAtError:
         v_set = np.exp(1j * rng.uniform(0, 2 * np.pi, (K, N)))
         t = rng.normal(size=K) + 1j * rng.normal(size=K)
         eps = rng.uniform(0.1, 0.8, K)
-        design = Design(m=1.0, t=t, v=v_set)
+        design = RISDesign(m=1.0, t=t, v=v_set)
         total = worst_case_objective(design, h_set, eps, 0.25)
         parts = sum(ref_term(t[k], h_set[k], v_set[k], eps[k]) for k in range(K))
         assert total == pytest.approx(parts + 0.25)
@@ -272,7 +273,6 @@ class TestScoreFromGains:
             )
             full = ARRAY_DESIGNS[scheme](config, h_hat, eps)
             scalar = design_for_scheme(config, scheme, (a, eps))
-            assert scalar.v is None
             assert np.array_equal(scalar.m, full.m) and np.array_equal(scalar.t, full.t)
             got = score_from_gains(scalar, a, eps * np.sqrt(self.N), config.noise_var)
             want = worst_case_objective(full, h_hat, eps, config.noise_var)
@@ -381,7 +381,7 @@ class TestTrialBlock:
         deltas = np.stack(
             [[ball_perturbation(N, e, rng) for e in row] for row in eps * 0.9]
         )
-        design = Design(
+        design = RISDesign(
             m=rng.uniform(0.5, 2.0, T),
             t=rng.normal(size=(T, K)) + 1j * rng.normal(size=(T, K)),
             v=np.exp(1j * rng.uniform(0, 2 * np.pi, (T, K, N))),
@@ -393,7 +393,7 @@ class TestTrialBlock:
         worst = worst_case_objective(design, h_hat, eps, 0.3)
         realized = mse_at_error(design, h_hat, deltas, 0.3, eps_set=eps)
         for t in range(len(h_hat)):
-            alone = Design(m=float(design.m[t]), t=design.t[t], v=design.v[t])
+            alone = RISDesign(m=float(design.m[t]), t=design.t[t], v=design.v[t])
             assert worst[t] == worst_case_objective(alone, h_hat[t], eps[t], 0.3)
             assert realized[t] == mse_at_error(
                 alone, h_hat[t], deltas[t], 0.3, eps_set=eps[t]
