@@ -1032,6 +1032,40 @@ def test_realized_k_sweep_csv_bytes(tmp_path):
     assert sha256(out.read_bytes()) == OUTPUT_SHA256["realized_k"]
 
 
+# sha256 of line_plot_svg on series that reach its edge cases: a one-point
+# range past 2^53, a span across the largest double, a flat NMSE (widened
+# log range), an all-zero NMSE (the 1e-12 floor) and colours that wrap
+SVG_SERIES_SHA256 = {
+    "one_point_1e16": (
+        {"multistart": [(1e16, 0.25)]},
+        "1a511ad1e1ac389d999d57d1e90b84d2ccd25a896f345c0c34b40cb9f6c5d32e",
+    ),
+    "x_across_largest_double": (
+        {"nonrobust": [(1, 0.1), (1.7e308, 0.01)]},
+        "6d2008354d538a7086d3e2c7f4fbdb87fa1076f3b4736bddd2ee9f023a3ca108",
+    ),
+    "flat_nmse": (
+        {"multistart": [(0.0, 0.2), (10.0, 0.2)]},
+        "7d3cfad4df7d2072d37d27d05cad81de9b751d3cee8cf269b0624415a020aa06",
+    ),
+    "all_zero_nmse": (
+        {"multistart": [(0.0, 0.0), (5.0, 0.0)]},
+        "1510004b5eee67dc82793c19a4bf88425b003b00ab18820aa299860d5866621d",
+    ),
+    "nine_series": (
+        {f"scheme{i}": [(0.0, 10.0**-i), (10.0, 10.0 ** -(i + 1))] for i in range(9)},
+        "9a190891dfbac68acfc1c9c950940ef910a28015d0bed82dd913176a26045353",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SVG_SERIES_SHA256))
+def test_svg_bytes_at_edge_cases(case):
+    series, pinned = SVG_SERIES_SHA256[case]
+    svg = cli.line_plot_svg(series, "SNR (dB)", title="NMSE vs snr")
+    assert sha256(svg.encode()) == pinned
+
+
 def test_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
     """Synthesis draws a large block's trials on every CPU the process may
     run on; a process pinned to one CPU writes the same CSV bytes, for a
