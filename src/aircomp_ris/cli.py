@@ -39,23 +39,34 @@ EXIT_VERIFY = 4
 CSV_HEADER = [field.name for field in fields(AggregateRecord)]
 
 
-def _atomic_write(path, data):
-    """Write text atomically: temp file in the target directory + rename.
-    The temp file is created as open(path, "w") creates a file, so the
-    output gets the same mode, 0666 less the umask."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".tmp-aircomp-{os.urandom(8).hex()}")
+def _write_outputs(outputs):
+    """Write every (path, text) pair of outputs, or none: each text goes to
+    a temp file in its target's directory, created as open(path, "w")
+    creates a file (so mode 0666 less the umask), and the temp files are
+    renamed into place only once no target is an existing directory and
+    all are written. The one partial case left: a rename that fails for a
+    cause not visible in advance keeps the outputs renamed before it."""
+    pending = []  # (temp file, target) pairs not yet renamed into place
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
+        for path, text in outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError("Is a directory")
+            directory = os.path.dirname(os.path.abspath(path))
+            tmp = os.path.join(directory, f".tmp-aircomp-{os.urandom(8).hex()}")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            pending.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(data)
+                fh.write(text)
+        while pending:
+            tmp, path = pending[0]
             os.replace(tmp, path)
-        except BaseException:
+            del pending[0]
+    except BaseException as exc:
+        for tmp, _ in pending:
             os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise IOError(f"cannot write {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise IOError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def cmd_solve(config_path, out_path):
@@ -89,8 +100,7 @@ def cmd_solve(config_path, out_path):
         "sum_power": float(np.sum(np.abs(design.t) ** 2)),
         "power_budget": system.P,
     }
-    _atomic_write(out_path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
-    return EXIT_OK
+    return [(out_path, json.dumps(doc, indent=2, allow_nan=False) + "\n")]
 
 
 def records_to_csv(records):
@@ -104,16 +114,15 @@ def records_to_csv(records):
 
 
 def cmd_sweep(config_path, kind, out_csv, plot_path=None):
+    if plot_path and os.path.realpath(plot_path) == os.path.realpath(out_csv):
+        raise ConfigError("--out and --plot name the same file")
     records = run_sweep(load_config(config_path).sweep_spec(kind))
-    # render every output before writing any, so a failed render writes none
     outputs = [(out_csv, records_to_csv(records))]
     if plot_path is not None:
         x_label = {"snr": "SNR (dB)", "n": "RIS elements N", "k": "sensors K"}[kind]
-        svg = line_plot_svg(records_to_series(records), x_label, title=f"NMSE vs {kind}")
+        svg = line_plot_svg(records_to_series(records), x_label, f"NMSE vs {kind}")
         outputs.append((plot_path, svg))
-    for path, text in outputs:
-        _atomic_write(path, text)
-    return EXIT_OK
+    return outputs
 
 
 def cmd_verify(suite, trials, seed):
@@ -166,11 +175,14 @@ def main(argv=None):
         # argparse exits 2 on a usage error, but 2 means a solver error here
         return EXIT_CONFIG if exc.code == 2 else exc.code
     try:
+        if args.command == "verify":
+            return cmd_verify(args.suite, args.trials, args.seed)
         if args.command == "solve":
-            return cmd_solve(args.config, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(args.config, args.kind, args.out, args.plot)
-        return cmd_verify(args.suite, args.trials, args.seed)
+            outputs = cmd_solve(args.config, args.out)
+        else:
+            outputs = cmd_sweep(args.config, args.kind, args.out, args.plot)
+        _write_outputs(outputs)  # every output is rendered before any is written
+        return EXIT_OK
     except ConfigError as exc:  # an AirCompError, so it comes first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -29,7 +29,20 @@ def _fmt(x):
     return f"{x:.2f}"
 
 
-def line_plot_svg(series, x_label, title=""):
+def _line(x1, y1, x2, y2, stroke, width=None):
+    tail = "" if width is None else f' stroke-width="{width}"'
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{tail}/>'
+
+
+def _text(x, y, body, size, anchor=None, extra=""):
+    at = "" if anchor is None else f' text-anchor="{anchor}"'
+    return (
+        f'<text x="{x}" y="{y}"{at} font-family="sans-serif" '
+        f'font-size="{size}"{extra}>{body}</text>'
+    )
+
+
+def line_plot_svg(series, x_label, title):
     """Render series = {label: [(x, y), ...]} as an SVG string.
 
     y, the NMSE, is drawn on a log10 scale; non-positive y values are
@@ -37,8 +50,6 @@ def line_plot_svg(series, x_label, title=""):
     """
     all_x = [p[0] for pts in series.values() for p in pts]
     all_y = [p[1] for pts in series.values() for p in pts]
-    if not all_x:
-        raise ValueError("nothing to plot")
     pos_y = [y for y in all_y if y > 0]
     y_floor = min(pos_y) if pos_y else 1e-12
     logs = [math.log10(max(y, y_floor)) for y in all_y]
@@ -58,84 +69,52 @@ def line_plot_svg(series, x_label, title=""):
     def sx(x):
         return _MARGIN_L + pw * math.ldexp(x - x_min, -e) / span
 
-    def sy(y):
-        ly = math.log10(max(y, y_floor))
+    def sy(ly):
         return _MARGIN_T + ph * (1.0 - (ly - ly_min) / (ly_max - ly_min))
 
+    bottom, mid = _MARGIN_T + ph, _MARGIN_T + ph // 2
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{pw}" height="{ph}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
+        _text(_WIDTH // 2, 20, title, 14, "middle"),
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.0f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
     # axis ticks: x at each distinct value, y at integer decades
     for x in sorted(set(all_x)):
-        parts.append(
-            f'<line x1="{_fmt(sx(x))}" y1="{_MARGIN_T + ph}" '
-            f'x2="{_fmt(sx(x))}" y2="{_MARGIN_T + ph + 5}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(sx(x))}" y="{_MARGIN_T + ph + 20}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-            f"{x:g}</text>"
-        )
+        px = _fmt(sx(x))
+        parts.append(_line(px, bottom, px, bottom + 5, "#333"))
+        parts.append(_text(px, bottom + 20, f"{x:g}", 11, "middle"))
     for dec in range(math.ceil(ly_min), math.floor(ly_max) + 1):
-        py = _MARGIN_T + ph * (1.0 - (dec - ly_min) / (ly_max - ly_min))
-        parts.append(
-            f'<line x1="{_MARGIN_L - 5}" y1="{_fmt(py)}" x2="{_MARGIN_L}" '
-            f'y2="{_fmt(py)}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">1e{dec}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_L + pw / 2:.0f}" y="{_HEIGHT - 10}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{x_label}</text>"
-    )
-    parts.append(
-        f'<text x="15" y="{_MARGIN_T + ph / 2:.0f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 15 {_MARGIN_T + ph / 2:.0f})">NMSE</text>'
-    )
+        py = sy(dec)
+        parts.append(_line(_MARGIN_L - 5, _fmt(py), _MARGIN_L, _fmt(py), "#333"))
+        parts.append(_text(_MARGIN_L - 8, _fmt(py + 4), f"1e{dec}", 11, "end"))
+    parts.append(_text(_MARGIN_L + pw // 2, _HEIGHT - 10, x_label, 12, "middle"))
+    rotate = f' transform="rotate(-90 15 {mid})"'
+    parts.append(_text(15, mid, "NMSE", 12, "middle", rotate))
+    lx = _WIDTH - _MARGIN_R + 10
     for i, (label, pts) in enumerate(series.items()):
         color = _COLORS[i % len(_COLORS)]
-        coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
+        xy = [(_fmt(sx(x)), _fmt(sy(math.log10(max(y, y_floor))))) for x, y in pts]
+        coords = " ".join(f"{px},{py}" for px, py in xy)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'
         )
-        for x, y in pts:
-            parts.append(
-                f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="2.5" '
-                f'fill="{color}"/>'
-            )
+        for px, py in xy:
+            parts.append(f'<circle cx="{px}" cy="{py}" r="2.5" fill="{color}"/>')
         ly_pos = _MARGIN_T + 15 + 16 * i
-        lx = _WIDTH - _MARGIN_R + 10
-        parts.append(
-            f'<line x1="{lx}" y1="{ly_pos - 4}" x2="{lx + 20}" '
-            f'y2="{ly_pos - 4}" stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 25}" y="{ly_pos}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
-        )
+        parts.append(_line(lx, ly_pos - 4, lx + 20, ly_pos - 4, color, 1.5))
+        parts.append(_text(lx + 25, ly_pos, label, 11))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def records_to_series(records):
-    """Group AggregateRecords into {scheme label: [(value, nmse_mean)]}."""
+    """Group AggregateRecords into {scheme label: [(value, nmse_mean)]}, in
+    the increasing value order run_sweep emits each label's records in."""
     series = {}
     for rec in records:
         series.setdefault(rec.scheme, []).append((rec.value, rec.nmse_mean))
-    for pts in series.values():
-        pts.sort(key=lambda p: p[0])
     return series

@@ -60,6 +60,17 @@ def sweep_config(trials=1, values=None, schemes=None):
     }
 
 
+@pytest.fixture(autouse=True)
+def no_temp_file_left(request):
+    """Fail a test that leaves one of the CLI's temp files in its tmp_path."""
+    uses_tmp = "tmp_path" in request.fixturenames
+    tmp_path = request.getfixturevalue("tmp_path") if uses_tmp else None
+    yield
+    if tmp_path is not None:
+        left = sorted(p.name for p in tmp_path.rglob(".tmp-aircomp-*"))
+        assert not left, f"temp files left behind: {left}"
+
+
 def run_cli_child(argv):
     """Run the CLI in a child process, where numpy's overflow warnings stay
     warnings instead of the errors the test settings make them."""
@@ -88,6 +99,14 @@ class TestSolve:
         assert doc["lambda"] == [None]  # eps = 0
         # the closed form runs no iterations, so there is no trace to report
         assert "trace_length" not in doc
+
+    def test_out_naming_a_directory_writes_nothing(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", golden_solve_config())
+        (tmp_path / "d").mkdir()
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "d")]) == 3
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "d"]
+        assert list((tmp_path / "d").iterdir()) == []
 
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -427,6 +446,46 @@ class TestSweep:
         assert main([*argv, "--plot", str(svg)]) == 3
         assert capsys.readouterr().err == "error: cannot render\n"
         assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("plot", ["no-such-dir/r.svg", "d"], ids=["missing", "dir"])
+    def test_unwritable_plot_writes_no_csv(self, tmp_path, capsys, plot):
+        """A plot target in a missing directory, or an existing directory,
+        exits 3 before the CSV is renamed into place."""
+        (tmp_path / "d").mkdir()
+        cfg = write_json(tmp_path / "cfg.json", sweep_config())
+        out = tmp_path / "r.csv"
+        argv = ["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]
+        assert main([*argv, "--plot", str(tmp_path / plot)]) == 3
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "d"]
+        assert list((tmp_path / "d").iterdir()) == []
+
+    @pytest.mark.parametrize("plot", ["r.csv", "./r.csv"])
+    def test_plot_naming_the_out_file_rejected(self, tmp_path, monkeypatch, capsys, plot):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "cfg.json", sweep_config())
+        argv = ["sweep", "--kind", "snr", "--config", "cfg.json", "--out", "r.csv"]
+        assert main([*argv, "--plot", plot]) == 1
+        assert capsys.readouterr().err == "error: --out and --plot name the same file\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_failed_second_rename_keeps_the_first_output(self, tmp_path, monkeypatch):
+        """The one partial case left: a rename that fails after an earlier
+        one succeeded keeps the earlier output and removes the later temp."""
+        renames = []
+
+        def replace_once(src, dst):
+            if renames:
+                raise OSError("disk full")
+            renames.append(dst)
+            os.rename(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace_once)
+        cfg = write_json(tmp_path / "cfg.json", sweep_config())
+        out, svg = tmp_path / "r.csv", tmp_path / "r.svg"
+        argv = ["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]
+        assert main([*argv, "--plot", str(svg)]) == 3
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "r.csv"]
 
     @pytest.mark.parametrize(
         "kind, values", [("n", [16.5, 32]), ("k", [0, 2]), ("n", [-4, 8])]
