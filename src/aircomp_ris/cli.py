@@ -77,7 +77,7 @@ def cmd_solve(config_path, out_path):
     else:
         h_hat, eps = synthesize_instance(system, np.random.default_rng(cfg.master_seed))
     a = cophased_gains(h_hat)
-    design = robust_scalars(system, a, eps * np.sqrt(system.N))
+    design = robust_scalars(a, eps * np.sqrt(system.N), system.noise_var, system.P)
     cert = certificate(design, a, eps, system.N, system.noise_var)
     # lambda is inf where eps_k = 0 and written as null; NaN is never valid
     finite = {

@@ -1,19 +1,21 @@
 """Monte Carlo sweep harness: NMSE of the robust and non-robust schemes
-versus SNR, RIS size N, or sensor count K, with fully reproducible
-per-trial seeding. Trials run in blocks: one call synthesizes, designs or
-scores every trial of a block along a leading trial axis. Both schemes
-co-phase, so a block is the (T, K) per-sensor scalars a score depends on:
-gain and radius, and in realized mode the error's projection and norm."""
+versus SNR, RIS size N or sensor count K, from reproducible per-trial seeds.
+Cells of equal K run stacked, in blocks of trials: per cell and block one
+call draws the (T, K) per-sensor scalars a co-phased score needs (gain,
+radius, and in realized mode the error's projection and norm); per stack and
+block one pass hashes all seeds and each scheme gets one design and one score."""
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import AirCompError
-from .model import MAX_DIMENSION, SystemConfig, synthesize_instance, trials_per_block
+from .model import _BLOCK_ROWS, MAX_DIMENSION, SystemConfig
+from .model import synthesize_instance, trials_per_block
 from .optimizer import nonrobust_scalars, robust_scalars
 from .worst_case import mse_at_error, worst_case_objective
 
@@ -27,6 +29,7 @@ _CHANNEL_STREAM = 4
 # robust_exact reports Algorithm 1's passes: the first lands on the closed
 # form and the second, which changes nothing, stops the loop
 ALGORITHM1_PASSES = 2
+_STACK_ROWS = 16 * _BLOCK_ROWS  # sensor rows a stacked call takes, at most
 
 # numpy's SeedSequence, O'Neill's seed_seq hash: a pool of 4 32-bit words
 _POOL = 4
@@ -45,6 +48,7 @@ class SweepSpec:
     base: SystemConfig
     master_seed: int
     s_values: list | None = None
+    configs: list = field(init=False, repr=False)  # the cells', (value, s) order
 
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
@@ -81,9 +85,8 @@ class SweepSpec:
                 )
             self.values = [int(v) for v in self.values]
         # every cell's SystemConfig checks its own ranges, s >= 0 among them
-        for value in self.values:
-            for s in s_values:
-                _config_at(self.base, self.kind, value, s)
+        cells = [(value, s) for value in self.values for s in s_values]
+        self.configs = [_config_at(self.base, self.kind, *cell) for cell in cells]
 
 
 @dataclass
@@ -112,16 +115,17 @@ def nmse(mse, K):
 
 def design_for_scheme(config, scheme, draw):
     """Run the designer a scheme refers to on a block of trials. draw is
-    what synthesis gave the block with gains_only; its (T, K) gains and
-    radii (a, eps) fix m and t; both schemes co-phase."""
+    what synthesis gave the block with gains_only, whose (..., K) gains and
+    radii (a, eps) fix m and t; both schemes co-phase. config is a
+    SystemConfig or run_sweep's stand-in for stacked (C, T, K) cells."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     # multistart and robust_exact: two historical names of the closed-form
     # global optimum
     a, eps = draw[:2]
     if scheme == "nonrobust":
-        return nonrobust_scalars(config, a)
-    return robust_scalars(config, a, eps * np.sqrt(config.N))
+        return nonrobust_scalars(a, config.noise_var, config.P)
+    return robust_scalars(a, eps * np.sqrt(config.N), config.noise_var, config.P)
 
 
 def _hash(value, init, mult, first, n):
@@ -130,7 +134,7 @@ def _hash(value, init, mult, first, n):
     multiplies by init * mult^(k+1) and folds the high half down, mod 2^32.
     uint64 powers wrap mod 2^64, which 2^32 divides."""
     steps = np.arange(first, first + n + 1, dtype=np.uint64)
-    consts = (init * mult**steps & _MASK32)[:, None]
+    consts = (init * mult**steps & _MASK32)[:, None, None]
     value = (value ^ consts[:-1]) * consts[1:] & _MASK32
     return value ^ (value >> 16)
 
@@ -140,21 +144,23 @@ def _mix(x, y):
     return value ^ (value >> 16)
 
 
-def seed_words(prefix, trials):
-    """PCG64 seed words of the seed tuples prefix + (trial,), one C-contiguous
-    row of 4 uint64 per trial; row t equals
-    np.random.SeedSequence((*prefix, trials[t])).generate_state(4, np.uint64).
+def seed_words(prefixes, trials):
+    """PCG64 seed words of the seed tuples prefix + (trial,), a C-contiguous
+    (prefixes, trials, 4) uint64 array; [c, t] equals np.random.SeedSequence(
+    (*prefixes[c], trials[t])).generate_state(4, np.uint64).
 
-    numpy mixes the prefix into its pool of 4 32-bit words, so the prefix
-    must hold at least 4 words. Each trial's low word, then its high word
-    for a trial >= 2^32, is mixed into all 4 pool words at once, on uint64
-    arrays over the trials, every product masked to 32 bits."""
-    pool = np.random.SeedSequence(prefix).pool.astype(np.uint64)[:, None]
-    n_words = sum(max(1, -(-int(n).bit_length() // 32)) for n in prefix)
-    if n_words < _POOL:
-        raise ValueError(f"prefix {prefix} fills {n_words} of {_POOL} pool words")
+    numpy mixes a prefix into its pool of 4 32-bit words, so the prefixes
+    must fill one number of words, at least 4. Each trial's low word, then
+    its high word for a trial >= 2^32, is hashed once and mixed into every
+    prefix's 4 pool words, on uint64 arrays over the prefixes and trials,
+    every product masked to 32 bits."""
+    n_words = {sum(max(1, -(-int(n).bit_length() // 32)) for n in p) for p in prefixes}
+    if len(n_words) != 1 or min(n_words) < _POOL:
+        raise ValueError(f"prefixes fill {sorted(n_words)} pool words, not one >= 4")
+    pools = [np.random.SeedSequence(prefix).pool for prefix in prefixes]
+    pool = np.array(pools, dtype=np.uint64).T[:, :, None]
     # a hash step apiece: 4 fill the pool, 12 cross-mix it, 4 per later word
-    step = _POOL * n_words
+    step = _POOL * n_words.pop()
     trials = np.asarray(trials, dtype=np.uint64)
     pool = _mix(pool, _hash(trials & _MASK32, _INIT_A, _MULT_A, step, _POOL))
     high = trials >> 32
@@ -164,12 +170,12 @@ def seed_words(prefix, trials):
     # generate_state: 8 32-bit words cycling through the pool, paired
     # little-endian into 4 uint64; PCG64 reads a row's buffer as it lies
     state = _hash(np.concatenate([pool, pool]), _INIT_B, _MULT_B, 0, 2 * _POOL)
-    return np.ascontiguousarray((state[0::2] | (state[1::2] << 32)).T)
+    return np.ascontiguousarray(np.moveaxis(state[0::2] | (state[1::2] << 32), 0, -1))
 
 
 def trial_generators(words):
-    """One Generator per row of seed_words, each the same stream as
-    np.random.default_rng(np.random.SeedSequence(seed)) of the row's seed."""
+    """One Generator per row of a prefix's seed_words, each the same stream
+    as np.random.default_rng(np.random.SeedSequence(seed)) of its seed."""
     # numpy.random is imported here, so importing the CLI does not load it
     from numpy.random import PCG64, Generator
 
@@ -227,44 +233,57 @@ def _cell_entropy(master_seed, kind, value_index, s_index):
 def run_sweep(spec):
     """Run every (value, s, scheme) cell of the sweep; returns records
     ordered by (value, scheme label). Trial seeds are derived by index so
-    execution order and parallelism cannot change the results. A cell runs
-    its trials in blocks of trials_per_block(config), at most 1024 sensor
-    rows: one synthesis call draws the block, each trial from its own
-    generator, and every scheme is designed and scored on its (T, K)
-    per-sensor scalars. A block's seed words are hashed in one array pass
-    over its trials, next to its generators. A cell whose NMSE is not
-    finite, as when |h_hat|^2 overflows at a huge s, raises AirCompError."""
+    execution order and parallelism cannot change the results. Cells of
+    equal K (all of an SNR or N sweep, each value's of a K sweep) run as
+    stacks of at most _STACK_ROWS = 16 * 1024 sensor rows a block of
+    trials_per_block trials (one cell, if more), so memory stays bounded
+    whatever the number of cells. Per stack and block, one seed_words pass
+    hashes every seed; per cell, one synthesis call draws the block from
+    the config SweepSpec built, a generator per trial; per scheme, one
+    design and one score call take the stacked (C, T, K) scalars. Per sweep,
+    one mean and one std over the trials of one (values, s, schemes, trials)
+    NMSE array give the records. The first cell in (value, s) order whose
+    NMSE is not finite, as when |h_hat|^2 overflows at a huge s, raises
+    AirCompError."""
     s_values = spec.s_values if spec.s_values is not None else [spec.base.s]
-    multiple_s = len(s_values) > 1
-    records = []
-    for vi, value in enumerate(spec.values):
-        row = []
-        for si, s in enumerate(s_values):
-            config = _config_at(spec.base, spec.kind, value, s)
-            block = trials_per_block(config)
-            nmses = np.empty((len(spec.schemes), spec.trials))
-            prefix = _cell_entropy(spec.master_seed, spec.kind, vi, si)
-            for lo in range(0, spec.trials, block):
-                hi = min(lo + block, spec.trials)
-                rngs = trial_generators(seed_words(prefix, np.arange(lo, hi)))
-                draw = synthesize_instance(config, rngs, gains_only=True)
+    configs, trials, n_s = spec.configs, spec.trials, len(s_values)
+    nmses = np.empty((len(spec.values), n_s, len(spec.schemes), trials))
+    flat = nmses.reshape(len(configs), len(spec.schemes), trials)
+    entropy = functools.partial(_cell_entropy, spec.master_seed, spec.kind)
+    prefixes = [entropy(*divmod(i, n_s)) for i in range(len(configs))]
+    group = n_s if spec.kind == "k" else len(configs)  # cells of equal K
+    for first in range(0, len(configs), group):
+        block = trials_per_block(configs[first])
+        step = max(1, _STACK_ROWS // (min(block, trials) * configs[first].K))
+        for lo_cell in range(first, first + group, step):
+            cells = slice(lo_cell, min(lo_cell + step, first + group))
+            stack = configs[cells]
+            # a stand-in config: noise_var over the trials, N over the radii
+            noise_var = np.array([config.noise_var for config in stack])[:, None]
+            N = np.array([config.N for config in stack])[:, None, None]
+            cfg = SimpleNamespace(**vars(stack[0]) | {"noise_var": noise_var, "N": N})
+            for lo in range(0, trials, block):
+                hi = min(lo + block, trials)
+                words = seed_words(prefixes[cells], np.arange(lo, hi))
+                draws = [
+                    synthesize_instance(config, trial_generators(rows), gains_only=True)
+                    for config, rows in zip(stack, words)
+                ]
+                draw = tuple(map(np.stack, zip(*draws)))
                 for j, scheme in enumerate(spec.schemes):
-                    nmses[j, lo:hi] = _design_and_score(config, scheme, draw)
-            if not np.isfinite(nmses).all():
+                    flat[cells, j, lo:hi] = _design_and_score(cfg, scheme, draw)
+            finite = np.isfinite(flat[cells]).all(axis=(1, 2))
+            if not finite.all():
+                vi, si = divmod(lo_cell + int(np.argmin(finite)), n_s)
+                value, s = spec.values[vi], s_values[si]
                 raise AirCompError(f"NMSE is not finite at {spec.kind} {value}, s {s}")
-            for j, scheme in enumerate(spec.schemes):
-                passes = ALGORITHM1_PASSES if scheme == "robust_exact" else 0
-                row.append(
-                    AggregateRecord(
-                        kind=spec.kind,
-                        value=value,
-                        scheme=scheme_label(scheme, s, multiple_s),
-                        nmse_mean=float(np.mean(nmses[j])),
-                        nmse_std=float(np.std(nmses[j])),
-                        trials=spec.trials,
-                        mean_iters=float(passes),
-                    )
-                )
-        row.sort(key=lambda rec: rec.scheme)
-        records.extend(row)
-    return records
+    means, stds = np.mean(nmses, axis=-1), np.std(nmses, axis=-1)
+    records = []
+    for (vi, si, j), mean in np.ndenumerate(means):
+        scheme = spec.schemes[j]
+        passes = ALGORITHM1_PASSES if scheme == "robust_exact" else 0
+        label = scheme_label(scheme, s_values[si], n_s > 1)
+        row = (float(mean), float(stds[vi, si, j]), trials, float(passes))
+        records.append(AggregateRecord(spec.kind, spec.values[vi], label, *row))
+    # values increase and a value's labels differ, so this orders by value
+    return sorted(records, key=lambda rec: (rec.value, rec.scheme))

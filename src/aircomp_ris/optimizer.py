@@ -5,9 +5,9 @@ worst-case problem splits into K scalar problems, each solved globally by
 co-phasing, v_k = h_hat_k/|h_hat_k|, and the exact 1-D minimizer `t_exact`.
 Co-phasing leaves sensor k the gain a_k = ||h_hat_k||_1 (`cophased_gains`),
 so the designers are scalar cores: `robust_scalars` and `nonrobust_scalars`
-give m and t from (a_k, eps_k sqrt(N)), and `ris_phases` gives the phases
-of v. The paper's alternating loop (Algorithm 1) lands on this point in its
-first pass and stops after a second that changes nothing.
+give m and t from (a_k, eps_k sqrt(N)) and a noise_var per trial, and
+`ris_phases` the phases of v. The paper's alternating loop (Algorithm 1)
+lands here in its first pass and stops after a second that changes nothing.
 """
 
 from __future__ import annotations
@@ -67,17 +67,17 @@ def ris_phases(h_hat):
     return np.where(h_hat == 0, 0.0, np.where(phi == -np.pi, np.pi, phi))
 
 
-def nonrobust_scalars(config, a):
+def nonrobust_scalars(a, noise_var, P):
     """m and t of the non-robust design from the (..., K) gains a_k: the MMSE
     scaling t_hat_k = a_k / (a_k^2 + sigma^2/P), 0 where a_k = 0."""
-    c = config.noise_var / config.P
+    c = np.expand_dims(noise_var / P, -1)
     t_hat = np.divide(a, a * a + c, out=np.zeros_like(a), where=a > 0)
-    return _scalar_design(a, t_hat, config.P)
+    return _scalar_design(a, t_hat, P)
 
 
-def robust_scalars(config, a, eps_rootN):
+def robust_scalars(a, eps_rootN, noise_var, P):
     """m and t of the worst-case optimum from the (..., K) gains a_k and
     radii eps_k sqrt(N): t_hat_k = t_exact(a_k, eps_k sqrt(N)), and m = 0
     for a trial whose every sensor is silenced."""
-    t_hat = t_exact(a, eps_rootN, config.noise_var, config.P)
-    return _scalar_design(a, t_hat, config.P)
+    t_hat = t_exact(a, eps_rootN, np.expand_dims(noise_var, -1), P)
+    return _scalar_design(a, t_hat, P)

@@ -52,7 +52,7 @@ def _sensors(rng):
     )
     h_hat, eps = synthesize_instance(config, rng)
     a = cophased_gains(h_hat)
-    design = robust_scalars(config, a, eps * np.sqrt(N))
+    design = robust_scalars(a, eps * np.sqrt(N), config.noise_var, config.P)
     cert = certificate(design, a, eps, N, config.noise_var)
     v = np.exp(1j * ris_phases(h_hat))
     c = config.noise_var / config.P

@@ -3,7 +3,7 @@ inner product and a complex Gaussian sampler, numpy's own seeding of a
 trial's generator, a stand-in generator of fixed normals, channel
 synthesis drawn sensor by sensor in complex numpy, which also gives the
 true channels and errors that synthesize_instance does not return, one
-sweep trial run alone, co-phasing RIS vectors, a Design that carries RIS
+sweep trial run alone, a sweep run cell by cell, co-phasing RIS vectors, a Design that carries RIS
 vectors and the designs of the scalar cores with them, the per-sensor
 worst-case term, the worst-case objective and the MSE at given errors evaluated on the full channel arrays
 and the design's RIS vectors, row norms of complex arrays, the MSE of a
@@ -16,9 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from aircomp_ris.errors import DimensionMismatch, PerturbationOutOfBall
-from aircomp_ris.experiments import _cell_entropy, _design_and_score
-from aircomp_ris.model import Design, synthesize_instance
+from aircomp_ris.errors import AirCompError, DimensionMismatch, PerturbationOutOfBall
+from aircomp_ris.experiments import (
+    ALGORITHM1_PASSES,
+    AggregateRecord,
+    _cell_entropy,
+    _config_at,
+    _design_and_score,
+    scheme_label,
+)
+from aircomp_ris.model import Design, synthesize_instance, trials_per_block
 from aircomp_ris.optimizer import nonrobust_scalars, robust_scalars
 
 
@@ -107,6 +114,49 @@ def run_trial(config, scheme, seed):
     return float(_design_and_score(config, scheme, draw)[0])
 
 
+def reference_run_sweep(spec):
+    """run_sweep as it once ran, cell by cell: each (value, s) cell builds
+    its config, draws its trials in blocks of trials_per_block, each trial
+    from numpy's own seeding of its seed tuple, designs and scores every
+    scheme on each block alone, and takes its records from its own NMSEs."""
+    s_values = spec.s_values if spec.s_values is not None else [spec.base.s]
+    multiple_s = len(s_values) > 1
+    records = []
+    for vi, value in enumerate(spec.values):
+        row = []
+        for si, s in enumerate(s_values):
+            config = _config_at(spec.base, spec.kind, value, s)
+            block = trials_per_block(config)
+            nmses = np.empty((len(spec.schemes), spec.trials))
+            for lo in range(0, spec.trials, block):
+                hi = min(lo + block, spec.trials)
+                rngs = [
+                    seeded_rng(channel_seed(spec.master_seed, spec.kind, vi, si, trial))
+                    for trial in range(lo, hi)
+                ]
+                draw = synthesize_instance(config, rngs, gains_only=True)
+                for j, scheme in enumerate(spec.schemes):
+                    nmses[j, lo:hi] = _design_and_score(config, scheme, draw)
+            if not np.isfinite(nmses).all():
+                raise AirCompError(f"NMSE is not finite at {spec.kind} {value}, s {s}")
+            for j, scheme in enumerate(spec.schemes):
+                passes = ALGORITHM1_PASSES if scheme == "robust_exact" else 0
+                row.append(
+                    AggregateRecord(
+                        kind=spec.kind,
+                        value=value,
+                        scheme=scheme_label(scheme, s, multiple_s),
+                        nmse_mean=float(np.mean(nmses[j])),
+                        nmse_std=float(np.std(nmses[j])),
+                        trials=spec.trials,
+                        mean_iters=float(passes),
+                    )
+                )
+        row.sort(key=lambda rec: rec.scheme)
+        records.extend(row)
+    return records
+
+
 def cophase(h_hat):
     """Co-phasing RIS vectors v_i = exp(j*arg(h_hat_i)) (phase 0 where an
     entry is zero), which make inner(h_hat, v) = sum_i |h_hat_i| real and
@@ -130,10 +180,10 @@ def cophased_design(config, h_hat, eps=None):
     co-phased RIS vectors; for each trial of a (..., K, N) block."""
     a = np.abs(h_hat).sum(axis=-1)
     if eps is None:
-        design = nonrobust_scalars(config, a)
+        design = nonrobust_scalars(a, config.noise_var, config.P)
     else:
         eps_rootN = np.asarray(eps, dtype=float) * np.sqrt(config.N)
-        design = robust_scalars(config, a, eps_rootN)
+        design = robust_scalars(a, eps_rootN, config.noise_var, config.P)
     return RISDesign(design.m, design.t, cophase(h_hat))
 
 

@@ -607,6 +607,22 @@ class TestSweep:
         assert last == "solver error: NMSE is not finite at snr 0.0, s 1e+200"
         assert not out.exists() and not svg.exists()
 
+    def test_first_non_finite_cell_in_value_s_order_is_reported(self, tmp_path):
+        """Of the cells whose NMSE is not finite, every value's at s = 1e200,
+        the error names the first in (value, s) order: snr 0.0, s 1e+200,
+        after the finite cell at s = 0.4; nothing is written."""
+        raw = sweep_config(trials=5, values=[0.0, 10.0], schemes=["multistart"])
+        raw["system"].update(K=3, N=4)
+        raw["sweep"]["s_values"] = [0.4, 1e200]
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        out, svg = tmp_path / "r.csv", tmp_path / "r.svg"
+        argv = ["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]
+        run = run_cli_child(argv + ["--plot", str(svg)])
+        assert run.returncode == 2 and "Traceback" not in run.stderr
+        last = run.stderr.splitlines()[-1]
+        assert last == "solver error: NMSE is not finite at snr 0.0, s 1e+200"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
 
 class TestVerifyCommand:
     def test_worstcase_suite_passes(self, capsys):

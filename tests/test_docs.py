@@ -66,12 +66,12 @@ def test_worstcase_example_meets_every_regime(monkeypatch):
     seen = set()
     real = verify.robust_scalars
 
-    def spy(config, a, eps_rootN):
-        c = config.noise_var / config.P
+    def spy(a, eps_rootN, noise_var, P):
+        c = noise_var / P
         for b, gain in zip(a - eps_rootN, a):
             clipped = b > 0 and b / (b * b + c) >= 1.0 / gain
             seen.add("silenced" if b <= 0 else "clipped" if clipped else "interior")
-        return real(config, a, eps_rootN)
+        return real(a, eps_rootN, noise_var, P)
 
     monkeypatch.setattr(verify, "robust_scalars", spy)
     (argv,) = [argv for argv in verify_examples() if "worstcase" in argv]

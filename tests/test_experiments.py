@@ -1,7 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from oracles import channel_seed, ref_loop, run_trial, seeded_rng
+from oracles import (
+    channel_seed,
+    ref_loop,
+    reference_run_sweep,
+    run_trial,
+    seeded_rng,
+)
 
 from aircomp_ris.experiments import (
     ALGORITHM1_PASSES,
@@ -252,6 +260,10 @@ class TestGoldenSweeps:
 
 
 def test_one_synthesis_per_trial_block_shared_by_schemes(monkeypatch):
+    """One synthesis per (cell, block), each cell drawn with the config the
+    spec built for it; then, per stack of cells of equal K and block, one
+    design and one score per scheme, on the cells' draws stacked along a
+    leading cell axis."""
     import aircomp_ris.experiments as experiments
 
     events = []
@@ -267,12 +279,12 @@ def test_one_synthesis_per_trial_block_shared_by_schemes(monkeypatch):
 
     def counting_synth(config, rngs, **kwargs):
         draw = real["synthesize_instance"](config, rngs, **kwargs)
-        events.append(("synth", config.noise_var, config.s, len(rngs), draw))
+        events.append(("synth", config, len(rngs), draw))
         return draw
 
-    def recording_design(config, scheme, draw):
-        design = real["design_for_scheme"](config, scheme, draw)
-        events.append(("design", scheme, draw, design))
+    def recording_design(cells, scheme, draw):
+        design = real["design_for_scheme"](cells, scheme, draw)
+        events.append(("design", scheme, cells, draw, design))
         return design
 
     def recording_score(name):
@@ -286,51 +298,98 @@ def test_one_synthesis_per_trial_block_shared_by_schemes(monkeypatch):
     monkeypatch.setattr(experiments, "design_for_scheme", recording_design)
     for name in ("worst_case_objective", "mse_at_error"):
         monkeypatch.setattr(experiments, name, recording_score(name))
+    # (kind, values, stacks): each stack's cell indices and block sizes. 512
+    # sensors put two trials in a block, so 5 trials take 3 blocks; an SNR
+    # sweep stacks all its cells, a K sweep each value's
+    sweeps = [
+        ("snr", [0.0, 10.0], [([0, 1, 2, 3], [2, 2, 1])]),
+        ("k", [3, 512], [([0, 1], [5]), ([2, 3], [2, 2, 1])]),
+    ]
     for eval_mode, score in (
         ("worst", "worst_case_objective"),
         ("realized", "mse_at_error"),
     ):
-        events.clear()
-        # 512 sensors put two trials in a block, so 5 trials take 3 blocks
         base = base_config(K=512, N=4, eval_mode=eval_mode)
         assert trials_per_block(base) == 2
-        spec = SweepSpec(
-            kind="snr",
-            values=[0.0, 10.0],
-            trials=5,
-            schemes=["multistart", "nonrobust", "robust_exact"],
-            base=base,
-            master_seed=2,
-            s_values=[0.2, 0.4],
-        )
-        run_sweep(spec)
-        blocks = [e for e in events if e[0] == "synth"]
-        assert [size for _, _, _, size, _ in blocks] == [2, 2, 1] * 4
-        assert [(nv, s) for _, nv, s, _, _ in blocks[::3]] == [
-            (snr_to_noise_var(value, base.P), s)
-            for value in spec.values
-            for s in spec.s_values
-        ]
-        # right after each draw, every scheme is designed on it and scored
-        # on its (T, K) per-sensor scalars: the gains and radii, and in
-        # realized mode the errors' projections and norms
-        at = 0
-        for block in blocks:
-            assert events[at] is block
-            draw = block[4]
-            assert len(draw) == (2 if eval_mode == "worst" else 4)
-            assert {np.shape(x) for x in draw} == {(block[3], base.K)}
-            channels = draw[0]
-            at += 1
-            for scheme in spec.schemes:
-                design_event, score_event = events[at : at + 2]
-                assert design_event[:2] == ("design", scheme)
-                assert design_event[2] is draw
-                assert score_event[:2] == ("score", score)
-                assert score_event[2] is channels
-                assert score_event[3] is design_event[3]
-                at += 2
-        assert at == len(events)
+        for kind, values, stacks in sweeps:
+            events.clear()
+            spec = SweepSpec(
+                kind=kind,
+                values=values,
+                trials=5,
+                schemes=["multistart", "nonrobust", "robust_exact"],
+                base=base,
+                master_seed=2,
+                s_values=[0.2, 0.4],
+            )
+            run_sweep(spec)
+            # the spec's configs are its cells', in (value, s) order
+            want = [
+                (snr_to_noise_var(v, base.P), base.K, s)
+                if kind == "snr"
+                else (base.noise_var, v, s)
+                for v in values
+                for s in spec.s_values
+            ]
+            assert [(c.noise_var, c.K, c.s) for c in spec.configs] == want
+            at = 0
+            for cells, sizes in stacks:
+                configs = [spec.configs[i] for i in cells]
+                K = configs[0].K
+                for size in sizes:
+                    synths = events[at : at + len(cells)]
+                    at += len(cells)
+                    for config, (tag, drawn_with, n, draw) in zip(configs, synths):
+                        assert (tag, n) == ("synth", size)
+                        assert drawn_with is config  # built once, by the spec
+                        assert len(draw) == (2 if eval_mode == "worst" else 4)
+                        assert {np.shape(x) for x in draw} == {(size, K)}
+                    for scheme in spec.schemes:
+                        design_event, score_event = events[at : at + 2]
+                        at += 2
+                        assert design_event[:2] == ("design", scheme)
+                        stacked, draw = design_event[2], design_event[3]
+                        for i, part in enumerate(draw):
+                            want = np.stack([synth[3][i] for synth in synths])
+                            assert part.tobytes() == want.tobytes()
+                            assert part.shape == (len(cells), size, K)
+                        assert stacked.noise_var.tolist() == [
+                            [config.noise_var] for config in configs
+                        ]
+                        assert stacked.N.tolist() == [[[c.N]] for c in configs]
+                        assert score_event[:2] == ("score", score)
+                        assert score_event[2] is draw[0]
+                        assert score_event[3] is design_event[4]
+            assert at == len(events)
+
+
+def test_stacked_rows_stay_within_the_cap(monkeypatch):
+    """A sweep of more cells than one call may hold splits them: no design
+    call sees more than _STACK_ROWS = 16 * _BLOCK_ROWS sensor rows."""
+    import aircomp_ris.experiments as experiments
+    from aircomp_ris.model import _BLOCK_ROWS
+
+    assert experiments._STACK_ROWS == 16 * _BLOCK_ROWS
+    assert "_STACK_ROWS = 16 * 1024" in run_sweep.__doc__
+    rows = []
+    real = experiments.design_for_scheme
+
+    def recording_design(cells, scheme, draw):
+        rows.append(draw[0].size)
+        return real(cells, scheme, draw)
+
+    monkeypatch.setattr(experiments, "design_for_scheme", recording_design)
+    spec = SweepSpec(
+        kind="snr",
+        values=[i / 100 for i in range(3000)],
+        trials=1,
+        schemes=["nonrobust"],
+        base=base_config(K=10, N=2),
+        master_seed=5,
+    )
+    assert len(run_sweep(spec)) == 3000
+    assert sum(rows) == 3000 * 10 and len(rows) == 2
+    assert max(rows) <= experiments._STACK_ROWS
 
 
 @pytest.mark.parametrize(
@@ -366,6 +425,33 @@ def test_block_size_cannot_change_an_output(monkeypatch, kind, values, base, s_v
     assert records_to_csv(run_sweep(spec)) == blocked
 
 
+@pytest.mark.parametrize("master_seed", [2**32, 2**70 + 5])
+@pytest.mark.parametrize(
+    "eval_mode, sampling", [("worst", "surface"), ("realized", "interior")]
+)
+@pytest.mark.parametrize(
+    "kind, values", [("snr", [-3, 0.0, 12.5]), ("n", [1, 4, 9]), ("k", [1, 3, 512])]
+)
+def test_csv_bytes_match_the_per_cell_loop(kind, values, eval_mode, sampling, master_seed):
+    """Stacking cells changes no byte of a sweep's CSV. 512 sensors put two
+    trials in a block, so 5 trials take 3 blocks; an s = 0 cell, which
+    draws no errors, sits next to s > 0 cells."""
+    from aircomp_ris.cli import records_to_csv
+
+    spec = SweepSpec(
+        kind=kind,
+        values=values,
+        trials=5,
+        schemes=["robust_exact", "nonrobust", "multistart"],
+        base=base_config(K=512, N=4, eval_mode=eval_mode, error_sampling=sampling),
+        master_seed=master_seed,
+        s_values=[0.0, 0.3, 0.6],
+    )
+    assert trials_per_block(spec.configs[-1]) == 2
+    want = records_to_csv(reference_run_sweep(spec))
+    assert records_to_csv(run_sweep(spec)) == want
+
+
 @pytest.mark.parametrize("scheme", ["multistart", "nonrobust", "robust_exact"])
 @pytest.mark.parametrize(
     "eval_mode, sampling", [("worst", "surface"), ("realized", "interior")]
@@ -387,28 +473,48 @@ SEED_TRIALS = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 7, 2**63 - 2]
 
 @pytest.mark.parametrize("prefix", SEED_PREFIXES)
 def test_seed_words_equal_seed_sequence(prefix):
-    words = seed_words(prefix, SEED_TRIALS)
-    assert words.shape == (len(SEED_TRIALS), 4) and words.dtype == np.uint64
-    gens = trial_generators(words)
-    for trial, row, gen in zip(SEED_TRIALS, words, gens):
-        seed = (*prefix, trial)
-        want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-        assert row.tobytes() == want.tobytes(), seed
-        assert gen.standard_normal(8).tobytes() == (
-            seeded_rng(seed).standard_normal(8).tobytes()
-        ), seed
+    # the prefix stacked with other cells of a sweep at its master seed
+    master = prefix[0]
+    cells = [(1, 0, 0), (2, 7, 3), (0, 2**32 - 1, 1)]
+    prefixes = [prefix] + [(master, *cell, 4) for cell in cells]
+    words = seed_words(prefixes, SEED_TRIALS)
+    assert words.shape == (len(prefixes), len(SEED_TRIALS), 4)
+    assert words.dtype == np.uint64 and words.flags.c_contiguous
+    for cell, rows in zip(prefixes, words):
+        for trial, row, gen in zip(SEED_TRIALS, rows, trial_generators(rows)):
+            seed = (*cell, trial)
+            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert row.tobytes() == want.tobytes(), seed
+            assert gen.standard_normal(8).tobytes() == (
+                seeded_rng(seed).standard_normal(8).tobytes()
+            ), seed
 
 
 # fewer than the pool's 4 32-bit words: a trial's words would land in it
 @pytest.mark.parametrize("prefix", [(), (4,), (1, 2), (2**40, 3), (1, 2, 3)])
 def test_seed_words_reject_short_prefixes(prefix):
     with pytest.raises(ValueError):
-        seed_words(prefix, SEED_TRIALS)
+        seed_words([prefix], SEED_TRIALS)
+
+
+def test_seed_words_reject_prefixes_of_unequal_word_counts():
+    """A trial's words take the hash steps after its prefix's words, so
+    prefixes that fill different numbers of pool words cannot share a
+    pass; each is served alone, and no prefixes at all is rejected too."""
+    prefixes = [(2**32 - 1, 0, 0, 0, 4), (2**32, 0, 0, 0, 4), (2**64, 0, 0, 0, 4)]
+    for pair in itertools.combinations(prefixes, 2):
+        with pytest.raises(ValueError, match="pool words"):
+            seed_words(list(pair), [0, 1])
+    for prefix in prefixes:
+        want = np.random.SeedSequence((*prefix, 1)).generate_state(4, np.uint64)
+        assert seed_words([prefix], [0, 1])[0, 1].tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="pool words"):
+        seed_words([], [0])
 
 
 def test_seed_words_span_hash_passes():
     prefix = (11, 2, 0, 1, 4)
-    words = seed_words(prefix, np.arange(2**14 + 4))
+    words = seed_words([prefix], np.arange(2**14 + 4))[0]
     for trial in (0, 2**14 - 1, 2**14, 2**14 + 3):
         want = np.random.SeedSequence((*prefix, trial)).generate_state(4, np.uint64)
         assert words[trial].tobytes() == want.tobytes(), trial
@@ -416,11 +522,11 @@ def test_seed_words_span_hash_passes():
 
 def test_seed_words_reject_negative_entries():
     with pytest.raises(ValueError):
-        seed_words((-1, 0, 0, 0, 4), [0])
+        seed_words([(-1, 0, 0, 0, 4)], [0])
 
 
 def test_seeded_bit_generator_serves_only_pcg64_state():
-    gen = trial_generators(seed_words((3, 0, 0, 0, 4), [0]))[0]
+    gen = trial_generators(seed_words([(3, 0, 0, 0, 4)], [0])[0])[0]
     seq = gen.bit_generator.seed_seq
     with pytest.raises(ValueError):
         seq.generate_state(4, np.uint32)
