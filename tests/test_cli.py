@@ -1092,6 +1092,49 @@ def test_solve_example_design_bytes(tmp_path):
     assert sha256(text.encode()) == OUTPUT_SHA256["solve_example"]
 
 
+def _instance_config(K, N, P, zero_eps):
+    """An explicit K x N cascaded Rayleigh instance with eps = 0.4 |h_hat|,
+    or eps = 0 on sensor 0."""
+    rng = np.random.default_rng(3)
+    g, r = (rng.normal(size=(2, K, N)) + 1j * rng.normal(size=(2, K, N))) * 0.5
+    h_hat = g * np.conj(r)
+    eps = 0.4 * np.linalg.norm(h_hat, axis=1)
+    if zero_eps:
+        eps[0] = 0.0
+    return {
+        "system": {"K": K, "N": N, "P": P, "noise_var": 1.0},
+        "instance": {
+            "h_hat": np.stack([h_hat.real, h_hat.imag], axis=-1).tolist(),
+            "eps": eps.tolist(),
+        },
+        "master_seed": 0,
+    }
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(None, id="example"),
+        pytest.param(_instance_config(32, 64, 10.0, False), id="K32_N64"),
+        pytest.param(_instance_config(3, 2, 10, True), id="zero_eps_int_P"),
+    ],
+)
+def test_solve_writes_json_dumps_indent_2(tmp_path, config):
+    """A design file is json.dumps(indent=2) of its own values, byte for
+    byte: floats by repr, ints as ints, an eps_k = 0 lambda as null."""
+    path = CONFIGS / "solve_example.json" if config is None else tmp_path / "c.json"
+    if config is not None:
+        write_json(path, config)
+    out = tmp_path / "design.json"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    if config is not None and config["instance"]["eps"][0] == 0.0:
+        assert doc["lambda"][0] is None
+        assert text.endswith('"power_budget": 10\n}\n')
+
+
 def test_example_sweep_svg_bytes(tmp_path):
     csv, svg = tmp_path / "r.csv", tmp_path / "r.svg"
     config = str(CONFIGS / "sweep_snr_example.json")
