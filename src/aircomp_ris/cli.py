@@ -37,6 +37,24 @@ EXIT_IO = 3
 EXIT_VERIFY = 4
 
 CSV_HEADER = [field.name for field in fields(AggregateRecord)]
+# json's C encoder; json.dumps with indent runs the pure-Python one
+_ENCODE = json.JSONEncoder(allow_nan=False).encode
+
+
+def _indented(doc):
+    """json.dumps(doc, indent=2, allow_nan=False) of a solve document, whose
+    values are numbers, number lists and lists of number lists: each value
+    is C-encoded once and re-indented, as no number or null holds ", "."""
+    items = []
+    for key, value in doc.items():
+        text = _ENCODE(value)
+        if text.startswith("[["):
+            text = text[2:-2].replace("], [", "\n    ],\n    [\n      ")
+            text = "[\n    [\n      " + text.replace(", ", ",\n      ") + "\n    ]\n  ]"
+        elif text.startswith("["):
+            text = "[\n    " + text[1:-1].replace(", ", ",\n    ") + "\n  ]"
+        items.append(f"{_ENCODE(key)}: {text}")
+    return "{\n  " + ",\n  ".join(items) + "\n}"
 
 
 def _write_outputs(outputs):
@@ -100,7 +118,7 @@ def cmd_solve(config_path, out_path):
         "sum_power": float(np.sum(np.abs(design.t) ** 2)),
         "power_budget": system.P,
     }
-    return [(out_path, json.dumps(doc, indent=2, allow_nan=False) + "\n")]
+    return [(out_path, _indented(doc) + "\n")]
 
 
 def records_to_csv(records):
@@ -116,7 +134,10 @@ def records_to_csv(records):
 def cmd_sweep(config_path, kind, out_csv, plot_path=None):
     if plot_path and os.path.realpath(plot_path) == os.path.realpath(out_csv):
         raise ConfigError("--out and --plot name the same file")
-    records = run_sweep(load_config(config_path).sweep_spec(kind))
+    spec = load_config(config_path, kind).sweep
+    if spec is None:
+        raise ConfigError("config has no 'sweep' section")
+    records = run_sweep(spec)
     outputs = [(out_csv, records_to_csv(records))]
     if plot_path is not None:
         x_label = {"snr": "SNR (dB)", "n": "RIS elements N", "k": "sensors K"}[kind]

@@ -16,9 +16,13 @@ from .experiments import SweepSpec
 from .model import SystemConfig
 
 
+def _number_type(t):
+    """The type of a JSON number: int or float, not bool."""
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
 def _number(x):
-    """A JSON number: int or float, not bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return _number_type(type(x))
 
 
 # The JSON shape of a config. Every range rule lives in the dataclass that
@@ -74,44 +78,29 @@ def _check_section(name, section):
 
 @dataclass
 class RunConfig:
-    """Parsed and validated run configuration."""
+    """Parsed and validated run configuration; sweep is of parse_config's kind."""
 
     system: SystemConfig
-    sweep_dict: dict | None
+    sweep: SweepSpec | None
     instance: tuple | None
     master_seed: int
-
-    def sweep_spec(self, kind):
-        if self.sweep_dict is None:
-            raise ConfigError("config has no 'sweep' section")
-        try:
-            return SweepSpec(
-                kind=kind,
-                values=list(self.sweep_dict["values"]),
-                trials=self.sweep_dict["trials"],
-                schemes=list(self.sweep_dict["schemes"]),
-                base=self.system,
-                master_seed=self.master_seed,
-                s_values=self.sweep_dict.get("s_values"),
-            )
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 def _reject_constant(token):
     raise ValueError(f"non-finite number {token} is not valid JSON")
 
 
-def load_config(path):
+def load_config(path, kind="snr"):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_constant=_reject_constant)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(raw)
+    return parse_config(raw, kind)
 
 
-def parse_config(raw):
+def parse_config(raw, kind="snr"):
+    """A config's RunConfig, its sweep section built as a sweep of kind."""
     if not isinstance(raw, dict):
         raise ConfigError("invalid config: the top level must be an object")
     _check_section("config", raw)
@@ -132,13 +121,15 @@ def parse_config(raw):
     if "instance" in raw:
         instance = _instance_arrays(raw["instance"], system.K, system.N)
 
-    sweep_dict = raw.get("sweep")
-    if sweep_dict is not None:
-        sweep_dict = dict(sweep_dict, trials=int(sweep_dict["trials"]))
-    config = RunConfig(system, sweep_dict, instance, master_seed)
-    if sweep_dict is not None:
-        config.sweep_spec("snr")  # checks all but the kind, which the CLI gives
-    return config
+    sweep = raw.get("sweep")
+    if sweep is not None:
+        # the section's keys are SweepSpec's field names
+        sweep = dict(sweep, kind=kind, trials=int(sweep["trials"]))
+        try:
+            sweep = SweepSpec(base=system, master_seed=master_seed, **sweep)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc)) from exc
+    return RunConfig(system, sweep, instance, master_seed)
 
 
 def _instance_arrays(instance, K, N):
@@ -147,7 +138,8 @@ def _instance_arrays(instance, K, N):
     arrays = []
     for name, shape in (("h_hat", (K, N, 2)), ("eps", (K,))):
         raw = np.asarray(instance[name], dtype=object)
-        if raw.shape != shape or not all(map(_number, raw.flat)):
+        # one check per distinct leaf type, not per number
+        if raw.shape != shape or not all(map(_number_type, set(map(type, raw.flat)))):
             raise ConfigError(f"instance {name} must be numbers of shape {shape}")
         try:
             values = raw.astype(float)

@@ -3,7 +3,8 @@ versus SNR, RIS size N or sensor count K, from reproducible per-trial seeds.
 Cells of equal K run stacked, in blocks of trials: per cell and block one
 call draws the (T, K) per-sensor scalars a co-phased score needs (gain,
 radius, and in realized mode the error's projection and norm); per stack and
-block one pass hashes all seeds and each scheme gets one design and one score."""
+block, passes of at most 1024 seeds hash all seeds and each scheme gets one
+design and one score."""
 
 from __future__ import annotations
 
@@ -236,25 +237,26 @@ def run_sweep(spec):
     execution order and parallelism cannot change the results. Cells of
     equal K (all of an SNR or N sweep, each value's of a K sweep) run as
     stacks of at most _STACK_ROWS = 16 * 1024 sensor rows a block of
-    trials_per_block trials (one cell, if more), so memory stays bounded
-    whatever the number of cells. Per stack and block, one seed_words pass
-    hashes every seed; per cell, one synthesis call draws the block from
-    the config SweepSpec built, a generator per trial; per scheme, one
-    design and one score call take the stacked (C, T, K) scalars. Per sweep,
-    one mean and one std over the trials of one (values, s, schemes, trials)
-    NMSE array give the records. The first cell in (value, s) order whose
-    NMSE is not finite, as when |h_hat|^2 overflows at a huge s, raises
-    AirCompError."""
+    trials_per_block trials and _STACK_ROWS NMSEs (one cell, if more), so
+    memory stays bounded whatever the number of cells and trials. Per stack
+    and block, seed_words passes of at most _BLOCK_ROWS seeds (one cell's,
+    if more) hash the seeds; per cell, one synthesis call draws the block
+    from the config SweepSpec built, a generator per trial; per scheme, one
+    design and one score call take the stacked (C, T, K) scalars. Per stack,
+    one mean and one std over the trials of its (cells, schemes, trials)
+    NMSE array give its records' numbers. The first cell in (value, s)
+    order whose NMSE is not finite, as when |h_hat|^2 overflows at a huge s,
+    raises AirCompError."""
     s_values = spec.s_values if spec.s_values is not None else [spec.base.s]
     configs, trials, n_s = spec.configs, spec.trials, len(s_values)
-    nmses = np.empty((len(spec.values), n_s, len(spec.schemes), trials))
-    flat = nmses.reshape(len(configs), len(spec.schemes), trials)
+    means, stds = np.empty((2, len(configs), len(spec.schemes)))
     entropy = functools.partial(_cell_entropy, spec.master_seed, spec.kind)
     prefixes = [entropy(*divmod(i, n_s)) for i in range(len(configs))]
     group = n_s if spec.kind == "k" else len(configs)  # cells of equal K
     for first in range(0, len(configs), group):
         block = trials_per_block(configs[first])
-        step = max(1, _STACK_ROWS // (min(block, trials) * configs[first].K))
+        per_cell = max(min(block, trials) * configs[first].K, trials * len(spec.schemes))
+        step = max(1, _STACK_ROWS // per_cell)
         for lo_cell in range(first, first + group, step):
             cells = slice(lo_cell, min(lo_cell + step, first + group))
             stack = configs[cells]
@@ -262,28 +264,33 @@ def run_sweep(spec):
             noise_var = np.array([config.noise_var for config in stack])[:, None]
             N = np.array([config.N for config in stack])[:, None, None]
             cfg = SimpleNamespace(**vars(stack[0]) | {"noise_var": noise_var, "N": N})
+            nmses = np.empty((len(stack), len(spec.schemes), trials))
             for lo in range(0, trials, block):
                 hi = min(lo + block, trials)
-                words = seed_words(prefixes[cells], np.arange(lo, hi))
-                draws = [
-                    synthesize_instance(config, trial_generators(rows), gains_only=True)
-                    for config, rows in zip(stack, words)
-                ]
+                per_pass = max(1, _BLOCK_ROWS // (hi - lo))  # cells a hash pass takes
+                draws = []
+                for c in range(cells.start, cells.stop, per_pass):
+                    part = slice(c, min(c + per_pass, cells.stop))
+                    words = seed_words(prefixes[part], np.arange(lo, hi))
+                    draws += [
+                        synthesize_instance(config, trial_generators(rows), gains_only=True)
+                        for config, rows in zip(configs[part], words)
+                    ]
                 draw = tuple(map(np.stack, zip(*draws)))
                 for j, scheme in enumerate(spec.schemes):
-                    flat[cells, j, lo:hi] = _design_and_score(cfg, scheme, draw)
-            finite = np.isfinite(flat[cells]).all(axis=(1, 2))
+                    nmses[:, j, lo:hi] = _design_and_score(cfg, scheme, draw)
+            finite = np.isfinite(nmses).all(axis=(1, 2))
             if not finite.all():
                 vi, si = divmod(lo_cell + int(np.argmin(finite)), n_s)
                 value, s = spec.values[vi], s_values[si]
                 raise AirCompError(f"NMSE is not finite at {spec.kind} {value}, s {s}")
-    means, stds = np.mean(nmses, axis=-1), np.std(nmses, axis=-1)
+            means[cells], stds[cells] = np.mean(nmses, axis=-1), np.std(nmses, axis=-1)
     records = []
-    for (vi, si, j), mean in np.ndenumerate(means):
+    for (vi, si, j), mean in np.ndenumerate(means.reshape(len(spec.values), n_s, -1)):
         scheme = spec.schemes[j]
         passes = ALGORITHM1_PASSES if scheme == "robust_exact" else 0
         label = scheme_label(scheme, s_values[si], n_s > 1)
-        row = (float(mean), float(stds[vi, si, j]), trials, float(passes))
+        row = (float(mean), float(stds[vi * n_s + si, j]), trials, float(passes))
         records.append(AggregateRecord(spec.kind, spec.values[vi], label, *row))
     # values increase and a value's labels differ, so this orders by value
     return sorted(records, key=lambda rec: (rec.value, rec.scheme))

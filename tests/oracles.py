@@ -249,8 +249,12 @@ def serialize_config(config):
         },
         "master_seed": config.master_seed,
     }
-    if config.sweep_dict is not None:
-        raw["sweep"] = dict(config.sweep_dict)
+    spec = config.sweep
+    if spec is not None:
+        raw["sweep"] = {"values": spec.values, "trials": spec.trials}
+        raw["sweep"]["schemes"] = spec.schemes
+        if spec.s_values is not None:
+            raw["sweep"]["s_values"] = spec.s_values
     if config.instance is not None:
         h_hat, eps = config.instance
         raw["instance"] = {

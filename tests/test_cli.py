@@ -28,7 +28,7 @@ from aircomp_ris.experiments import (
     AggregateRecord,
     snr_to_noise_var,
 )
-from aircomp_ris.model import ERROR_SAMPLING_MODES, EVAL_MODES
+from aircomp_ris.model import ERROR_SAMPLING_MODES, EVAL_MODES, SystemConfig
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -988,11 +988,25 @@ def test_every_config_gets_a_documented_exit(raw):
                 assert written == [], (argv, raw)
 
 
+def test_example_sweep_checks_each_config_once(tmp_path, monkeypatch):
+    """The example sweep checks the system's SystemConfig and each of its
+    5 x 2 cells' once: the sweep section is parsed once, for --kind."""
+    calls = []
+    check = SystemConfig.__post_init__
+    monkeypatch.setattr(
+        SystemConfig, "__post_init__", lambda self: calls.append(1) or check(self)
+    )
+    config = str(CONFIGS / "sweep_snr_example.json")
+    argv = ["sweep", "--kind", "snr", "--config", config, "--out", str(tmp_path / "r")]
+    assert main(argv) == 0
+    assert len(calls) == 11
+
+
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("kind, snr_db", [("snr", None), ("n", 0.0), ("k", 10.0)])
     def test_figure_configs(self, kind, snr_db):
-        cfg = load_config(CONFIGS / f"fig_{kind}.json")
-        spec = cfg.sweep_spec(kind)
+        cfg = load_config(CONFIGS / f"fig_{kind}.json", kind)
+        spec = cfg.sweep
         assert (spec.trials, spec.master_seed) == (200, 20240823)
         if snr_db is not None:
             # the SNR of the figure, written as its exact noise variance
@@ -1030,6 +1044,42 @@ class TestConfigRoundTrip:
         raw = golden_solve_config()
         raw["instance"]["eps"] = [0.0, 0.1]
         with pytest.raises(ConfigError):
+            parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "bad", [True, "1", None, [1.0], {"a": 1.0}], ids=json.dumps
+    )
+    def test_instance_leaf_of_another_type(self, tmp_path, capsys, bad):
+        """A leaf of h_hat or eps that is not a number, at every place in
+        turn, makes solve exit 1 with the shape message and write nothing."""
+        K, N = 2, 2
+        out = tmp_path / "design.json"
+        for name, shape in (("h_hat", (K, N, 2)), ("eps", (K,))):
+            for index in np.ndindex(shape):
+                raw = _instance_config(K, N, 10.0, False)
+                parent = raw["instance"][name]
+                for i in index[:-1]:
+                    parent = parent[i]
+                parent[index[-1]] = bad
+                cfg = write_json(tmp_path / "cfg.json", raw)
+                assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+                err = capsys.readouterr().err
+                assert err == f"error: instance {name} must be numbers of shape {shape}\n"
+                assert not out.exists()
+
+    def test_instance_leaves_of_every_number_type(self):
+        """ints, floats and numpy doubles are numbers; bools are not."""
+        raw = golden_solve_config()
+        raw["system"].update(K=2)
+        raw["instance"] = {
+            "h_hat": [[[1, np.float64(-0.0)]], [[0.5, np.float64(2.5)]]],
+            "eps": [np.float64(0.25), 0],
+        }
+        h_hat, eps = parse_config(raw).instance
+        assert h_hat.tobytes() == np.array([[complex(1, -0.0)], [2.5j + 0.5]]).tobytes()
+        assert eps.tolist() == [0.25, 0.0]
+        raw["instance"]["eps"][1] = np.bool_(False)
+        with pytest.raises(ConfigError, match=r"instance eps must be numbers"):
             parse_config(raw)
 
 
@@ -1133,6 +1183,51 @@ def test_solve_writes_json_dumps_indent_2(tmp_path, config):
     if config is not None and config["instance"]["eps"][0] == 0.0:
         assert doc["lambda"][0] is None
         assert text.endswith('"power_budget": 10\n}\n')
+
+
+# a number as solve writes it: extremes of a double, ints, and floats
+_DOC_NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1e16, 0.1]),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def solve_documents(draw):
+    """Documents of a solve design's shape at K, N in 1..4; null may sit at
+    any number's place, as it does in lambda."""
+    K, N = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    number = st.one_of(_DOC_NUMBERS, st.none())
+    row = lambda n: st.lists(number, min_size=n, max_size=n)  # noqa: E731
+    return {
+        "m": draw(number),
+        "t": draw(st.lists(row(2), min_size=K, max_size=K)),
+        "v_phases": draw(st.lists(row(N), min_size=K, max_size=K)),
+        "lambda": draw(row(K)),
+        "worst_case_terms": draw(row(K)),
+        "objective": draw(number),
+        "sum_power": draw(number),
+        "power_budget": draw(number),
+    }
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=solve_documents())
+@example(
+    doc={
+        "m": -0.0,
+        "t": [[5e-324, None]],
+        "v_phases": [[1.7e308]],
+        "lambda": [None],
+        "worst_case_terms": [0],
+        "objective": 10,
+        "sum_power": 2**64,
+        "power_budget": None,
+    }
+)
+def test_indented_is_json_dumps_indent_2(doc):
+    assert cli._indented(doc) == json.dumps(doc, indent=2, allow_nan=False)
 
 
 def test_example_sweep_svg_bytes(tmp_path):

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -450,6 +452,39 @@ def test_csv_bytes_match_the_per_cell_loop(kind, values, eval_mode, sampling, ma
     assert trials_per_block(spec.configs[-1]) == 2
     want = records_to_csv(reference_run_sweep(spec))
     assert records_to_csv(run_sweep(spec)) == want
+
+
+def _peak_kb(fn, spec):
+    tracemalloc.start()
+    try:
+        fn(spec)
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "trials, schemes",
+    [(5000, ["robust_exact", "nonrobust", "multistart"]), (1024, ["nonrobust"])],
+)
+def test_memory_of_a_many_trial_sweep_stays_near_the_per_cell_loop(trials, schemes):
+    """A 20-value, K = N = 1 SNR sweep of many trials peaks within 1.5x of
+    the per-cell loop. 5000 trials of 3 schemes fill a stack's _STACK_ROWS
+    NMSEs with one cell; 1024 trials of 1 scheme stack 16 cells, whose
+    seeds are hashed 1024 at a time. The loop holds one cell at a time, so
+    its peak on the first two values is its peak on all twenty."""
+    spec = SweepSpec(
+        kind="snr",
+        values=list(range(20)),
+        trials=trials,
+        schemes=schemes,
+        base=base_config(K=1, N=1),
+        master_seed=3,
+    )
+    for fn in (run_sweep, reference_run_sweep):  # one-time imports and caches
+        fn(replace(spec, trials=2))
+    loop_kb = _peak_kb(reference_run_sweep, replace(spec, values=spec.values[:2]))
+    assert _peak_kb(run_sweep, spec) <= 1.5 * loop_kb
 
 
 @pytest.mark.parametrize("scheme", ["multistart", "nonrobust", "robust_exact"])
