@@ -256,7 +256,7 @@ def run_sweep(spec):
     for first in range(0, len(configs), group):
         block = trials_per_block(configs[first])
         per_cell = max(min(block, trials) * configs[first].K, trials * len(spec.schemes))
-        step = max(1, _STACK_ROWS // per_cell)
+        step = max(1, _STACK_ROWS // per_cell)  # cells a stack takes
         for lo_cell in range(first, first + group, step):
             cells = slice(lo_cell, min(lo_cell + step, first + group))
             stack = configs[cells]
@@ -286,11 +286,11 @@ def run_sweep(spec):
                 raise AirCompError(f"NMSE is not finite at {spec.kind} {value}, s {s}")
             means[cells], stds[cells] = np.mean(nmses, axis=-1), np.std(nmses, axis=-1)
     records = []
-    for (vi, si, j), mean in np.ndenumerate(means.reshape(len(spec.values), n_s, -1)):
-        scheme = spec.schemes[j]
+    for (cell, j), mean in np.ndenumerate(means):
+        (vi, si), scheme = divmod(cell, n_s), spec.schemes[j]
         passes = ALGORITHM1_PASSES if scheme == "robust_exact" else 0
         label = scheme_label(scheme, s_values[si], n_s > 1)
-        row = (float(mean), float(stds[vi * n_s + si, j]), trials, float(passes))
+        row = (float(mean), float(stds[cell, j]), trials, float(passes))
         records.append(AggregateRecord(spec.kind, spec.values[vi], label, *row))
     # values increase and a value's labels differ, so this orders by value
     return sorted(records, key=lambda rec: (rec.value, rec.scheme))
