@@ -1199,7 +1199,10 @@ def solve_documents(draw):
     any number's place, as it does in lambda."""
     K, N = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     number = st.one_of(_DOC_NUMBERS, st.none())
-    row = lambda n: st.lists(number, min_size=n, max_size=n)  # noqa: E731
+
+    def row(n):
+        return st.lists(number, min_size=n, max_size=n)
+
     return {
         "m": draw(number),
         "t": draw(st.lists(row(2), min_size=K, max_size=K)),
