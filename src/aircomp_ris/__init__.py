@@ -2,7 +2,7 @@
 computation under bounded CSI error."""
 
 from .model import Design, SystemConfig, synthesize_instance
-from .optimizer import nonrobust_scalars, robust_scalars
+from .optimizer import robust_scalars
 from .worst_case import WorstCaseCert, certificate
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -87,7 +88,17 @@ def _write_outputs(outputs):
         raise
 
 
+def _check_distinct(**paths):
+    """Refuse a run two of whose files, by flag, are one: an output would
+    overwrite the config or the other output."""
+    named = [(f"--{flag}", os.path.realpath(p)) for flag, p in paths.items() if p]
+    for (x, x_path), (y, y_path) in itertools.combinations(named, 2):
+        if x_path == y_path:
+            raise ConfigError(f"{x} and {y} name the same file")
+
+
 def cmd_solve(config_path, out_path):
+    _check_distinct(config=config_path, out=out_path)
     cfg = load_config(config_path)
     system = cfg.system
     if cfg.instance is not None:
@@ -132,8 +143,7 @@ def records_to_csv(records):
 
 
 def cmd_sweep(config_path, kind, out_csv, plot_path=None):
-    if plot_path and os.path.realpath(plot_path) == os.path.realpath(out_csv):
-        raise ConfigError("--out and --plot name the same file")
+    _check_distinct(config=config_path, out=out_csv, plot=plot_path)
     spec = load_config(config_path, kind).sweep
     if spec is None:
         raise ConfigError("config has no 'sweep' section")

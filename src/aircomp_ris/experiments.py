@@ -15,9 +15,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import AirCompError
-from .model import _BLOCK_ROWS, MAX_DIMENSION, SystemConfig
-from .model import synthesize_instance, trials_per_block
-from .optimizer import nonrobust_scalars, robust_scalars
+from .model import MAX_DIMENSION, SystemConfig, synthesize_instance
+from .optimizer import robust_scalars
 from .worst_case import mse_at_error, worst_case_objective
 
 SWEEP_KINDS = ("snr", "n", "k")
@@ -30,6 +29,8 @@ _CHANNEL_STREAM = 4
 # robust_exact reports Algorithm 1's passes: the first lands on the closed
 # form and the second, which changes nothing, stops the loop
 ALGORITHM1_PASSES = 2
+# Sensor rows per sweep trial block: bounds its generators and (T, K) arrays.
+_BLOCK_ROWS = 1 << 10
 _STACK_ROWS = 16 * _BLOCK_ROWS  # sensor rows a stacked call takes, at most
 
 # numpy's SeedSequence, O'Neill's seed_seq hash: a pool of 4 32-bit words
@@ -114,19 +115,25 @@ def nmse(mse, K):
     return mse / K
 
 
+def trials_per_block(config):
+    """Trials a sweep synthesizes per call: at least one, and T*K sensor
+    rows within _BLOCK_ROWS. N does not count: a block holds a generator per
+    trial (~0.8 KB) and (T, K) scalars, and synthesis chunks its draws."""
+    return max(1, _BLOCK_ROWS // config.K)
+
+
 def design_for_scheme(config, scheme, draw):
-    """Run the designer a scheme refers to on a block of trials. draw is
+    """Design a scheme on a block of trials with robust_scalars. draw is
     what synthesis gave the block with gains_only, whose (..., K) gains and
-    radii (a, eps) fix m and t; both schemes co-phase. config is a
+    radii (a, eps) fix m and t; every scheme co-phases. config is a
     SystemConfig or run_sweep's stand-in for stacked (C, T, K) cells."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     # multistart and robust_exact: two historical names of the closed-form
-    # global optimum
+    # global optimum; nonrobust: the same at radius 0, the MMSE scaling
     a, eps = draw[:2]
-    if scheme == "nonrobust":
-        return nonrobust_scalars(a, config.noise_var, config.P)
-    return robust_scalars(a, eps * np.sqrt(config.N), config.noise_var, config.P)
+    radius = 0.0 * eps if scheme == "nonrobust" else eps * np.sqrt(config.N)
+    return robust_scalars(a, radius, config.noise_var, config.P)
 
 
 def _hash(value, init, mult, first, n):

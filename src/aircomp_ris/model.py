@@ -31,8 +31,6 @@ _SPLIT_BLOCK = 2 * _DRAW_BLOCK
 # Doubles per generator call below which threads drawing a block's trials
 # spend more time handing each other the GIL than they save.
 _SPLIT_CALL = 1 << 10
-# Sensor rows per sweep trial block: bounds its generators and (T, K) arrays.
-_BLOCK_ROWS = 1 << 10
 
 # Largest count numpy accepts as an array dimension.
 MAX_DIMENSION = int(np.iinfo(np.intp).max)
@@ -99,13 +97,6 @@ class Design:
     @property
     def K(self):
         return self.t.shape[-1]
-
-
-def trials_per_block(config):
-    """Trials a sweep synthesizes per call: at least one, and T*K sensor
-    rows within _BLOCK_ROWS. N does not count: a block holds a generator per
-    trial (~0.8 KB) and (T, K) scalars, and synthesis chunks its draws."""
-    return max(1, _BLOCK_ROWS // config.K)
 
 
 def _trial_ranges(trials, doubles_per_trial, doubles_per_call):

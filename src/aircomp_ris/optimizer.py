@@ -4,10 +4,11 @@ Each sensor has its own RIS and the power constraint is active, so the
 worst-case problem splits into K scalar problems, each solved globally by
 co-phasing, v_k = h_hat_k/|h_hat_k|, and the exact 1-D minimizer `t_exact`.
 Co-phasing leaves sensor k the gain a_k = ||h_hat_k||_1 (`cophased_gains`),
-so the designers are scalar cores: `robust_scalars` and `nonrobust_scalars`
-give m and t from (a_k, eps_k sqrt(N)) and a noise_var per trial, and
-`ris_phases` the phases of v. The paper's alternating loop (Algorithm 1)
-lands here in its first pass and stops after a second that changes nothing.
+so the designer is a scalar core: `robust_scalars` gives m and t from
+(a_k, eps_k sqrt(N)) and a noise_var per trial, at radius 0 the non-robust
+baseline, and `ris_phases` the phases of v. The paper's alternating loop
+(Algorithm 1) lands here in its first pass and stops after a second that
+changes nothing.
 """
 
 from __future__ import annotations
@@ -44,15 +45,6 @@ def recover_m_t(t_hat_set, P):
     return (float(m) if np.ndim(m) == 0 else m), t
 
 
-def _scalar_design(a, t_hat, P):
-    """The Design of the effective scalars t_hat. No design serves a trial
-    whose every estimate is zero."""
-    if not a.any(axis=-1).all():
-        raise AllZeroScalers("every channel estimate is zero")
-    m, t = recover_m_t(t_hat, P)
-    return Design(m=m, t=t)
-
-
 def cophased_gains(h_hat):
     """The gains a_k = h_hat_k^H v_k = ||h_hat_k||_1 that co-phasing leaves
     each sensor row of h_hat, summed from real planes, which round alike at
@@ -67,17 +59,13 @@ def ris_phases(h_hat):
     return np.where(h_hat == 0, 0.0, np.where(phi == -np.pi, np.pi, phi))
 
 
-def nonrobust_scalars(a, noise_var, P):
-    """m and t of the non-robust design from the (..., K) gains a_k: the MMSE
-    scaling t_hat_k = a_k / (a_k^2 + sigma^2/P), 0 where a_k = 0."""
-    c = np.expand_dims(noise_var / P, -1)
-    t_hat = np.divide(a, a * a + c, out=np.zeros_like(a), where=a > 0)
-    return _scalar_design(a, t_hat, P)
-
-
 def robust_scalars(a, eps_rootN, noise_var, P):
     """m and t of the worst-case optimum from the (..., K) gains a_k and
     radii eps_k sqrt(N): t_hat_k = t_exact(a_k, eps_k sqrt(N)), and m = 0
-    for a trial whose every sensor is silenced."""
+    for a trial whose every sensor is silenced; none for a trial whose every
+    estimate is zero. At radius 0, the MMSE scaling a_k/(a_k^2 + sigma^2/P)."""
+    if not a.any(axis=-1).all():
+        raise AllZeroScalers("every channel estimate is zero")
     t_hat = t_exact(a, eps_rootN, np.expand_dims(noise_var, -1), P)
-    return _scalar_design(a, t_hat, P)
+    m, t = recover_m_t(t_hat, P)
+    return Design(m=m, t=t)

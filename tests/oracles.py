@@ -4,7 +4,7 @@ trial's generator, a stand-in generator of fixed normals, channel
 synthesis drawn sensor by sensor in complex numpy, which also gives the
 true channels and errors that synthesize_instance does not return, one
 sweep trial run alone, a sweep run cell by cell, co-phasing RIS vectors, a Design that carries RIS
-vectors and the designs of the scalar cores with them, the per-sensor
+vectors and the designs of the scalar core with them, the per-sensor
 worst-case term, the worst-case objective and the MSE at given errors evaluated on the full channel arrays
 and the design's RIS vectors, row norms of complex arrays, the MSE of a
 design on known true channels, in closed form and by Monte Carlo, a
@@ -24,9 +24,10 @@ from aircomp_ris.experiments import (
     _config_at,
     _design_and_score,
     scheme_label,
+    trials_per_block,
 )
-from aircomp_ris.model import Design, synthesize_instance, trials_per_block
-from aircomp_ris.optimizer import nonrobust_scalars, robust_scalars
+from aircomp_ris.model import Design, synthesize_instance
+from aircomp_ris.optimizer import robust_scalars
 
 
 def inner(a, b):
@@ -175,15 +176,12 @@ class RISDesign(Design):
 
 
 def cophased_design(config, h_hat, eps=None):
-    """m and t of the scalar cores, robust_scalars given the radii eps and
-    nonrobust_scalars without them, from the gains ||h_hat_k||_1, with
+    """m and t of robust_scalars given the radii eps, and at radius 0 (the
+    non-robust baseline) without them, from the gains ||h_hat_k||_1, with
     co-phased RIS vectors; for each trial of a (..., K, N) block."""
     a = np.abs(h_hat).sum(axis=-1)
-    if eps is None:
-        design = nonrobust_scalars(a, config.noise_var, config.P)
-    else:
-        eps_rootN = np.asarray(eps, dtype=float) * np.sqrt(config.N)
-        design = robust_scalars(a, eps_rootN, config.noise_var, config.P)
+    eps_rootN = 0.0 if eps is None else np.asarray(eps, dtype=float) * np.sqrt(config.N)
+    design = robust_scalars(a, eps_rootN, config.noise_var, config.P)
     return RISDesign(design.m, design.t, cophase(h_hat))
 
 

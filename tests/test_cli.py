@@ -108,6 +108,14 @@ class TestSolve:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "d"]
         assert list((tmp_path / "d").iterdir()) == []
 
+    def test_out_naming_the_config_rejected(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", golden_solve_config())
+        before = (tmp_path / "cfg.json").read_bytes()
+        assert main(["solve", "--config", cfg, "--out", cfg]) == 1
+        assert capsys.readouterr().err == "error: --config and --out name the same file\n"
+        assert (tmp_path / "cfg.json").read_bytes() == before
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
@@ -467,6 +475,24 @@ class TestSweep:
         argv = ["sweep", "--kind", "snr", "--config", "cfg.json", "--out", "r.csv"]
         assert main([*argv, "--plot", plot]) == 1
         assert capsys.readouterr().err == "error: --out and --plot name the same file\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "outputs, flag",
+        [
+            pytest.param(["--out", "cfg.json"], "--out", id="out"),
+            pytest.param(["--out", "r.csv", "--plot", "./cfg.json"], "--plot", id="plot"),
+        ],
+    )
+    def test_output_naming_the_config_rejected(
+        self, tmp_path, monkeypatch, capsys, outputs, flag
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "cfg.json", sweep_config())
+        before = (tmp_path / "cfg.json").read_bytes()
+        assert main(["sweep", "--kind", "snr", "--config", "cfg.json", *outputs]) == 1
+        assert capsys.readouterr().err == f"error: --config and {flag} name the same file\n"
+        assert (tmp_path / "cfg.json").read_bytes() == before
         assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_failed_second_rename_keeps_the_first_output(self, tmp_path, monkeypatch):
@@ -856,6 +882,25 @@ def test_config_shape_and_range_rules(tmp_path, capsys, raw):
     assert main(["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("P", 0, "P must be > 0"),
+        ("P", -1.0, "P must be > 0"),
+        ("noise_var", -0.5, "noise_var must be >= 0"),
+    ],
+)
+def test_power_and_noise_ranges(tmp_path, capsys, command, key, value, message):
+    raw = sweep_config()
+    raw["system"][key] = value
+    cfg = write_json(tmp_path / "cfg.json", raw)
+    kind = ["--kind", "snr"] if command == "sweep" else []
+    assert main([command, *kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
 
 # extremes of a double and a few plain numbers; wrong JSON types

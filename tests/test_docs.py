@@ -11,14 +11,8 @@ import aircomp_ris
 from aircomp_ris import cli, verify
 from aircomp_ris.cli import main
 from aircomp_ris.config import _SHAPE
-from aircomp_ris.experiments import SCHEMES
-from aircomp_ris.model import (
-    _DRAW_BLOCK,
-    _SPLIT_BLOCK,
-    _SPLIT_CALL,
-    SystemConfig,
-    trials_per_block,
-)
+from aircomp_ris.experiments import SCHEMES, trials_per_block
+from aircomp_ris.model import _DRAW_BLOCK, _SPLIT_BLOCK, _SPLIT_CALL, SystemConfig
 from aircomp_ris.verify import SUITES
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(

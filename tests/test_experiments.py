@@ -18,13 +18,15 @@ from aircomp_ris.experiments import (
     AggregateRecord,
     SweepSpec,
     _design_and_score,
+    design_for_scheme,
     nmse,
     run_sweep,
     seed_words,
     snr_to_noise_var,
     trial_generators,
+    trials_per_block,
 )
-from aircomp_ris.model import SystemConfig, synthesize_instance, trials_per_block
+from aircomp_ris.model import SystemConfig, synthesize_instance
 
 
 def base_config(**kw):
@@ -369,9 +371,8 @@ def test_stacked_rows_stay_within_the_cap(monkeypatch):
     """A sweep of more cells than one call may hold splits them: no design
     call sees more than _STACK_ROWS = 16 * _BLOCK_ROWS sensor rows."""
     import aircomp_ris.experiments as experiments
-    from aircomp_ris.model import _BLOCK_ROWS
 
-    assert experiments._STACK_ROWS == 16 * _BLOCK_ROWS
+    assert experiments._STACK_ROWS == 16 * experiments._BLOCK_ROWS
     assert "_STACK_ROWS = 16 * 1024" in run_sweep.__doc__
     rows = []
     real = experiments.design_for_scheme
@@ -499,6 +500,14 @@ def test_block_scores_match_single_trials(scheme, eval_mode, sampling):
     values = _design_and_score(config, scheme, draw)
     for t, seed in enumerate(seeds):
         assert values[t] == run_trial(config, scheme, seed)
+
+
+def test_unknown_scheme_rejected():
+    """A name outside SCHEMES is refused, not designed at the robust radius."""
+    config = base_config()
+    draw = synthesize_instance(config, np.random.default_rng(0), gains_only=True)
+    with pytest.raises(ValueError, match="^unknown scheme 'mmse'$"):
+        design_for_scheme(config, "mmse", draw)
 
 
 # a sweep cell's (master_seed, kind, value index, s index, stream)

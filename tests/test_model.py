@@ -23,11 +23,8 @@ from oracles import (
 )
 
 from aircomp_ris import model
-from aircomp_ris.model import (
-    SystemConfig,
-    synthesize_instance,
-    trials_per_block,
-)
+from aircomp_ris.experiments import trials_per_block
+from aircomp_ris.model import SystemConfig, synthesize_instance
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -14,6 +14,7 @@ from oracles import (
 )
 
 from aircomp_ris.errors import AllZeroScalers
+from aircomp_ris.experiments import design_for_scheme
 from aircomp_ris.model import SystemConfig, synthesize_instance
 from aircomp_ris.optimizer import recover_m_t, ris_phases, t_exact
 
@@ -161,6 +162,50 @@ class TestNonRobust:
         config = SystemConfig(K=2, N=2, P=1.0, noise_var=0.5)
         with pytest.raises(AllZeroScalers):
             cophased_design(config, np.zeros((2, 2), dtype=complex))
+
+
+def _mmse_design(a, noise_var, P):
+    """The classical MMSE scaling written out: t_hat_k = a_k/(a_k^2 +
+    sigma^2/P), 0 where a_k = 0, and the m and t recovered from it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_hat = np.where(a > 0, a / (a * a + noise_var / P), 0.0)
+    return recover_m_t(t_hat, P)
+
+
+@st.composite
+def mmse_problems(draw):
+    """Gains with zeros among them, P, and noise_var = 0 or sigma^2/P from
+    2^10 down to 2^-70 times the largest gain squared."""
+    gain = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    a = np.array(draw(st.lists(gain, min_size=1, max_size=6)))
+    assume(a.any())
+    P = draw(st.floats(0.1, 100.0))
+    exponent = draw(st.one_of(st.none(), st.floats(-10.0, 70.0)))
+    noise_var = 0.0 if exponent is None else P * a.max() ** 2 * 2.0**-exponent
+    return a, noise_var, P
+
+
+class TestZeroRadius:
+    """The nonrobust scheme is robust_scalars at radius 0. t_exact's clip
+    1/a_k can bind there only where sigma^2/P is below about 2^-52 a_k^2:
+    above 2^-40 max_k a_k^2 the design is the MMSE scaling bit for bit, and
+    below it is within a few ulps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mmse_problems())
+    @example((np.array([0.0, 1.0, 3.0]), 0.0, 2.0))
+    @example((np.array([0.5, 0.0]), 0.1, 10.0))
+    def test_nonrobust_is_the_mmse_scaling(self, problem):
+        a, noise_var, P = problem
+        config = SystemConfig(K=len(a), N=4, P=P, noise_var=noise_var)
+        # radii that would silence every sensor of a robust design
+        design = design_for_scheme(config, "nonrobust", (a, a))
+        m, t = _mmse_design(a, noise_var, P)
+        if noise_var / P >= 2.0**-40 * a.max() ** 2:
+            assert design.m == m and design.t.tobytes() == t.tobytes()
+        else:
+            assert design.m == pytest.approx(m, rel=1e-15, abs=0)
+            np.testing.assert_allclose(design.t, t, rtol=1e-15, atol=0)
 
 
 def _flags(draw, n):
