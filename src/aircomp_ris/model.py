@@ -25,9 +25,13 @@ ERROR_SAMPLING_MODES = ("surface", "interior")
 
 # Doubles drawn per synthesis chunk: bounds the temporaries at large K*N.
 _DRAW_BLOCK = 1 << 14
-# Chunk of a range of trials drawn beside others on threads: its fewer,
-# larger ufunc calls hand the GIL between the threads half as often.
+# Doubles of draws each range of a block split across CPUs must get.
 _SPLIT_BLOCK = 2 * _DRAW_BLOCK
+# Doubles per (rows, N) plane of a chunk drawn beside others on threads:
+# its fewer, larger ufunc calls hand the GIL between the threads less
+# often, and each 96 KiB temporary stays under glibc's 128 KiB mmap
+# threshold, so none is mapped and unmapped per call.
+_SPLIT_PLANE = 12288
 # Doubles per generator call below which threads drawing a block's trials
 # spend more time handing each other the GIL than they save.
 _SPLIT_CALL = 1 << 10
@@ -101,9 +105,8 @@ class Design:
 
 def _trial_ranges(trials, doubles_per_trial, doubles_per_call):
     """Split trials into contiguous [lo, hi) ranges, one per CPU this process
-    may run on, when each range draws at least a chunk of _SPLIT_BLOCK
-    doubles in generator calls of at least _SPLIT_CALL doubles; else one
-    range."""
+    may run on, when each range draws at least _SPLIT_BLOCK doubles in
+    generator calls of at least _SPLIT_CALL doubles; else one range."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
@@ -117,8 +120,9 @@ def _trial_ranges(trials, doubles_per_trial, doubles_per_call):
 
 def _run_ranges(fn, ranges):
     """Call fn(lo, hi) for every range: the first on this thread, each other
-    on a thread of its own. Returns once all have finished, raising the
-    first exception a range raised."""
+    on a thread of its own, or on this thread if that thread cannot start.
+    Returns once all have finished, raising the first exception a range
+    raised."""
     errors = [None] * len(ranges)
 
     def run(i, lo, hi):
@@ -127,16 +131,19 @@ def _run_ranges(fn, ranges):
         except BaseException as exc:  # raised again on the calling thread
             errors[i] = exc
 
-    threads = [
-        threading.Thread(target=run, args=(i, lo, hi))
-        for i, (lo, hi) in enumerate(ranges[1:], 1)
-    ]
-    for thread in threads:
-        thread.start()
+    started = []
     try:
-        fn(*ranges[0])
+        for i, (lo, hi) in enumerate(ranges[1:], 1):
+            thread = threading.Thread(target=run, args=(i, lo, hi))
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to spare: draw the range here
+                run(i, lo, hi)
+            else:
+                started.append(thread)
+        run(0, *ranges[0])
     finally:
-        for thread in threads:
+        for thread in started:
             thread.join()  # every range writes the caller's arrays
     for error in errors:
         if error is not None:
@@ -161,8 +168,9 @@ def synthesize_instance(config, rng, gains_only=False):
     re(g_k), im(g_k), re(r_k), im(r_k), and when s > 0 (even where eps_k
     underflows to 0) for the real and imaginary parts of the error
     direction, then one uniform for an interior error's radius
-    (gen.random(), the double gen.uniform() gives). The rows are drawn in chunks of _DRAW_BLOCK doubles, or of
-    _SPLIT_BLOCK in a block split across CPUs (below); a trial's rows
+    (gen.random(), the double gen.uniform() gives). The rows are drawn in
+    chunks of _DRAW_BLOCK doubles, or in a block split across CPUs (below)
+    of _SPLIT_PLANE doubles per (rows, N) plane; a trial's rows
     without uniforms take one call, which fills in that same order, rows
     with them one normal call and one random() each. The arithmetic
     runs on real planes, one ufunc per real multiply, add, divide or sqrt,
@@ -186,7 +194,7 @@ def synthesize_instance(config, rng, gains_only=False):
     ranges = _trial_ranges(len(rngs), K * parts * N, per_call)
     if len(set(map(id, rngs))) < len(rngs):
         ranges = [(0, len(rngs))]  # a generator shared by trials draws them in order
-    step = max(1, (_DRAW_BLOCK if len(ranges) == 1 else _SPLIT_BLOCK) // (parts * N))
+    step = max(1, _DRAW_BLOCK // (parts * N) if len(ranges) == 1 else _SPLIT_PLANE // N)
     radius_power = 1.0 / (2 * N)  # U^(1/(2N)): uniform over the 2N-dim ball
     eps = np.empty(rows)
     realized = config.eval_mode == "realized"

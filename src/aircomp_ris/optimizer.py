@@ -24,10 +24,19 @@ def t_exact(a, eps_rootN, noise_var, P):
     (|tau*a - 1| + eps_rootN*tau)^2 + (noise_var/P)*tau^2, per sensor.
 
     With b = a - eps_rootN and c = noise_var/P: tau = 0 when b <= 0
-    (uncertainty dominates), otherwise min(b/(b^2 + c), 1/a)."""
+    (uncertainty dominates), otherwise min(b/(b^2 + c), 1/a). Where b^2 + c
+    overflows for a finite b, the quotient is 1/(b + c/b) instead."""
     b = np.asarray(a - eps_rootN, dtype=float)
+    c = noise_var / P
     live = b > 0
-    tau = np.divide(b, b * b + noise_var / P, out=np.zeros_like(b), where=live)
+    with np.errstate(over="ignore"):
+        denom = b * b + c
+    tau = np.divide(b, denom, out=np.zeros_like(b), where=live)
+    huge = np.isinf(denom)
+    if huge.any():
+        huge &= live & np.isfinite(b)
+        bh = b[huge]
+        tau[huge] = 1.0 / (bh + np.broadcast_to(c, b.shape)[huge] / bh)
     np.minimum(tau, np.divide(1.0, a, out=np.full_like(b, np.inf), where=live), out=tau)
     return float(tau) if tau.ndim == 0 else tau
 

@@ -230,6 +230,20 @@ class TestSolve:
         doc = self.solve_instance(tmp_path, h_hat, [0.1])
         assert doc["v_phases"] == [[math.pi / 4, math.pi, 0.0, 0.0]]
 
+    def test_gain_whose_square_overflows_keeps_its_sensor(self, tmp_path):
+        """a_0 = 8e154 squares past the largest double: sensor 0 still gets
+        t_hat_0 = 1/a_0 (not 0), and the objective is sensor 1's alone."""
+        h_hat = [[[1e154, 0.0]] * 8, [[1.0, 0.0]] * 8]
+        doc = self.solve_instance(tmp_path, h_hat, [0.0, 0.0])
+        t_hat_1 = 8 / (64 + 1 / 10)
+        m = t_hat_1 / math.sqrt(10)
+        assert doc["m"] == pytest.approx(m, rel=1e-12)
+        assert complex(*doc["t"][0]) == pytest.approx(1 / 8e154 / m, rel=1e-12)
+        assert complex(*doc["t"][1]) == pytest.approx(t_hat_1 / m, rel=1e-12)
+        objective = (8 * t_hat_1 - 1) ** 2 + m * m
+        assert doc["objective"] == pytest.approx(objective, rel=1e-12)
+        assert doc["objective"] == pytest.approx(0.0015600624024961, rel=1e-12)
+
     def test_zero_entries_get_phase_zero(self, tmp_path):
         # np.angle gives -pi for -0 - 0j and -0.0 for 0 - 0j
         h_hat = [[[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]]

@@ -12,7 +12,13 @@ from aircomp_ris import cli, verify
 from aircomp_ris.cli import main
 from aircomp_ris.config import _SHAPE
 from aircomp_ris.experiments import SCHEMES, trials_per_block
-from aircomp_ris.model import _DRAW_BLOCK, _SPLIT_BLOCK, _SPLIT_CALL, SystemConfig
+from aircomp_ris.model import (
+    _DRAW_BLOCK,
+    _SPLIT_BLOCK,
+    _SPLIT_CALL,
+    _SPLIT_PLANE,
+    SystemConfig,
+)
 from aircomp_ris.verify import SUITES
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
@@ -111,8 +117,15 @@ def test_draw_chunk_size_and_split_rule_match_the_code():
     chunk = re.search(r"chunks of at most (\d+) doubles", README)
     assert chunk, "README must state the synthesis chunk size"
     assert int(chunk[1]) == _DRAW_BLOCK
-    split = re.search(r"its own rows, in chunks of (\d+)\s+doubles", README)
-    assert split, "README must state the chunk size of a split block"
+    plane = re.search(r"its own rows, in chunks of (\d+)\s+doubles per \(rows", README)
+    assert plane, "README must state the chunk size of a split block"
+    assert int(plane[1]) == _SPLIT_PLANE
+    rows = re.search(r"max\(1, (\d+) // N\) rows, (\d+) at N=(\d+)", README)
+    assert rows, "README must state the rows of a split block's chunk"
+    assert int(rows[1]) == _SPLIT_PLANE
+    assert int(rows[2]) == max(1, _SPLIT_PLANE // int(rows[3]))
+    split = re.search(r"each range gets at least (\d+)\s+doubles of draws", README)
+    assert split, "README must state when a block splits across CPUs"
     assert int(split[1]) == _SPLIT_BLOCK
     call = re.search(r"each\s+generator call draws at least (\d+)\s+doubles", README)
     assert call, "README must state when a block splits across CPUs"

@@ -392,11 +392,11 @@ def test_trials_per_block():
         # (3, 8, 1024) arrays: past the 16384 entries where numpy may reuse
         # a temporary in place
         (8, 1024, 0.3, "surface", 3),
-        # split across CPUs, in draw chunks of 5 rows: each of the 51
-        # trials spans four
+        # split across CPUs, in draw chunks of 12 rows: each of the 51
+        # trials spans two or three
         (20, 1000, 0.3, "interior", None),
-        # the sweep_k_large shape: 85 trials of 12 rows in draw chunks of 21,
-        # split across CPUs
+        # the sweep_k_large shape: 85 trials of 12 rows, split across CPUs
+        # in draw chunks of 48 rows, four whole trials each
         (12, 256, 0.3, "interior", None),
     ],
 )
@@ -442,16 +442,17 @@ def spy_ranges(monkeypatch):
     return used
 
 
-# 13 trials of 7 sensors at N=300: draw chunks of 9 rows on one CPU and 18
-# split across CPUs (13 and 27 without errors) split the trials, and 3
-# ranges of 4, 4 and 5 trials split the chunks
+# 13 trials of 7 sensors at N=1000, split across CPUs into 3 ranges of 4,
+# 4 and 5 trials (28, 28 and 35 rows): each range is drawn in three chunks
+# of up to 12 rows, whose edges cut trials; on one CPU the chunks are of 2
+# rows (4 without errors)
 SPLIT_TRIALS, SPLIT_RANGES = 13, [(0, 4), (4, 8), (8, 13)]
 
 
 def split_config(s=0.4, sampling="surface", eval_mode="worst"):
     return SystemConfig(
         K=7,
-        N=300,
+        N=1000,
         P=1.0,
         noise_var=0.1,
         s=s,
@@ -537,6 +538,31 @@ def test_a_failing_range_raises_its_error(monkeypatch, bad):
     cpus(monkeypatch, 1)
     alone = synthesize_instance(split_config(), split_rngs())
     assert again[0].tobytes() == alone[0].tobytes()
+
+
+def test_a_range_whose_thread_cannot_start_is_drawn_here(monkeypatch):
+    """When the second range's thread cannot start, the calling thread draws
+    that range as well, the first range's thread is joined, and the bytes
+    are those of one range."""
+    cpus(monkeypatch, 3)
+    used = spy_ranges(monkeypatch)
+    started = []
+    start = threading.Thread.start
+
+    def start_one(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+        started.append(thread)
+
+    monkeypatch.setattr(model.threading.Thread, "start", start_one)
+    split = synthesize_instance(split_config(), split_rngs())
+    assert used == [SPLIT_RANGES]
+    assert len(started) == 1 and not started[0].is_alive()
+    cpus(monkeypatch, 1)
+    serial = synthesize_instance(split_config(), split_rngs())
+    for one, many in zip(serial, split):
+        assert one.tobytes() == many.tobytes()
 
 
 class CountingThread(threading.Thread):
