@@ -136,9 +136,9 @@ def records_to_csv(records):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for rec in records:
-        row = vars(rec).values()  # a dataclass sets its fields in CSV_HEADER's order
-        writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
+    # a dataclass sets its fields in CSV_HEADER's order; csv writes str(x),
+    # for a float the shortest text that reads back as the same double
+    writer.writerows(vars(rec).values() for rec in records)
     return buf.getvalue()
 
 

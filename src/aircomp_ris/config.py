@@ -31,9 +31,7 @@ _TYPES = {
     "number": _number,
     # 2.0 counts as an integer; parse_config makes it an int
     "integer": lambda x: _number(x) and (isinstance(x, int) or x.is_integer()),
-    "non-empty number list": lambda x: (
-        isinstance(x, list) and bool(x) and all(map(_number, x))
-    ),
+    "number list": lambda x: isinstance(x, list) and all(map(_number, x)),
     "string": lambda x: isinstance(x, str),
     "list": lambda x: isinstance(x, list),
     "object": lambda x: isinstance(x, dict),
@@ -53,8 +51,8 @@ _SHAPE = {
         },
     ),
     "sweep": (
-        {"values": "non-empty number list", "trials": "integer", "schemes": "list"},
-        {"s_values": "non-empty number list"},
+        {"values": "number list", "trials": "integer", "schemes": "list"},
+        {"s_values": "number list"},
     ),
     # checked as whole arrays by _instance_arrays
     "instance": ({"h_hat": "list", "eps": "list"}, {}),

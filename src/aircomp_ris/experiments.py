@@ -3,8 +3,8 @@ versus SNR, RIS size N or sensor count K, from reproducible per-trial seeds.
 Cells of equal K run stacked, in blocks of trials: per cell and block one
 call draws the (T, K) per-sensor scalars a co-phased score needs (gain,
 radius, and in realized mode the error's projection and norm); per stack and
-block, passes of at most 1024 seeds hash all seeds and each scheme gets one
-design and one score."""
+block, passes of at most _BLOCK_ROWS seeds hash all seeds and each scheme
+gets one design and one score."""
 
 from __future__ import annotations
 
@@ -31,7 +31,8 @@ _CHANNEL_STREAM = 4
 ALGORITHM1_PASSES = 2
 # Sensor rows per sweep trial block: bounds its generators and (T, K) arrays.
 _BLOCK_ROWS = 1 << 10
-_STACK_ROWS = 16 * _BLOCK_ROWS  # sensor rows a stacked call takes, at most
+# Sensor rows a stacked call takes, and NMSEs a stack holds, at most.
+_STACK_ROWS = 16 * _BLOCK_ROWS
 
 # numpy's SeedSequence, O'Neill's seed_seq hash: a pool of 4 32-bit words
 _POOL = 4
@@ -108,11 +109,6 @@ def snr_to_noise_var(snr_db, P):
         return P * 10.0 ** (-snr_db / 10.0)
     except OverflowError as exc:
         raise ValueError(f"SNR {snr_db} dB: noise variance overflows") from exc
-
-
-def nmse(mse, K):
-    """MSE normalized by the variance K of the target sum signal."""
-    return mse / K
 
 
 def trials_per_block(config):
@@ -213,14 +209,14 @@ def _seed_words_type():
 
 def _design_and_score(config, scheme, draw):
     """Design a scheme on a block's draw (see design_for_scheme); returns
-    the NMSE of each trial."""
+    the NMSE of each trial, its MSE over the variance K of the target sum."""
     design = design_for_scheme(config, scheme, draw)
     a, eps, *errors = draw
     if config.eval_mode == "worst":
         mse = worst_case_objective(design, a, eps * np.sqrt(config.N), config.noise_var)
     else:
         mse = mse_at_error(design, a, *errors, eps, config.noise_var)
-    return nmse(mse, config.K)
+    return mse / config.K
 
 
 def _config_at(base, kind, value, s):
@@ -243,8 +239,8 @@ def run_sweep(spec):
     ordered by (value, scheme label). Trial seeds are derived by index so
     execution order and parallelism cannot change the results. Cells of
     equal K (all of an SNR or N sweep, each value's of a K sweep) run as
-    stacks of at most _STACK_ROWS = 16 * 1024 sensor rows a block of
-    trials_per_block trials and _STACK_ROWS NMSEs (one cell, if more), so
+    stacks of at most _STACK_ROWS sensor rows a block of trials_per_block
+    trials and _STACK_ROWS NMSEs (one cell, if more), so
     memory stays bounded whatever the number of cells and trials. Per stack
     and block, seed_words passes of at most _BLOCK_ROWS seeds (one cell's,
     if more) hash the seeds; per cell, one synthesis call draws the block

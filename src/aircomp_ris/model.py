@@ -27,10 +27,12 @@ ERROR_SAMPLING_MODES = ("surface", "interior")
 _DRAW_BLOCK = 1 << 14
 # Doubles of draws each range of a block split across CPUs must get.
 _SPLIT_BLOCK = 2 * _DRAW_BLOCK
-# Doubles per (rows, N) plane of a chunk drawn beside others on threads:
-# its fewer, larger ufunc calls hand the GIL between the threads less
-# often, and each 96 KiB temporary stays under glibc's 128 KiB mmap
-# threshold, so none is mapped and unmapped per call.
+# Doubles per (rows, N) plane of a chunk drawn beside others on threads,
+# max(1, _SPLIT_PLANE // N) rows: its fewer, larger ufunc calls hand the
+# GIL between the threads less often, and each 96 KiB temporary stays
+# under glibc's 128 KiB mmap threshold, so none is mapped and unmapped per
+# call. The chunk buffer itself (parts * 96 KiB) is still allocated per
+# range and per call, and it page-faults at N = 64.
 _SPLIT_PLANE = 12288
 # Doubles per generator call below which threads drawing a block's trials
 # spend more time handing each other the GIL than they save.
@@ -180,7 +182,9 @@ def synthesize_instance(config, rng, gains_only=False):
     A block large enough (see _trial_ranges) is split into contiguous
     ranges of trials, one per CPU, drawn at once on threads into disjoint
     rows; each row's draws and arithmetic are those of the serial draw, so
-    the output does not depend on the CPU count."""
+    the output does not depend on the CPU count. Trials whose generators
+    share a bit generator, or are one generator, share its stream: they
+    are drawn in order on one thread."""
     batched = isinstance(rng, (list, tuple))
     rngs = list(rng) if batched else [rng]
     K, N = config.K, config.N
@@ -192,8 +196,9 @@ def synthesize_instance(config, rng, gains_only=False):
     # rows (two calls where a chunk's edge splits them)
     per_call = parts * N * (1 if interior else K)
     ranges = _trial_ranges(len(rngs), K * parts * N, per_call)
-    if len(set(map(id, rngs))) < len(rngs):
-        ranges = [(0, len(rngs))]  # a generator shared by trials draws them in order
+    if len(ranges) > 1:  # a stream shared by trials draws them in order
+        if len({id(getattr(gen, "bit_generator", gen)) for gen in rngs}) < len(rngs):
+            ranges = [(0, len(rngs))]
     step = max(1, _DRAW_BLOCK // (parts * N) if len(ranges) == 1 else _SPLIT_PLANE // N)
     radius_power = 1.0 / (2 * N)  # U^(1/(2N)): uniform over the 2N-dim ball
     eps = np.empty(rows)

@@ -682,6 +682,10 @@ class TestVerifyCommand:
         with pytest.raises(ValueError, match="seed"):
             verify.run_suite("kkt", 1, -1)
 
+    def test_run_suite_rejects_an_unknown_suite(self):
+        with pytest.raises(ValueError, match="unknown suite 'monotone'"):
+            verify.run_suite("monotone", 1, 0)
+
     # each suite fails on a mutated copy of the shipped design path
     def fails(self, capsys, suite):
         assert main(["verify", "--suite", suite, "--trials", "20", "--seed", "1"]) == 4
@@ -753,6 +757,35 @@ def test_main_maps_errors_to_exit_codes(
     out = tmp_path / "out"
     assert main([*argv, "--config", cfg, "--out", str(out)]) == code
     assert capsys.readouterr().err.startswith(prefix)
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_other_error_mid_write_propagates_and_writes_nothing(
+    tmp_path, capsys, monkeypatch
+):
+    """An error that is not an OSError, raised while the outputs are put in
+    place, leaves main as it is, and no output or temp file is left."""
+    error = RuntimeError("interrupted")
+    monkeypatch.setattr(cli.os, "replace", _raises(error))
+    cfg = write_json(tmp_path / "cfg.json", sweep_config())
+    argv = ["sweep", "--kind", "snr", "--config", cfg, "--out", str(tmp_path / "r.csv")]
+    with pytest.raises(RuntimeError) as info:
+        main([*argv, "--plot", str(tmp_path / "r.svg")])
+    assert info.value is error
+    assert capsys.readouterr().err == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_value_error_other_than_too_big_propagates(tmp_path, capsys, monkeypatch):
+    """Only numpy's "array is too big" ValueError is an allocation failure;
+    any other leaves main as it is."""
+    error = ValueError("operands could not be broadcast together")
+    monkeypatch.setattr(cli, "run_sweep", _raises(error))
+    cfg = write_json(tmp_path / "cfg.json", sweep_config())
+    with pytest.raises(ValueError) as info:
+        main(["sweep", "--kind", "snr", "--config", cfg, "--out", str(tmp_path / "r")])
+    assert info.value is error
+    assert capsys.readouterr().err == ""
     assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
 
@@ -864,6 +897,12 @@ _MUTATIONS = (
     + [("sweep", key, []) for key in ("values", "schemes", "s_values")]
     + [("sweep", "values", [True])]
 )
+# SweepSpec's rule, the one home of each list's emptiness check
+_EMPTY_LIST_ERRORS = {
+    "values": "values must be non-empty and strictly increasing",
+    "schemes": "schemes must be non-empty",
+    "s_values": "s_values must be non-empty when given",
+}
 
 
 def _mutated(section, key, value):
@@ -877,25 +916,30 @@ def _mutated(section, key, value):
 
 
 @pytest.mark.parametrize(
-    "raw",
+    "raw, message",
     [
         pytest.param(
             _mutated(*case),
+            _EMPTY_LIST_ERRORS.get(case[1]) if case[2] == [] else None,
             id=f"{case[0] or 'top'}.{case[1]}"
             + ("-missing" if case[2] is _DROP else f"={json.dumps(case[2])}"),
         )
         for case in _MUTATIONS
     ]
-    + [pytest.param([full_config()], id="top_level_list")],
+    + [pytest.param([full_config()], None, id="top_level_list")],
 )
-def test_config_shape_and_range_rules(tmp_path, capsys, raw):
-    """Each case breaks one rule of a config that is valid without it."""
+def test_config_shape_and_range_rules(tmp_path, capsys, raw, message):
+    """Each case breaks one rule of a config that is valid without it; an
+    empty list gets SweepSpec's message."""
     parse_config(full_config())
     cfg = write_json(tmp_path / "cfg.json", raw)
     out = tmp_path / "r.csv"
     assert main(["sweep", "--kind", "snr", "--config", cfg, "--out", str(out)]) == 1
     assert not out.exists()
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if message is not None:
+        assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])

@@ -507,6 +507,36 @@ def test_generator_shared_by_trials_draws_them_in_order(monkeypatch):
     assert draws[0][0].tobytes() == draws[1][0].tobytes()
 
 
+def test_bit_generator_shared_by_trials_draws_them_in_order(monkeypatch):
+    """Distinct Generators over one bit generator share its stream: their
+    trials are drawn in order on one range, as one shared Generator draws
+    them, with the GIL handed over as often as the interpreter allows."""
+    used = spy_ranges(monkeypatch)
+    cpus(monkeypatch, 1)
+    shared = synthesize_instance(split_config(), [seeded_rng(4)] * SPLIT_TRIALS)
+    cpus(monkeypatch, 3)
+    bit_generator = seeded_rng(4).bit_generator
+    rngs = [np.random.Generator(bit_generator) for _ in range(SPLIT_TRIALS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        draw = synthesize_instance(split_config(), rngs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert used == [[(0, SPLIT_TRIALS)]] * 2
+    assert draw[0].tobytes() == shared[0].tobytes()
+
+
+@pytest.mark.parametrize("count, ranges", [(3, SPLIT_RANGES), (None, [(0, 13)])])
+def test_trial_ranges_without_an_affinity_api(monkeypatch, count, ranges):
+    """Where os has no sched_getaffinity, the CPU count is os.cpu_count(),
+    and one range when that is unknown."""
+    monkeypatch.delattr(model.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(model.os, "cpu_count", lambda: count)
+    per_trial = split_config().K * 6 * split_config().N
+    assert model._trial_ranges(SPLIT_TRIALS, per_trial, per_trial) == ranges
+
+
 class FailingGenerator:
     """Stands in for a Generator whose first draw raises, noting the thread
     that drew."""
