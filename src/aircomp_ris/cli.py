@@ -157,11 +157,7 @@ def cmd_sweep(config_path, kind, out_csv, plot_path=None):
 
 
 def cmd_verify(suite, trials, seed):
-    try:
-        report = run_suite(suite, trials, seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    report = run_suite(suite, trials, seed)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"{status} suite={report.suite} trials={report.trials} "

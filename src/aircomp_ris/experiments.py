@@ -1,10 +1,12 @@
 """Monte Carlo sweep harness: NMSE of the robust and non-robust schemes
 versus SNR, RIS size N or sensor count K, from reproducible per-trial seeds.
-Cells of equal K run stacked, in blocks of trials: per cell and block one
-call draws the (T, K) per-sensor scalars a co-phased score needs (gain,
-radius, and in realized mode the error's projection and norm); per stack and
-block, passes of at most _BLOCK_ROWS seeds hash all seeds and each scheme
-gets one design and one score."""
+SweepSpec lays a sweep out once: its (value, s) cells in order, each cell's
+config and its rows' labels; run_sweep executes the cells. Cells of equal K
+run stacked, in blocks of trials: per cell and block one call draws the
+(T, K) per-sensor scalars a co-phased score needs (gain, radius, and in
+realized mode the error's projection and norm); per stack and block, passes
+of at most _BLOCK_ROWS seeds hash all seeds and each scheme gets one design
+and one score."""
 
 from __future__ import annotations
 
@@ -50,8 +52,10 @@ class SweepSpec:
     schemes: list
     base: SystemConfig
     master_seed: int
-    s_values: list | None = None
-    configs: list = field(init=False, repr=False)  # the cells', (value, s) order
+    s_values: list | None = None  # [base.s] when none is given
+    cells: list = field(init=False, repr=False)  # (value, s), in that order
+    labels: list = field(init=False, repr=False)  # each cell's row label per scheme
+    configs: list = field(init=False, repr=False)  # each cell's SystemConfig
 
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
@@ -67,17 +71,18 @@ class SweepSpec:
                 raise ValueError(f"{s!r} is not one of {list(SCHEMES)!r}")
         if self.s_values is not None and not self.s_values:
             raise ValueError("s_values must be non-empty when given")
+        self.s_values = self.s_values or [self.base.s]
         try:
-            numbers = np.array(list(self.values) + list(self.s_values or []), float)
+            numbers = np.array(list(self.values) + list(self.s_values), float)
         except OverflowError as exc:
             raise ValueError(f"values and s_values must be finite: {exc}") from exc
         if not np.isfinite(numbers).all():
             raise ValueError("values and s_values must be finite")
-        s_values = self.s_values or [self.base.s]
-        multiple_s = len(s_values) > 1
-        labels = [scheme_label(x, s, multiple_s) for s in s_values for x in self.schemes]
-        if len(set(labels)) < len(labels):
-            raise ValueError(f"sweep rows must have distinct labels, got {labels}")
+        form = "{}|s={:g}" if len(self.s_values) > 1 else "{}"  # scheme, s
+        labels = [[form.format(x, s) for x in self.schemes] for s in self.s_values]
+        rows = sum(labels, [])
+        if len(set(rows)) < len(rows):
+            raise ValueError(f"sweep rows must have distinct labels, got {rows}")
         if self.kind in ("n", "k"):
             if not all(
                 float(v).is_integer() and 1 <= v <= MAX_DIMENSION for v in self.values
@@ -88,8 +93,9 @@ class SweepSpec:
                 )
             self.values = [int(v) for v in self.values]
         # every cell's SystemConfig checks its own ranges, s >= 0 among them
-        cells = [(value, s) for value in self.values for s in s_values]
-        self.configs = [_config_at(self.base, self.kind, *cell) for cell in cells]
+        self.cells = [(value, s) for value in self.values for s in self.s_values]
+        self.labels = labels * len(self.values)
+        self.configs = [_config_at(self.base, self.kind, *cell) for cell in self.cells]
 
 
 @dataclass
@@ -226,35 +232,28 @@ def _config_at(base, kind, value, s):
     return replace(base, s=s, **{kind.upper(): value})
 
 
-def scheme_label(scheme, s, multiple_s):
-    return f"{scheme}|s={s:g}" if multiple_s else scheme
-
-
-def _cell_entropy(master_seed, kind, value_index, s_index):
-    return (master_seed, _KIND_CODE[kind], value_index, s_index, _CHANNEL_STREAM)
-
-
 def run_sweep(spec):
-    """Run every (value, s, scheme) cell of the sweep; returns records
-    ordered by (value, scheme label). Trial seeds are derived by index so
-    execution order and parallelism cannot change the results. Cells of
-    equal K (all of an SNR or N sweep, each value's of a K sweep) run as
-    stacks of at most _STACK_ROWS sensor rows a block of trials_per_block
-    trials and _STACK_ROWS NMSEs (one cell, if more), so
+    """Execute the cells spec laid out, every scheme on each; returns records
+    labelled from spec.labels, ordered by (value, label). Trial seeds are
+    derived by index so execution order and parallelism cannot change the
+    results. Cells of equal K (all of an SNR or N sweep, each value's of a
+    K sweep) run as stacks of at most _STACK_ROWS sensor rows a block of
+    trials_per_block trials and _STACK_ROWS NMSEs (one cell, if more), so
     memory stays bounded whatever the number of cells and trials. Per stack
     and block, seed_words passes of at most _BLOCK_ROWS seeds (one cell's,
     if more) hash the seeds; per cell, one synthesis call draws the block
-    from the config SweepSpec built, a generator per trial; per scheme, one
-    design and one score call take the stacked (C, T, K) scalars. Per stack,
-    one mean and one std over the trials of its (cells, schemes, trials)
-    NMSE array give its records' numbers. The first cell in (value, s)
-    order whose NMSE is not finite, as when |h_hat|^2 overflows at a huge s,
+    from the cell's config, a generator per trial; per scheme, one design
+    and one score call take the stacked (C, T, K) scalars. Per stack, one
+    mean and one std over the trials of its (cells, schemes, trials) NMSE
+    array give its records' numbers. The first cell in (value, s) order
+    whose NMSE is not finite, as when |h_hat|^2 overflows at a huge s,
     raises AirCompError."""
-    s_values = spec.s_values if spec.s_values is not None else [spec.base.s]
-    configs, trials, n_s = spec.configs, spec.trials, len(s_values)
+    configs, trials, n_s = spec.configs, spec.trials, len(spec.s_values)
     means, stds = np.empty((2, len(configs), len(spec.schemes)))
-    entropy = functools.partial(_cell_entropy, spec.master_seed, spec.kind)
-    prefixes = [entropy(*divmod(i, n_s)) for i in range(len(configs))]
+    prefixes = [
+        (spec.master_seed, _KIND_CODE[spec.kind], vi, si, _CHANNEL_STREAM)
+        for vi, si in np.ndindex(len(spec.values), n_s)
+    ]
     group = n_s if spec.kind == "k" else len(configs)  # cells of equal K
     for first in range(0, len(configs), group):
         block = trials_per_block(configs[first])
@@ -284,16 +283,14 @@ def run_sweep(spec):
                     nmses[:, j, lo:hi] = _design_and_score(cfg, scheme, draw)
             finite = np.isfinite(nmses).all(axis=(1, 2))
             if not finite.all():
-                vi, si = divmod(lo_cell + int(np.argmin(finite)), n_s)
-                value, s = spec.values[vi], s_values[si]
+                value, s = spec.cells[lo_cell + int(np.argmin(finite))]
                 raise AirCompError(f"NMSE is not finite at {spec.kind} {value}, s {s}")
             means[cells], stds[cells] = np.mean(nmses, axis=-1), np.std(nmses, axis=-1)
     records = []
     for (cell, j), mean in np.ndenumerate(means):
-        (vi, si), scheme = divmod(cell, n_s), spec.schemes[j]
-        passes = ALGORITHM1_PASSES if scheme == "robust_exact" else 0
-        label = scheme_label(scheme, s_values[si], n_s > 1)
+        passes = ALGORITHM1_PASSES if spec.schemes[j] == "robust_exact" else 0
         row = (float(mean), float(stds[cell, j]), trials, float(passes))
-        records.append(AggregateRecord(spec.kind, spec.values[vi], label, *row))
+        value, label = spec.cells[cell][0], spec.labels[cell][j]
+        records.append(AggregateRecord(spec.kind, value, label, *row))
     # values increase and a value's labels differ, so this orders by value
     return sorted(records, key=lambda rec: (rec.value, rec.scheme))

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .model import SystemConfig, synthesize_instance
 from .optimizer import cophased_gains, ris_phases, robust_scalars
 from .worst_case import certificate
@@ -164,11 +165,11 @@ def run_suite(suite, trials, seed):
     its tolerance; the report gives the check whose worst deviation came
     closest to (or went furthest past) its tolerance."""
     if suite not in _SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
+        raise ConfigError(f"unknown suite {suite!r}")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError("trials must be >= 1")
     if seed < 0:
-        raise ValueError("seed must be >= 0")
+        raise ConfigError("seed must be >= 0")
     check, tolerances = _SUITES[suite]
     tolerances = np.array(tolerances)
     rng = np.random.default_rng(seed)

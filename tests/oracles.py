@@ -20,10 +20,8 @@ from aircomp_ris.errors import AirCompError, DimensionMismatch, PerturbationOutO
 from aircomp_ris.experiments import (
     ALGORITHM1_PASSES,
     AggregateRecord,
-    _cell_entropy,
     _config_at,
     _design_and_score,
-    scheme_label,
     trials_per_block,
 )
 from aircomp_ris.model import Design, synthesize_instance
@@ -103,8 +101,10 @@ def reference_synthesis(config, rng):
 
 
 def channel_seed(master_seed, kind, value_index, s_index, trial):
-    """Seed tuple of one sweep cell trial's channel draw."""
-    return (*_cell_entropy(master_seed, kind, value_index, s_index), trial)
+    """Seed tuple of one sweep cell trial's channel draw, as README documents
+    it: (master_seed, kind code, value index, s index, 4, trial)."""
+    code = {"snr": 0, "n": 1, "k": 2}[kind]
+    return (master_seed, code, value_index, s_index, 4, trial)
 
 
 def run_trial(config, scheme, seed):
@@ -120,7 +120,7 @@ def reference_run_sweep(spec):
     its config, draws its trials in blocks of trials_per_block, each trial
     from numpy's own seeding of its seed tuple, designs and scores every
     scheme on each block alone, and takes its records from its own NMSEs."""
-    s_values = spec.s_values if spec.s_values is not None else [spec.base.s]
+    s_values = spec.s_values  # [spec.base.s] when the config gives none
     multiple_s = len(s_values) > 1
     records = []
     for vi, value in enumerate(spec.values):
@@ -146,7 +146,7 @@ def reference_run_sweep(spec):
                     AggregateRecord(
                         kind=spec.kind,
                         value=value,
-                        scheme=scheme_label(scheme, s, multiple_s),
+                        scheme=f"{scheme}|s={s:g}" if multiple_s else scheme,
                         nmse_mean=float(np.mean(nmses[j])),
                         nmse_std=float(np.std(nmses[j])),
                         trials=spec.trials,
@@ -251,8 +251,7 @@ def serialize_config(config):
     if spec is not None:
         raw["sweep"] = {"values": spec.values, "trials": spec.trials}
         raw["sweep"]["schemes"] = spec.schemes
-        if spec.s_values is not None:
-            raw["sweep"]["s_values"] = spec.s_values
+        raw["sweep"]["s_values"] = spec.s_values
     if config.instance is not None:
         h_hat, eps = config.instance
         raw["instance"] = {

@@ -677,14 +677,24 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "oracle", "--trials", "0"]) == 1
 
     def test_run_suite_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="trials"):
+        with pytest.raises(ConfigError, match="trials"):
             verify.run_suite("kkt", 0, 1)
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(ConfigError, match="seed"):
             verify.run_suite("kkt", 1, -1)
 
     def test_run_suite_rejects_an_unknown_suite(self):
-        with pytest.raises(ValueError, match="unknown suite 'monotone'"):
+        with pytest.raises(ConfigError, match="unknown suite 'monotone'"):
             verify.run_suite("monotone", 1, 0)
+
+    def test_value_error_inside_a_suite_propagates(self, capsys, monkeypatch):
+        """A ValueError from a suite's own code is a defect, not bad input,
+        so it leaves main as it is."""
+        error = ValueError("operands could not be broadcast together")
+        monkeypatch.setattr(verify, "_sensors", _raises(error))
+        with pytest.raises(ValueError) as info:
+            main(["verify", "--suite", "kkt", "--trials", "1"])
+        assert info.value is error
+        assert capsys.readouterr().err == ""
 
     # each suite fails on a mutated copy of the shipped design path
     def fails(self, capsys, suite):

@@ -615,6 +615,27 @@ def test_non_finite_sweep_values_rejected():
             )
 
 
+def test_spec_lays_out_cells_labels_and_configs():
+    spec = SweepSpec(
+        kind="k",
+        values=[1, 2],
+        trials=1,
+        schemes=["multistart", "nonrobust"],
+        base=base_config(),
+        master_seed=0,
+    )
+    assert spec.s_values == [0.4]
+    assert spec.cells == [(1, 0.4), (2, 0.4)]
+    assert spec.labels == [["multistart", "nonrobust"]] * 2
+    spec = replace(spec, s_values=[0.0, 0.5])
+    assert spec.cells == [(1, 0.0), (1, 0.5), (2, 0.0), (2, 0.5)]
+    assert spec.labels == [
+        ["multistart|s=0", "nonrobust|s=0"],
+        ["multistart|s=0.5", "nonrobust|s=0.5"],
+    ] * 2
+    assert [(c.K, c.s) for c in spec.configs] == spec.cells
+
+
 def test_size_sweep_values_stored_as_ints():
     spec = SweepSpec(
         kind="n",
