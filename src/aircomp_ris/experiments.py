@@ -4,9 +4,9 @@ SweepSpec lays a sweep out once: its (value, s) cells in order, each cell's
 config and its rows' labels; run_sweep executes the cells. Cells of equal K
 run stacked, in blocks of trials: per cell and block one call draws the
 (T, K) per-sensor scalars a co-phased score needs (gain, radius, and in
-realized mode the error's projection and norm); per stack and block, passes
-of at most _BLOCK_ROWS seeds hash all seeds and each scheme gets one design
-and one score."""
+realized mode the error's projection and norm); per stack and block, one
+seed_words call hashes its seeds and each scheme gets one design and one
+score."""
 
 from __future__ import annotations
 
@@ -238,16 +238,15 @@ def run_sweep(spec):
     derived by index so execution order and parallelism cannot change the
     results. Cells of equal K (all of an SNR or N sweep, each value's of a
     K sweep) run as stacks of at most _STACK_ROWS sensor rows a block of
-    trials_per_block trials and _STACK_ROWS NMSEs (one cell, if more), so
-    memory stays bounded whatever the number of cells and trials. Per stack
-    and block, seed_words passes of at most _BLOCK_ROWS seeds (one cell's,
-    if more) hash the seeds; per cell, one synthesis call draws the block
-    from the cell's config, a generator per trial; per scheme, one design
-    and one score call take the stacked (C, T, K) scalars. Per stack, one
-    mean and one std over the trials of its (cells, schemes, trials) NMSE
-    array give its records' numbers. The first cell in (value, s) order
-    whose NMSE is not finite, as when |h_hat|^2 overflows at a huge s,
-    raises AirCompError."""
+    trials_per_block trials, _STACK_ROWS NMSEs and _BLOCK_ROWS seeds a block
+    (one cell, if more), so memory stays bounded whatever the number of
+    cells and trials. Per stack and block, one seed_words call hashes the
+    seeds; per cell, one synthesis call draws the block from the cell's
+    config, a generator per trial; per scheme, one design and one score
+    call take the stacked (C, T, K) scalars. Per stack, one mean and one
+    std over the trials of its (cells, schemes, trials) NMSE array give its
+    records' numbers. The first cell in (value, s) order whose NMSE is not
+    finite, as when |h_hat|^2 overflows at a huge s, raises AirCompError."""
     configs, trials, n_s = spec.configs, spec.trials, len(spec.s_values)
     means, stds = np.empty((2, len(configs), len(spec.schemes)))
     prefixes = [
@@ -256,9 +255,10 @@ def run_sweep(spec):
     ]
     group = n_s if spec.kind == "k" else len(configs)  # cells of equal K
     for first in range(0, len(configs), group):
-        block = trials_per_block(configs[first])
-        per_cell = max(min(block, trials) * configs[first].K, trials * len(spec.schemes))
-        step = max(1, _STACK_ROWS // per_cell)  # cells a stack takes
+        block = min(trials_per_block(configs[first]), trials)
+        per_cell = max(block * configs[first].K, trials * len(spec.schemes))
+        # cells a stack takes: _STACK_ROWS rows and NMSEs, _BLOCK_ROWS seeds a block
+        step = max(1, min(_STACK_ROWS // per_cell, _BLOCK_ROWS // block))
         for lo_cell in range(first, first + group, step):
             cells = slice(lo_cell, min(lo_cell + step, first + group))
             stack = configs[cells]
@@ -269,15 +269,11 @@ def run_sweep(spec):
             nmses = np.empty((len(stack), len(spec.schemes), trials))
             for lo in range(0, trials, block):
                 hi = min(lo + block, trials)
-                per_pass = max(1, _BLOCK_ROWS // (hi - lo))  # cells a hash pass takes
-                draws = []
-                for c in range(cells.start, cells.stop, per_pass):
-                    part = slice(c, min(c + per_pass, cells.stop))
-                    words = seed_words(prefixes[part], np.arange(lo, hi))
-                    draws += [
-                        synthesize_instance(config, trial_generators(rows), gains_only=True)
-                        for config, rows in zip(configs[part], words)
-                    ]
+                words = seed_words(prefixes[cells], np.arange(lo, hi))
+                draws = [
+                    synthesize_instance(config, trial_generators(rows), gains_only=True)
+                    for config, rows in zip(stack, words)
+                ]
                 draw = tuple(map(np.stack, zip(*draws)))
                 for j, scheme in enumerate(spec.schemes):
                     nmses[:, j, lo:hi] = _design_and_score(cfg, scheme, draw)

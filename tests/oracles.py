@@ -9,8 +9,9 @@ worst-case term, the worst-case objective and the MSE at given errors evaluated 
 and the design's RIS vectors, row norms of complex arrays, the MSE of a
 design on known true channels, in closed form and by Monte Carlo, a
 sampler of perturbations inside an uncertainty ball, the paper's
-alternating loop (Algorithm 1) written sensor by sensor, and the inverse
-of config parsing."""
+alternating loop (Algorithm 1) written sensor by sensor, the inverse
+of config parsing, and a sweep cell's expected NMSE at N = 1 by
+quadrature."""
 
 from dataclasses import dataclass
 
@@ -22,10 +23,11 @@ from aircomp_ris.experiments import (
     AggregateRecord,
     _config_at,
     _design_and_score,
+    snr_to_noise_var,
     trials_per_block,
 )
 from aircomp_ris.model import Design, synthesize_instance
-from aircomp_ris.optimizer import robust_scalars
+from aircomp_ris.optimizer import robust_scalars, t_exact
 
 
 def inner(a, b):
@@ -350,3 +352,29 @@ def ref_loop_design(config, h_hat, eps):
     v, t_hat, _ = ref_loop(config, h_hat, eps)
     m = np.sqrt(np.sum(np.abs(t_hat) ** 2) / config.P)
     return RISDesign(m=m, t=t_hat / m if m > 0 else np.zeros_like(t_hat), v=v)
+
+
+def expected_nmse(eval_mode, s, snr_db, P, scheme):
+    """E[NMSE] of an SNR sweep cell at N = 1 with surface errors, by
+    quadrature from the model alone; only t_exact and snr_to_noise_var come
+    from the package. At N = 1, |h|^2 = |g|^2 |r|^2 with |g|^2 and |r|^2 ~
+    Exp(rate 2), and a surface error leaves the gain a = x |1 - s e^(j theta)|
+    and the radius s x, for x = |h| and theta uniform on [0, 2 pi). The MSE
+    splits per sensor, so K drops out. Worst mode scores (|tau a - 1| +
+    tau s x)^2, realized mode |tau x e^(j arg(1 - s e^(j theta))) - 1|^2,
+    each plus (sigma^2/P) tau^2, with tau = t_exact(a, s x) (radius 0 for
+    nonrobust). The density of ln|h|^2 is the convolution of two ln-Exp
+    densities on a uniform grid; theta takes a midpoint grid."""
+    u, du = np.linspace(-30.0, 10.0, 2000, retstep=True)
+    density = 2.0 * np.exp(u - 2.0 * np.exp(u))  # of ln E, E ~ Exp(rate 2)
+    weights = np.convolve(density, density) * du * du  # ln|h|^2 at 2 u[0] + i du
+    x = np.exp(u[0] + du / 2 * np.arange(len(weights)))[:, None]
+    error = 1.0 - s * np.exp(2j * np.pi * (np.arange(256) + 0.5) / 256)
+    a = x * np.abs(error)
+    noise_var = snr_to_noise_var(snr_db, P)
+    tau = t_exact(a, 0.0 if scheme == "nonrobust" else s * x, noise_var, P)
+    if eval_mode == "worst":
+        terms = (np.abs(tau * a - 1.0) + tau * s * x) ** 2
+    else:
+        terms = np.abs(tau * x * np.exp(1j * np.angle(error)) - 1.0) ** 2
+    return float(weights @ (terms + noise_var / P * tau**2).mean(axis=-1))

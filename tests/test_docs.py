@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import pkgutil
 import re
 from importlib import import_module
 from pathlib import Path
@@ -92,6 +93,32 @@ def test_root_exports_the_table_functions_and_classes():
             named |= api(names, import_module(f"aircomp_ris.{module}"))
     exported = api([n for n in vars(aircomp_ris) if not n.startswith("_")], aircomp_ris)
     assert exported == named
+
+
+def test_readme_internal_names_exist():
+    """Every backticked `module.name` in README whose module is one of the
+    package's names an attribute of that module, and every backticked
+    `_UPPER_CASE` constant one of some package module, so a rename cannot
+    leave README behind. A file name such as `config.py` is no name, nor is
+    a prefix phrase such as `_SPLIT_`."""
+    modules = {
+        info.name: import_module(f"aircomp_ris.{info.name}")
+        for info in pkgutil.iter_modules(aircomp_ris.__path__)
+    }
+    dotted = {
+        (module, name)
+        for module, name in re.findall(r"`(\w+)\.(\w+)`", README)
+        if module in modules and name != "py"
+    }
+    constants = set(re.findall(r"`(_[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)*)`", README))
+    assert dotted and constants
+    missing = [f"{m}.{n}" for m, n in dotted if not hasattr(modules[m], n)]
+    missing += [
+        name
+        for name in constants
+        if not any(hasattr(module, name) for module in modules.values())
+    ]
+    assert sorted(missing) == []
 
 
 def test_scheme_table_lists_every_scheme():

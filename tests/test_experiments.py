@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     channel_seed,
+    expected_nmse,
     ref_loop,
     reference_run_sweep,
     run_trial,
@@ -363,17 +364,24 @@ def test_one_synthesis_per_trial_block_shared_by_schemes(monkeypatch):
 
 def test_stacked_rows_stay_within_the_cap(monkeypatch):
     """A sweep of more cells than one call may hold splits them: no design
-    call sees more than _STACK_ROWS sensor rows."""
+    call sees more than _STACK_ROWS sensor rows, and no seed_words call
+    hashes more than _BLOCK_ROWS seeds. At one trial a cell, the seed cap
+    stacks 1024 cells, so 3000 cells take three stacks."""
     import aircomp_ris.experiments as experiments
 
-    rows = []
-    real = experiments.design_for_scheme
+    rows, seeds = [], []
+    real_design, real_seed_words = experiments.design_for_scheme, experiments.seed_words
 
     def recording_design(cells, scheme, draw):
         rows.append(draw[0].size)
-        return real(cells, scheme, draw)
+        return real_design(cells, scheme, draw)
+
+    def recording_seed_words(prefixes, trials):
+        seeds.append(len(prefixes) * len(trials))
+        return real_seed_words(prefixes, trials)
 
     monkeypatch.setattr(experiments, "design_for_scheme", recording_design)
+    monkeypatch.setattr(experiments, "seed_words", recording_seed_words)
     spec = SweepSpec(
         kind="snr",
         values=[i / 100 for i in range(3000)],
@@ -383,8 +391,9 @@ def test_stacked_rows_stay_within_the_cap(monkeypatch):
         master_seed=5,
     )
     assert len(run_sweep(spec)) == 3000
-    assert sum(rows) == 3000 * 10 and len(rows) == 2
+    assert sum(rows) == 3000 * 10 and len(rows) == 3
     assert max(rows) <= experiments._STACK_ROWS
+    assert sum(seeds) == 3000 and max(seeds) <= experiments._BLOCK_ROWS
 
 
 @pytest.mark.parametrize(
@@ -463,9 +472,9 @@ def _peak_kb(fn, spec):
 def test_memory_of_a_many_trial_sweep_stays_near_the_per_cell_loop(trials, schemes):
     """A 20-value, K = N = 1 SNR sweep of many trials peaks within 1.5x of
     the per-cell loop. 5000 trials of 3 schemes fill a stack's _STACK_ROWS
-    NMSEs with one cell; 1024 trials of 1 scheme stack 16 cells, whose
-    seeds are hashed 1024 at a time. The loop holds one cell at a time, so
-    its peak on the first two values is its peak on all twenty."""
+    NMSEs with one cell; 1024 trials of 1 scheme fill a block's _BLOCK_ROWS
+    seeds with one cell. The loop holds one cell at a time, so its peak on
+    the first two values is its peak on all twenty."""
     spec = SweepSpec(
         kind="snr",
         values=list(range(20)),
@@ -478,6 +487,30 @@ def test_memory_of_a_many_trial_sweep_stays_near_the_per_cell_loop(trials, schem
         fn(replace(spec, trials=2))
     loop_kb = _peak_kb(reference_run_sweep, replace(spec, values=spec.values[:2]))
     assert _peak_kb(run_sweep, spec) <= 1.5 * loop_kb
+
+
+@pytest.mark.parametrize("eval_mode", ["worst", "realized"])
+def test_sweep_means_match_the_quadrature_at_one_element(eval_mode):
+    """At N = 1 with surface errors, each row's mean lies within 4.5
+    standard errors (nmse_std / sqrt(trials)) of expected_nmse, a quadrature
+    over the model that shares no code with synthesis. The trials, seed
+    and bound were fixed before the results were seen."""
+    spec = SweepSpec(
+        kind="snr",
+        values=[0.0, 10.0],
+        trials=2000,
+        schemes=["multistart", "nonrobust"],
+        base=base_config(K=100, N=1, eval_mode=eval_mode),
+        master_seed=1,
+        s_values=[0.0, 0.4],
+    )
+    records = run_sweep(spec)
+    assert len(records) == 8
+    for rec in records:
+        scheme, s = rec.scheme.split("|s=")
+        want = expected_nmse(eval_mode, float(s), rec.value, spec.base.P, scheme)
+        z = (rec.nmse_mean - want) / (rec.nmse_std / np.sqrt(rec.trials))
+        assert abs(z) <= 4.5, (rec, want, z)
 
 
 @pytest.mark.parametrize("scheme", ["multistart", "nonrobust", "robust_exact"])
