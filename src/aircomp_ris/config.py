@@ -26,7 +26,8 @@ def _number(x):
 
 
 # The JSON shape of a config. Every range rule lives in the dataclass that
-# uses the value (SystemConfig, SweepSpec), so none is repeated here.
+# uses the value (SystemConfig, SweepSpec) and raises ConfigError itself,
+# so none is repeated or re-raised here.
 _TYPES = {
     "number": _number,
     # 2.0 counts as an integer; parse_config makes it an int
@@ -110,10 +111,7 @@ def parse_config(raw, kind="snr"):
 
     fields = raw["system"]
     master_seed = int(raw["master_seed"])
-    try:
-        system = SystemConfig(**dict(fields, K=int(fields["K"]), N=int(fields["N"])))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    system = SystemConfig(**dict(fields, K=int(fields["K"]), N=int(fields["N"])))
 
     instance = None
     if "instance" in raw:
@@ -123,10 +121,7 @@ def parse_config(raw, kind="snr"):
     if sweep is not None:
         # the section's keys are SweepSpec's field names
         sweep = dict(sweep, kind=kind, trials=int(sweep["trials"]))
-        try:
-            sweep = SweepSpec(base=system, master_seed=master_seed, **sweep)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
+        sweep = SweepSpec(base=system, master_seed=master_seed, **sweep)
     return RunConfig(system, sweep, instance, master_seed)
 
 

@@ -1,21 +1,13 @@
-"""Exception types shared across the package."""
+"""The package's two exception types, one per CLI exit code."""
 
 
 class AirCompError(Exception):
-    """Base class for all package-specific errors."""
+    """A solver fault (exit 2): operands of unequal lengths, a trial whose
+    every estimate is zero, a perturbation outside its ball, or a result
+    that is not finite. The message says which."""
 
 
-class DimensionMismatch(AirCompError):
-    """Two operands that must share a length do not."""
-
-
-class AllZeroScalers(AirCompError):
-    """Every channel estimate of a trial is zero, so no design can serve it."""
-
-
-class PerturbationOutOfBall(AirCompError):
-    """A supplied CSI perturbation exceeds its uncertainty radius."""
-
-
-class ConfigError(AirCompError):
-    """A run configuration file failed validation."""
+class ConfigError(AirCompError, ValueError):
+    """Bad input (exit 1): a config, a flag or a value out of its range,
+    raised by the rule that checks it. A ValueError, so library callers
+    that catch one still do."""

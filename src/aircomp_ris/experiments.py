@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import AirCompError
+from .errors import AirCompError, ConfigError
 from .model import MAX_DIMENSION, SystemConfig, synthesize_instance
 from .optimizer import robust_scalars
 from .worst_case import mse_at_error, worst_case_objective
@@ -59,35 +59,35 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
-            raise ValueError(f"kind must be one of {SWEEP_KINDS}")
+            raise ConfigError(f"kind must be one of {SWEEP_KINDS}")
         if not self.values or list(self.values) != sorted(set(self.values)):
-            raise ValueError("values must be non-empty and strictly increasing")
+            raise ConfigError("values must be non-empty and strictly increasing")
         if not 1 <= self.trials <= MAX_DIMENSION:
-            raise ValueError(f"trials must be >= 1 and <= {MAX_DIMENSION}")
+            raise ConfigError(f"trials must be >= 1 and <= {MAX_DIMENSION}")
         if not self.schemes:
-            raise ValueError("schemes must be non-empty")
+            raise ConfigError("schemes must be non-empty")
         for s in self.schemes:
             if s not in SCHEMES:
-                raise ValueError(f"{s!r} is not one of {list(SCHEMES)!r}")
+                raise ConfigError(f"{s!r} is not one of {list(SCHEMES)!r}")
         if self.s_values is not None and not self.s_values:
-            raise ValueError("s_values must be non-empty when given")
+            raise ConfigError("s_values must be non-empty when given")
         self.s_values = self.s_values or [self.base.s]
         try:
             numbers = np.array(list(self.values) + list(self.s_values), float)
         except OverflowError as exc:
-            raise ValueError(f"values and s_values must be finite: {exc}") from exc
+            raise ConfigError(f"values and s_values must be finite: {exc}") from exc
         if not np.isfinite(numbers).all():
-            raise ValueError("values and s_values must be finite")
+            raise ConfigError("values and s_values must be finite")
         form = "{}|s={:g}" if len(self.s_values) > 1 else "{}"  # scheme, s
         labels = [[form.format(x, s) for x in self.schemes] for s in self.s_values]
         rows = sum(labels, [])
         if len(set(rows)) < len(rows):
-            raise ValueError(f"sweep rows must have distinct labels, got {rows}")
+            raise ConfigError(f"sweep rows must have distinct labels, got {rows}")
         if self.kind in ("n", "k"):
             if not all(
                 float(v).is_integer() and 1 <= v <= MAX_DIMENSION for v in self.values
             ):
-                raise ValueError(
+                raise ConfigError(
                     f"{self.kind} sweep values must be integers >= 1 "
                     f"and <= {MAX_DIMENSION}"
                 )
@@ -114,7 +114,7 @@ def snr_to_noise_var(snr_db, P):
     try:
         return P * 10.0 ** (-snr_db / 10.0)
     except OverflowError as exc:
-        raise ValueError(f"SNR {snr_db} dB: noise variance overflows") from exc
+        raise ConfigError(f"SNR {snr_db} dB: noise variance overflows") from exc
 
 
 def trials_per_block(config):

@@ -14,11 +14,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConfigError
 
 EVAL_MODES = ("worst", "realized")
 ERROR_SAMPLING_MODES = ("surface", "interior")
@@ -46,9 +49,16 @@ _SPLIT_CALL = 1 << 10
 MAX_DIMENSION = int(np.iinfo(np.intp).max)
 
 
-def _check_finite(name, value):
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{name} must be finite, got {value}")
+def _finite_double(name, value):
+    """value as a double, which must be finite; an int beyond the double
+    range reads as inf, so an int and its float spelling behave alike."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
 
 
 @dataclass
@@ -57,7 +67,8 @@ class SystemConfig:
 
     K sensors, each served by its own N-element RIS; P is the sum transmit
     power budget, noise_var the receiver AWGN variance, and s the relative
-    CSI uncertainty coefficient (eps_k = s * ||h_k||_2).
+    CSI uncertainty coefficient (eps_k = s * ||h_k||_2). Each number is
+    checked as a double; noise_var and s are stored as one, P as given.
     """
 
     K: int
@@ -70,21 +81,22 @@ class SystemConfig:
 
     def __post_init__(self):
         if not (1 <= self.K <= MAX_DIMENSION and 1 <= self.N <= MAX_DIMENSION):
-            raise ValueError(
+            raise ConfigError(
                 f"K={self.K}, N={self.N} must be >= 1 and <= {MAX_DIMENSION}"
             )
-        for name in ("P", "noise_var", "s"):
-            _check_finite(name, getattr(self, name))
-        if self.P <= 0:
-            raise ValueError("P must be > 0")
+        P = _finite_double("P", self.P)
+        self.noise_var = _finite_double("noise_var", self.noise_var)
+        self.s = _finite_double("s", self.s)
+        if P <= 0:
+            raise ConfigError("P must be > 0")
         if self.noise_var < 0:
-            raise ValueError("noise_var must be >= 0")
+            raise ConfigError("noise_var must be >= 0")
         if self.s < 0:
-            raise ValueError("s must be >= 0")
+            raise ConfigError("s must be >= 0")
         if self.eval_mode not in EVAL_MODES:
-            raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
+            raise ConfigError(f"eval_mode must be one of {EVAL_MODES}")
         if self.error_sampling not in ERROR_SAMPLING_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"error_sampling must be one of {ERROR_SAMPLING_MODES}"
             )
 

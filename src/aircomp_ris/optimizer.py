@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AllZeroScalers
+from .errors import AirCompError
 from .model import Design
 
 
@@ -74,7 +74,7 @@ def robust_scalars(a, eps_rootN, noise_var, P):
     for a trial whose every sensor is silenced; none for a trial whose every
     estimate is zero. At radius 0, the MMSE scaling a_k/(a_k^2 + sigma^2/P)."""
     if not a.any(axis=-1).all():
-        raise AllZeroScalers("every channel estimate is zero")
+        raise AirCompError("every channel estimate is zero")
     t_hat = t_exact(a, eps_rootN, np.expand_dims(noise_var, -1), P)
     m, t = recover_m_t(t_hat, P)
     return Design(m=m, t=t)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, PerturbationOutOfBall
+from .errors import AirCompError
 
 
 @dataclass
@@ -65,7 +65,7 @@ def _worst_terms(design, a, eps_rootN, noise_var):
     """The per-sensor worst MSE terms of a co-phased design and their total
     with the noise term, per trial of a (..., K) block."""
     if np.shape(a)[-1] != design.K or np.shape(eps_rootN) != np.shape(a):
-        raise DimensionMismatch("a/eps_rootN must have K entries per trial")
+        raise AirCompError("a/eps_rootN must have K entries per trial")
     t_hat = design.t_hat
     terms = (np.abs(t_hat * a - 1.0) + np.abs(t_hat) * eps_rootN) ** 2
     return terms, _total(terms, design.m, noise_var)
@@ -83,11 +83,11 @@ def mse_at_error(design, a, c, delta_norms, eps, noise_var):
     if np.shape(a)[-1] != design.K or not (
         np.shape(a) == np.shape(c) == np.shape(delta_norms) == np.shape(eps)
     ):
-        raise DimensionMismatch("a/c/delta_norms/eps must have K entries per trial")
+        raise AirCompError("a/c/delta_norms/eps must have K entries per trial")
     out = delta_norms > eps * (1 + 1e-9) + 1e-15
     if np.any(out):
         at = np.unravel_index(np.argmax(out), out.shape)
-        raise PerturbationOutOfBall(
+        raise AirCompError(
             f"||delta_{at[-1]}|| = {delta_norms[at]} > eps = {eps[at]}"
         )
     t_hat = design.t_hat

@@ -3,6 +3,7 @@ PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`)."""
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +18,20 @@ from oracles import (
 )
 
 from aircomp_ris.cli import main
-from aircomp_ris.experiments import snr_to_noise_var
+from aircomp_ris.config import load_config
+from aircomp_ris.experiments import (
+    _design_and_score,
+    seed_words,
+    snr_to_noise_var,
+    trial_generators,
+)
 from aircomp_ris.model import SystemConfig, synthesize_instance
 from aircomp_ris.optimizer import t_exact
 from aircomp_ris.verify import run_suite
 
 MASTER_SEED = 20240823
 TRIALS = 200
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(num, name, passed, detail=""):
@@ -189,6 +197,40 @@ def test_criterion_8_snr_sweep_properties():
         per_trial_ok and trend_ok and s_order_ok and elapsed < 180,
         f"(domination {per_trial_ok}, trend {trend_ok}, s-order {s_order_ok}, "
         f"{elapsed:.1f}s)",
+    )
+
+
+def test_criterion_13_realized_gain_and_loss():
+    """Realized mode, on configs/fig_snr_realized.json's cells at 2000
+    trials (its seed; both fixed before the first run): the paired mean
+    difference multistart - nonrobust is a gain resolved at 2 SE at s = 0.4
+    for every SNR, and a loss resolved at 2 SE at s = 0.8 and 20 dB, the
+    price of guarding against errors that do not occur."""
+    t0 = time.time()
+    spec = load_config(CONFIGS / "fig_snr_realized.json").sweep
+    trials = 2000
+    cells = {}
+    for i, ((snr, s), config) in enumerate(zip(spec.cells, spec.configs)):
+        vi, si = divmod(i, len(spec.s_values))
+        prefix = channel_seed(spec.master_seed, "snr", vi, si, None)[:-1]
+        words = seed_words([prefix], np.arange(trials))[0]  # the sweep's draws
+        draw = synthesize_instance(config, trial_generators(words), gains_only=True)
+        diff = _design_and_score(config, "multistart", draw) - _design_and_score(
+            config, "nonrobust", draw
+        )
+        cells[snr, s] = _mean_se(diff)
+    gains_ok = all(m + 2 * se < 0 for (_, s), (m, se) in cells.items() if s == 0.4)
+    m, se = cells[20.0, 0.8]
+    loss_ok = m - 2 * se > 0
+    elapsed = time.time() - t0
+    diffs = ", ".join(
+        f"{snr:g} dB s {s:g} {m:+.2e}±{se:.1e}" for (snr, s), (m, se) in cells.items()
+    )
+    report(
+        13,
+        "realized SNR sweep: robust gain at s = 0.4, loss at s = 0.8 and 20 dB",
+        gains_ok and loss_ok and elapsed < 60,
+        f"(multistart - nonrobust: {diffs}, {elapsed:.1f}s)",
     )
 
 

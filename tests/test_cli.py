@@ -21,7 +21,7 @@ from oracles import serialize_config
 from aircomp_ris import cli, optimizer, verify
 from aircomp_ris.cli import main, records_to_csv
 from aircomp_ris.config import ConfigError, load_config, parse_config
-from aircomp_ris.errors import AllZeroScalers
+from aircomp_ris.errors import AirCompError
 from aircomp_ris.experiments import (
     SCHEMES,
     SWEEP_KINDS,
@@ -350,14 +350,12 @@ class TestNonFiniteInput:
         [
             ("snr", "values", [10**400]),  # too large for a double
             ("snr", "s_values", [10**400]),
-            # fits a double, but np.isfinite takes no int beyond uint64
-            ("snr", "s_values", [2**64]),
             # beyond numpy's largest array dimension
             ("snr", "trials", 10**30),
             ("n", "values", [10**30]),
             ("k", "values", [2, 10**30]),
         ],
-        ids=["values", "s_values", "s_values_2_64", "trials", "n_value", "k_value"],
+        ids=["values", "s_values", "trials", "n_value", "k_value"],
     )
     def test_sweep_rejects_huge_integer(self, tmp_path, capsys, kind, key, value):
         raw = sweep_config()
@@ -368,6 +366,59 @@ class TestNonFiniteInput:
         assert main(argv) == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            *[("solve", key) for key in ("P", "noise_var", "s")],
+            *[("sweep", key) for key in ("P", "noise_var", "s", "s_values")],
+        ],
+    )
+    def test_int_reads_as_its_double(self, tmp_path, capsys, command, key):
+        """A number is read as a double: the int 2^64, which numpy's ufuncs
+        take only as an object, runs as its float spelling does, and the
+        int 10^400, beyond the double range, is rejected by its key's own
+        rule, in its words."""
+
+        def run(value):
+            if command == "solve":
+                raw = golden_solve_config()
+                raw["system"].update(K=2, N=3)
+                del raw["instance"]  # synthesized, so s counts
+                argv = ["solve"]
+            else:
+                raw = sweep_config(trials=2, values=[3])
+                argv = ["sweep", "--kind", "n"]  # noise_var counts
+            if key == "s_values":
+                raw["sweep"][key] = [value]
+            else:
+                raw["system"][key] = value
+            cfg = write_json(tmp_path / "cfg.json", raw)
+            out = tmp_path / "out"
+            code = main([*argv, "--config", cfg, "--out", str(out)])
+            text = out.read_text() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return code, text, capsys.readouterr().err
+
+        as_int, as_float = run(2**64), run(1.8446744073709552e19)
+        assert as_int[0] == as_float[0] == 0
+        assert as_int[2] == as_float[2] == ""
+        if command == "solve":
+            docs = [json.loads(text) for text in (as_int[1], as_float[1])]
+            budgets = [doc.pop("power_budget") for doc in docs]
+            # power_budget echoes P as written, an int as an int
+            assert budgets == ([2**64, 2.0**64] if key == "P" else [10.0, 10.0])
+            assert type(budgets[0]) is (int if key == "P" else float)
+            assert docs[0] == docs[1]
+        else:
+            assert as_int[1] == as_float[1]
+        code, text, err = run(10**400)
+        assert (code, text) == (1, None)
+        if key == "s_values":
+            words = "values and s_values must be finite: int too large to convert to float"
+        else:
+            words = f"{key} must be finite, got inf"
+        assert err == f"error: {words}\n"
 
     @pytest.mark.parametrize("key", ["K", "N"])
     def test_solve_rejects_huge_size(self, tmp_path, capsys, key):
@@ -757,7 +808,7 @@ def test_main_maps_errors_to_exit_codes(
         monkeypatch.setattr(cli, "load_config", _raises(ConfigError("bad config")))
     elif failure == "solver":
         designer = "robust_scalars" if command == "solve" else "run_sweep"
-        error = AllZeroScalers("every channel estimate is zero")
+        error = AirCompError("every channel estimate is zero")
         monkeypatch.setattr(cli, designer, _raises(error))
     else:  # the rename that puts a written output in place fails
         monkeypatch.setattr(cli.os, "replace", _raises(OSError("disk full")))
@@ -1197,20 +1248,23 @@ class TestConfigRoundTrip:
 
 
 # sha256 of the CSV each figure config writes; the 1e-12 goldens cannot
-# see a change in the last bit, and the repr-formatted CSV can
+# see a change in the last bit, and the repr-formatted CSV can. Keyed by
+# config, configs/fig_<key>.json, whose sweep kind leads the key.
 FIGURE_CSV_SHA256 = {
     "snr": "06acaac77b4e740555c4e0d73a7a6e1f59208da1e6c6d8efbf58fc68480d1251",
     "n": "d1a9b7bdac7baf80990f94cf66697e4c3ab0e4256bacdd0568b9a34929ae7314",
     "k": "57ca412e97aeb0e4e31a7e254a1e5dfa984814310e860fe9e1afdeab66e27ed8",
+    "snr_realized": "5b60ac5bf5c4cba626caf50561136dd1537bfce431349417303b7a29d0264426",
 }
 
 
-@pytest.mark.parametrize("kind", ["snr", "n", "k"])
-def test_figure_csv_bytes(tmp_path, kind):
-    out = tmp_path / f"fig_{kind}.csv"
-    config = str(CONFIGS / f"fig_{kind}.json")
+@pytest.mark.parametrize("name", list(FIGURE_CSV_SHA256))
+def test_figure_csv_bytes(tmp_path, name):
+    out = tmp_path / f"fig_{name}.csv"
+    config = str(CONFIGS / f"fig_{name}.json")
+    kind = name.split("_")[0]
     assert main(["sweep", "--kind", kind, "--config", config, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_CSV_SHA256[kind]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_CSV_SHA256[name]
 
 
 # a realized-mode K sweep with interior errors, small enough for tier-1
@@ -1475,8 +1529,8 @@ def test_figure_csv_bytes_at_baseline_dispatch(tmp_path):
         "master_seed": 9,
     }
     runs = [
-        (f"fig_{kind}", kind, str(CONFIGS / f"fig_{kind}.json"))
-        for kind in FIGURE_CSV_SHA256
+        (f"fig_{name}", name.split("_")[0], str(CONFIGS / f"fig_{name}.json"))
+        for name in FIGURE_CSV_SHA256
     ]
     realized = write_json(tmp_path / "realized.json", REALIZED_K_SWEEP)
     runs.append(("realized", "k", realized))
@@ -1506,9 +1560,9 @@ def test_figure_csv_bytes_at_baseline_dispatch(tmp_path):
         check=True,
         timeout=300,
     )
-    for kind, pinned in FIGURE_CSV_SHA256.items():
-        got = (tmp_path / f"fig_{kind}.csv").read_bytes()
-        assert hashlib.sha256(got).hexdigest() == pinned, kind
+    for name, pinned in FIGURE_CSV_SHA256.items():
+        got = (tmp_path / f"fig_{name}.csv").read_bytes()
+        assert hashlib.sha256(got).hexdigest() == pinned, name
     here = tmp_path / "realized_here.csv"
     argv = ["sweep", "--kind", "k", "--config", runs[-1][2], "--out", str(here)]
     assert main(argv) == 0

@@ -14,6 +14,7 @@ from oracles import (
     seeded_rng,
 )
 
+from aircomp_ris.errors import ConfigError
 from aircomp_ris.experiments import (
     ALGORITHM1_PASSES,
     AggregateRecord,
@@ -41,6 +42,10 @@ class TestSnrNmse:
 
     def test_snr_ten(self):
         assert snr_to_noise_var(10.0, 10.0) == pytest.approx(1.0)
+
+    def test_overflowing_noise_variance_rejected(self):
+        with pytest.raises(ConfigError, match="^SNR -4000.0 dB: noise variance overflows$"):
+            snr_to_noise_var(-4000.0, 10.0)
 
     def test_snr_twenty(self):
         assert snr_to_noise_var(20.0, 10.0) == pytest.approx(0.1)
@@ -148,7 +153,7 @@ class TestRunSweep:
         assert [r.value for r in recs] == [1, 2]
 
     def test_invalid_specs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SweepSpec(
                 kind="bad",
                 values=[1],
@@ -157,7 +162,7 @@ class TestRunSweep:
                 base=base_config(),
                 master_seed=0,
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SweepSpec(
                 kind="snr",
                 values=[5.0, 5.0],
@@ -166,7 +171,7 @@ class TestRunSweep:
                 base=base_config(),
                 master_seed=0,
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SweepSpec(
                 kind="snr",
                 values=[5.0],
@@ -175,7 +180,7 @@ class TestRunSweep:
                 base=base_config(),
                 master_seed=0,
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SweepSpec(
                 kind="snr",
                 values=[5.0],
@@ -489,18 +494,28 @@ def test_memory_of_a_many_trial_sweep_stays_near_the_per_cell_loop(trials, schem
     assert _peak_kb(run_sweep, spec) <= 1.5 * loop_kb
 
 
-@pytest.mark.parametrize("eval_mode", ["worst", "realized"])
-def test_sweep_means_match_the_quadrature_at_one_element(eval_mode):
-    """At N = 1 with surface errors, each row's mean lies within 4.5
-    standard errors (nmse_std / sqrt(trials)) of expected_nmse, a quadrature
-    over the model that shares no code with synthesis. The trials, seed
-    and bound were fixed before the results were seen."""
+@pytest.mark.parametrize(
+    "eval_mode, sampling",
+    [
+        ("worst", "surface"),
+        ("realized", "surface"),
+        ("worst", "interior"),
+        ("realized", "interior"),
+    ],
+    ids=["worst", "realized", "worst-interior", "realized-interior"],
+)
+def test_sweep_means_match_the_quadrature_at_one_element(eval_mode, sampling):
+    """At N = 1, each row's mean lies within 4.5 standard errors
+    (nmse_std / sqrt(trials)) of expected_nmse, a quadrature over the model
+    that shares no code with synthesis. The trials, seed and bound were
+    fixed before the results were seen, with surface errors; interior
+    errors reuse them."""
     spec = SweepSpec(
         kind="snr",
         values=[0.0, 10.0],
         trials=2000,
         schemes=["multistart", "nonrobust"],
-        base=base_config(K=100, N=1, eval_mode=eval_mode),
+        base=base_config(K=100, N=1, eval_mode=eval_mode, error_sampling=sampling),
         master_seed=1,
         s_values=[0.0, 0.4],
     )
@@ -508,9 +523,38 @@ def test_sweep_means_match_the_quadrature_at_one_element(eval_mode):
     assert len(records) == 8
     for rec in records:
         scheme, s = rec.scheme.split("|s=")
-        want = expected_nmse(eval_mode, float(s), rec.value, spec.base.P, scheme)
+        want = expected_nmse(
+            eval_mode, float(s), rec.value, spec.base.P, scheme, sampling
+        )
         z = (rec.nmse_mean - want) / (rec.nmse_std / np.sqrt(rec.trials))
         assert abs(z) <= 4.5, (rec, want, z)
+
+
+@pytest.mark.parametrize("sampling", ["surface", "interior"])
+def test_realized_gap_is_the_silenced_sensors_at_zero_noise(sampling):
+    """At sigma^2 = 0 both schemes set t_hat_k = 1/a_k on every live sensor
+    (a_k > eps_k sqrt(N)); multistart silences the rest, where nonrobust
+    leaves the error's |c_k|^2/a_k^2, so each silenced sensor costs
+    1 - |c_k|^2/a_k^2 of realized MSE, and nothing else differs. The trials
+    and seed were fixed before the first run."""
+    config = base_config(
+        K=10, N=16, s=0.8, noise_var=0.0, eval_mode="realized", error_sampling=sampling
+    )
+    words = seed_words([(11, 0, 0, 0, 4)], np.arange(4000))[0]
+    draw = synthesize_instance(config, trial_generators(words), gains_only=True)
+    a, eps, c, _ = draw
+    live = a > eps * np.sqrt(config.N)
+    robust, plain = (
+        design_for_scheme(config, scheme, draw).t_hat
+        for scheme in ("multistart", "nonrobust")
+    )
+    assert np.all(np.abs(robust - plain)[live] <= 4 * np.spacing(plain[live]))
+    gap = _design_and_score(config, "multistart", draw) - _design_and_score(
+        config, "nonrobust", draw
+    )
+    cost = np.where(live, 0.0, 1.0 - np.abs(c) ** 2 / a**2).sum(axis=-1)
+    assert np.max(np.abs(gap - cost / config.K)) <= 1e-14
+    assert not live.all()
 
 
 @pytest.mark.parametrize("scheme", ["multistart", "nonrobust", "robust_exact"])
@@ -636,7 +680,7 @@ def test_algorithm1_passes_pinned_by_reference_loop():
 
 def test_non_finite_sweep_values_rejected():
     for values, s_values in (([float("inf")], None), ([1.0], [float("nan")])):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SweepSpec(
                 kind="snr",
                 values=values,

@@ -23,6 +23,7 @@ from oracles import (
 )
 
 from aircomp_ris import model
+from aircomp_ris.errors import ConfigError
 from aircomp_ris.experiments import trials_per_block
 from aircomp_ris.model import SystemConfig, synthesize_instance
 
@@ -275,15 +276,15 @@ class TestEmpiricalMse:
 
 class TestSystemConfig:
     def test_rejects_bad_dims(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SystemConfig(K=0, N=4, P=1.0, noise_var=0.0)
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SystemConfig(K=1, N=1, P=float("nan"), noise_var=0.0)
 
     def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SystemConfig(K=1, N=1, P=1.0, noise_var=0.0, eval_mode="typo")
 
 

@@ -13,10 +13,14 @@ from oracles import (
     worst_case_objective,
 )
 
-from aircomp_ris.errors import AllZeroScalers
+from aircomp_ris.errors import AirCompError
 from aircomp_ris.experiments import design_for_scheme
 from aircomp_ris.model import SystemConfig, synthesize_instance
 from aircomp_ris.optimizer import recover_m_t, ris_phases, t_exact
+
+
+# robust_scalars' message for a trial whose every estimate is zero
+ALL_ZERO = "^every channel estimate is zero$"
 
 
 @pytest.fixture
@@ -160,7 +164,7 @@ class TestNonRobust:
 
     def test_all_zero_channels_rejected(self):
         config = SystemConfig(K=2, N=2, P=1.0, noise_var=0.5)
-        with pytest.raises(AllZeroScalers):
+        with pytest.raises(AirCompError, match=ALL_ZERO):
             cophased_design(config, np.zeros((2, 2), dtype=complex))
 
 
@@ -295,7 +299,7 @@ class TestRobustDesign:
 
     def test_all_zero_channels_rejected(self):
         config = SystemConfig(K=2, N=2, P=1.0, noise_var=0.5)
-        with pytest.raises(AllZeroScalers):
+        with pytest.raises(AirCompError, match=ALL_ZERO):
             cophased_design(config, np.zeros((2, 2), dtype=complex), np.zeros(2))
 
 
@@ -334,7 +338,7 @@ class TestTrialBlock:
     def test_one_all_zero_trial_rejected(self, rng):
         h_hat, eps = self.block(rng)
         h_hat[3] = 0.0
-        with pytest.raises(AllZeroScalers):
+        with pytest.raises(AirCompError, match=ALL_ZERO):
             cophased_design(self.config, h_hat, eps)
-        with pytest.raises(AllZeroScalers):
+        with pytest.raises(AirCompError, match=ALL_ZERO):
             cophased_design(self.config, h_hat)
