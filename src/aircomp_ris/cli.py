@@ -12,8 +12,6 @@ Exit codes: 0 ok, 1 config or usage error, 2 solver error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import os
@@ -126,20 +124,18 @@ def cmd_solve(config_path, out_path):
         "lambda": np.where(np.isfinite(cert.lambdas), cert.lambdas, None).tolist(),
         "worst_case_terms": cert.terms.tolist(),
         "objective": cert.total,
-        "sum_power": float(np.sum(np.abs(design.t) ** 2)),
+        "sum_power": np.sum(np.abs(design.t) ** 2),
         "power_budget": system.P,
     }
     return [(out_path, _indented(doc) + "\n")]
 
 
 def records_to_csv(records):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    # a dataclass sets its fields in CSV_HEADER's order; csv writes str(x),
-    # for a float the shortest text that reads back as the same double
-    writer.writerows(vars(rec).values() for rec in records)
-    return buf.getvalue()
+    # a dataclass sets its fields in CSV_HEADER's order; str of a float is
+    # the shortest text that reads back as the same double. No field needs
+    # quoting: kinds and schemes are fixed names, s labels {:g} numbers
+    rows = [CSV_HEADER, *(vars(rec).values() for rec in records)]
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def cmd_sweep(config_path, kind, out_csv, plot_path=None):
@@ -202,12 +198,13 @@ def main(argv=None):
         # argparse exits 2 on a usage error, but 2 means a solver error here
         return EXIT_CONFIG if exc.code == 2 else exc.code
     try:
-        if args.command == "verify":
-            return cmd_verify(args.suite, args.trials, args.seed)
-        if args.command == "solve":
-            outputs = cmd_solve(args.config, args.out)
-        else:
-            outputs = cmd_sweep(args.config, args.kind, args.out, args.plot)
+        with np.errstate(all="ignore"):  # every output is checked for finiteness
+            if args.command == "verify":
+                return cmd_verify(args.suite, args.trials, args.seed)
+            if args.command == "solve":
+                outputs = cmd_solve(args.config, args.out)
+            else:
+                outputs = cmd_sweep(args.config, args.kind, args.out, args.plot)
         _write_outputs(outputs)  # every output is rendered before any is written
         return EXIT_OK
     except ConfigError as exc:  # an AirCompError, so it comes first

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,9 +139,9 @@ def _trial_ranges(trials, doubles_per_trial, doubles_per_call):
 
 def _run_ranges(fn, ranges):
     """Call fn(lo, hi) for every range: the first on this thread, each other
-    on a thread of its own, or on this thread if that thread cannot start.
-    Returns once all have finished, raising the first exception a range
-    raised."""
+    on a thread of its own in a copy of this thread's context (numpy's error
+    state with it), or here if that thread cannot start. Returns once all
+    have finished, raising the first exception a range raised."""
     errors = [None] * len(ranges)
 
     def run(i, lo, hi):
@@ -152,7 +153,7 @@ def _run_ranges(fn, ranges):
     started = []
     try:
         for i, (lo, hi) in enumerate(ranges[1:], 1):
-            thread = threading.Thread(target=run, args=(i, lo, hi))
+            thread = threading.Thread(target=copy_context().run, args=(run, i, lo, hi))
             try:
                 thread.start()
             except RuntimeError:  # no thread to spare: draw the range here

@@ -51,7 +51,7 @@ def recover_m_t(t_hat_set, P):
     m = np.sqrt(np.sum(np.abs(t_hat_set) ** 2, axis=-1) / P)
     live = m[..., None] > 0
     t = np.divide(t_hat_set, m[..., None], out=np.zeros_like(t_hat_set), where=live)
-    return (float(m) if np.ndim(m) == 0 else m), t
+    return m, t
 
 
 def cophased_gains(h_hat):

@@ -100,5 +100,4 @@ def _total(terms, m, noise_var):
     """Sum of the per-sensor terms plus the noise term noise_var * m^2.
     np.float_power squares with pow() as float ** 2 does; ** on an array
     multiplies, which can round the last bit differently."""
-    total = noise_var * np.float_power(m, 2) + np.sum(terms, axis=-1)
-    return float(total) if np.ndim(total) == 0 else total
+    return noise_var * np.float_power(m, 2) + np.sum(terms, axis=-1)

@@ -10,10 +10,13 @@ and the design's RIS vectors, row norms of complex arrays, the MSE of a
 design on known true channels, in closed form and by Monte Carlo, a
 sampler of perturbations inside an uncertainty ball, the paper's
 alternating loop (Algorithm 1) written sensor by sensor, the inverse
-of config parsing, and a sweep cell's expected NMSE at N = 1 by
-quadrature."""
+of config parsing, a sweep cell's expected NMSE at N = 1 by
+quadrature, its limit as N grows, in closed form, and a solve design in
+50-digit decimal arithmetic."""
 
+import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -392,3 +395,73 @@ def expected_nmse(eval_mode, s, snr_db, P, scheme, error_sampling="surface"):
             terms = np.abs(tau * x * np.exp(1j * np.angle(error)) - 1.0) ** 2
         total += m * float(weights @ (terms + noise_var / P * tau**2).mean(axis=-1))
     return total
+
+
+def large_n_nmse(eval_mode, s):
+    """The NMSE a sweep cell of either scheme tends to as N grows, from the
+    model alone. Entries h = conj(g) r of CN(0, 1/2) segments have
+    sigma_h^2 = E|h|^2 = 1/4, and an error of radius s ||h_k|| (on the
+    sphere, or inside it with a radius factor that tends to 1) tends to
+    entries w ~ CN(0, (s sigma_h)^2). So a_k/N -> A = E|h - w|, the design's
+    radius eps_k sqrt(N)/N -> B = s sigma_h, and the true gain
+    h_k^H v_k/N -> G = E[conj(h) (h - w)/|h - w|]. Both schemes tend to
+    t_hat_k = 1/a_k while A > B, so worst mode tends to (B/A)^2 and
+    realized mode to (G/A - 1)^2; the noise term falls as 1/N^2. Given
+    R = |r|^2 ~ Exp(rate 2), h and h - w are jointly CN(0, .) with
+    variances R/2 and R/2 + B^2, so E[h | h - w] = (R/2)/(R/2 + B^2) (h - w),
+    and the expectations over R are incomplete gamma functions:
+    A = (sqrt(pi)/4) (s + (sqrt(pi)/2) X) and G = A - (pi s^2/4) X, with
+    X = e^(s^2) erfc(s)."""
+    x = math.exp(s * s) * math.erfc(s)
+    A = math.sqrt(math.pi) / 4 * (s + math.sqrt(math.pi) / 2 * x)
+    B = s / 2
+    if not A > B:
+        raise ValueError(f"at s = {s} the robust design silences sensors in the limit")
+    if eval_mode == "worst":
+        return (B / A) ** 2
+    return (math.pi * s * s / 4 * x / A) ** 2
+
+
+def exact_design(h_hat, eps, N, noise_var, P, magnitude=False):
+    """What aircomp solve writes for the (K, N) estimates h_hat and radii
+    eps, in stdlib decimal at 50 digits, whose exponent range no double
+    input leaves: the gains a_k = sum_i sqrt(re^2 + im^2), t_hat_k by the
+    t_exact rule (0 where b = a_k - eps_k sqrt(N) <= 0, else
+    min(b/(b^2 + sigma^2/P), 1/a_k)), m = sqrt(sum t_hat^2/P) and
+    t_k = t_hat_k/m (all 0 when m = 0), the worst-case terms
+    (|t_hat_k a_k - 1| + t_hat_k eps_k sqrt(N))^2, the multipliers
+    lambda_k = t_hat_k^2 N + (sqrt(N)/eps_k) t_hat_k |t_hat_k a_k - 1| (None
+    where eps_k = 0, which solve writes as null), the objective
+    sigma^2 m^2 + sum_k terms_k and the sum power sum_k t_k^2. Returns a
+    dict of Decimals and lists of Decimals under solve's keys; t is real.
+
+    With magnitude, each |t_hat_k a_k - 1| reads t_hat_k a_k + 1 instead:
+    the size that a double evaluation's rounding errors scale with where
+    t_hat_k a_k is near 1 and the difference cancels."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        rows = [[(Decimal(z.real), Decimal(z.imag)) for z in row] for row in h_hat]
+        gains = [sum((re * re + im * im).sqrt() for re, im in row) for row in rows]
+        root_n = Decimal(N).sqrt()
+        radii = [Decimal(e) * root_n for e in eps]
+        c = Decimal(noise_var) / Decimal(P)
+        t_hat = []
+        for a, radius in zip(gains, radii):
+            b = a - radius
+            t_hat.append(min(b / (b * b + c), 1 / a) if b > 0 else Decimal(0))
+        m = (sum(t * t for t in t_hat) / Decimal(P)).sqrt()
+        t = [tk / m if m > 0 else Decimal(0) for tk in t_hat]
+        rho = [tk * a + 1 if magnitude else abs(tk * a - 1) for tk, a in zip(t_hat, gains)]
+        terms = [(r + tk * radius) ** 2 for r, tk, radius in zip(rho, t_hat, radii)]
+        lambdas = [
+            tk * tk * N + root_n / Decimal(e) * tk * r if e != 0 else None
+            for tk, r, e in zip(t_hat, rho, eps)
+        ]
+        return {
+            "m": m,
+            "t": t,
+            "lambda": lambdas,
+            "worst_case_terms": terms,
+            "objective": Decimal(noise_var) * m * m + sum(terms),
+            "sum_power": sum(tk * tk for tk in t),
+        }

@@ -6,7 +6,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from oracles import (
     RISDesign,

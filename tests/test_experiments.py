@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     channel_seed,
     expected_nmse,
+    large_n_nmse,
     ref_loop,
     reference_run_sweep,
     run_trial,
@@ -17,7 +18,6 @@ from oracles import (
 from aircomp_ris.errors import ConfigError
 from aircomp_ris.experiments import (
     ALGORITHM1_PASSES,
-    AggregateRecord,
     SweepSpec,
     _design_and_score,
     design_for_scheme,
@@ -528,6 +528,35 @@ def test_sweep_means_match_the_quadrature_at_one_element(eval_mode, sampling):
         )
         z = (rec.nmse_mean - want) / (rec.nmse_std / np.sqrt(rec.trials))
         assert abs(z) <= 4.5, (rec, want, z)
+
+
+@pytest.mark.parametrize("sampling", ["surface", "interior"])
+@pytest.mark.parametrize(
+    "eval_mode, trend", [("worst", 1.0), ("realized", 5.0)], ids=["worst", "realized"]
+)
+def test_sweep_means_approach_the_large_n_limit(eval_mode, trend, sampling):
+    """At N = 64, 256 and 1024, each row's mean lies within trend/N of
+    large_n_nmse, relative, plus 4.5 standard errors: the gap falls as 1/N,
+    and trend is above the largest N * gap measured on three other seeds,
+    0.86 worst and 2.6 realized. The trials, seed and bound were fixed
+    before the first run."""
+    spec = SweepSpec(
+        kind="n",
+        values=[64, 256, 1024],
+        trials=200,
+        schemes=["multistart", "nonrobust"],
+        base=base_config(
+            K=10, N=64, P=100.0, eval_mode=eval_mode, error_sampling=sampling
+        ),
+        master_seed=31,
+        s_values=[0.4],
+    )
+    want = large_n_nmse(eval_mode, 0.4)
+    records = run_sweep(spec)
+    assert len(records) == 6
+    for rec in records:
+        bound = want * trend / rec.value + 4.5 * rec.nmse_std / np.sqrt(rec.trials)
+        assert abs(rec.nmse_mean - want) <= bound, (rec, want, bound)
 
 
 @pytest.mark.parametrize("sampling", ["surface", "interior"])

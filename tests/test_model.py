@@ -1,6 +1,7 @@
 import copy
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -495,6 +496,22 @@ def test_split_block_matches_one_range(monkeypatch, output, s, sampling):
     assert len(serial) == len(split) == arrays
     for one, many in zip(serial, split):
         assert one.tobytes() == many.tobytes()
+
+
+def test_split_block_draws_under_the_callers_error_state(monkeypatch):
+    """Each range's thread runs under the calling thread's numpy error state:
+    at s = 1e300 every range's |h_hat|^2 overflows, and a block drawn in
+    two ranges under np.errstate(all="ignore") warns in neither."""
+    cpus(monkeypatch, 2)
+    used = spy_ranges(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            a, eps = synthesize_instance(
+                split_config(s=1e300), split_rngs(), gains_only=True
+            )
+    assert used == [[(0, 6), (6, SPLIT_TRIALS)]]
+    assert np.isinf(a).all() and np.isfinite(eps).all()
 
 
 def test_generator_shared_by_trials_draws_them_in_order(monkeypatch):
