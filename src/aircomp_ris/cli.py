@@ -24,10 +24,9 @@ from .config import load_config
 from .errors import AirCompError, ConfigError
 from .experiments import SWEEP_KINDS, AggregateRecord, run_sweep
 from .model import synthesize_instance
-from .optimizer import cophased_gains, ris_phases, robust_scalars
+from .optimizer import certificate, cophased_gains, ris_phases, robust_scalars
 from .svgplot import line_plot_svg, records_to_series
 from .verify import SUITES, run_suite
-from .worst_case import certificate
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

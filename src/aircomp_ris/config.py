@@ -89,10 +89,18 @@ def _reject_constant(token):
     raise ValueError(f"non-finite number {token} is not valid JSON")
 
 
+def _unique_keys(pairs):
+    if len(obj := dict(pairs)) < len(pairs):
+        raise ValueError(f"a key is given twice in {[key for key, _ in pairs]}")
+    return obj
+
+
 def load_config(path, kind="snr"):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=_reject_constant)
+            raw = json.load(
+                fh, parse_constant=_reject_constant, object_pairs_hook=_unique_keys
+            )
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(raw, kind)

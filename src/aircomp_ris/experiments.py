@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import AirCompError, ConfigError
 from .model import MAX_DIMENSION, SystemConfig, synthesize_instance
-from .optimizer import robust_scalars
-from .worst_case import mse_at_error, worst_case_objective
+from .optimizer import mse_at_error, robust_scalars, worst_case_objective
 
 SWEEP_KINDS = ("snr", "n", "k")
 SCHEMES = ("robust_exact", "nonrobust", "multistart")
@@ -91,7 +90,8 @@ class SweepSpec:
                     f"{self.kind} sweep values must be integers >= 1 "
                     f"and <= {MAX_DIMENSION}"
                 )
-            self.values = [int(v) for v in self.values]
+        number = float if self.kind == "snr" else int
+        self.values = [number(v) for v in self.values]
         # every cell's SystemConfig checks its own ranges, s >= 0 among them
         self.cells = [(value, s) for value in self.values for s in self.s_values]
         self.labels = labels * len(self.values)

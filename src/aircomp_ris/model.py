@@ -1,5 +1,5 @@
-"""System model: complex-vector conventions, the scenario and design
-dataclasses, and channel synthesis with a bounded CSI error.
+"""System model: complex-vector conventions, the scenario dataclass, and
+channel synthesis with a bounded CSI error.
 
 Conventions used throughout the package:
 
@@ -100,26 +100,6 @@ class SystemConfig:
             raise ConfigError(
                 f"error_sampling must be one of {ERROR_SAMPLING_MODES}"
             )
-
-
-@dataclass
-class Design:
-    """A transceiver operating point: m is the receive scaling, t the (K,)
-    transmit scalars. The RIS phases co-phase each sensor to its estimate,
-    so they are a function of h_hat (optimizer.ris_phases) and never stored.
-    A block of designs adds a leading trial axis: m (T,) and t (T, K).
-    """
-
-    m: float | np.ndarray
-    t: np.ndarray
-
-    @property
-    def t_hat(self):
-        return np.asarray(self.m)[..., None] * self.t
-
-    @property
-    def K(self):
-        return self.t.shape[-1]
 
 
 def _trial_ranges(trials, doubles_per_trial, doubles_per_call):

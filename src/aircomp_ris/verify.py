@@ -11,8 +11,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import SystemConfig, synthesize_instance
-from .optimizer import cophased_gains, ris_phases, robust_scalars
-from .worst_case import certificate
+from .optimizer import certificate, cophased_gains, ris_phases, robust_scalars
 
 # Sampling oracle: perturbations drawn on the eps-sphere, then at most
 # _ASCENT ascent steps, until one gains less than _GAIN relative.

@@ -29,8 +29,8 @@ from aircomp_ris.experiments import (
     snr_to_noise_var,
     trials_per_block,
 )
-from aircomp_ris.model import Design, synthesize_instance
-from aircomp_ris.optimizer import robust_scalars, t_exact
+from aircomp_ris.model import synthesize_instance
+from aircomp_ris.optimizer import Design, robust_scalars, t_exact
 
 
 def inner(a, b):

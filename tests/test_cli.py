@@ -169,6 +169,28 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [(None, "master_seed"), ("system", "s"), ("sweep", "trials"), ("instance", "eps")],
+        ids=["top_level", "system", "sweep", "instance"],
+    )
+    def test_key_given_twice_exits_1(self, tmp_path, capsys, section, key):
+        """A key given twice in one object is a config error, even with the
+        same value, rather than a silent choice of its last value."""
+        raw = dict(golden_solve_config(), sweep=sweep_config()["sweep"])
+        obj = raw if section is None else raw[section]
+        text, part = json.dumps(raw), json.dumps(obj)
+        twice = f"{part[:-1]}, {json.dumps(key)}: {json.dumps(obj[key])}}}"
+        assert part in text
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text.replace(part, twice, 1))
+        out = tmp_path / "design.json"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        keys = [*obj, key]
+        message = f"error: cannot read config {cfg}: a key is given twice in {keys}\n"
+        assert capsys.readouterr().err == message
+
     def test_non_finite_design_is_a_solver_error(self, tmp_path):
         """At s = 1e200, |h_hat|^2 overflows in synthesis and the design is
         NaN: solve names the keys that are not finite, exits 2 and writes
@@ -371,7 +393,7 @@ class TestNonFiniteInput:
         "command, key",
         [
             *[("solve", key) for key in ("P", "noise_var", "s")],
-            *[("sweep", key) for key in ("P", "noise_var", "s", "s_values")],
+            *[("sweep", key) for key in ("P", "noise_var", "s", "s_values", "values")],
         ],
     )
     def test_int_reads_as_its_double(self, tmp_path, capsys, command, key):
@@ -388,8 +410,9 @@ class TestNonFiniteInput:
                 argv = ["solve"]
             else:
                 raw = sweep_config(trials=2, values=[3])
-                argv = ["sweep", "--kind", "n"]  # noise_var counts
-            if key == "s_values":
+                # noise_var counts in an N sweep; values are an SNR sweep's
+                argv = ["sweep", "--kind", "snr" if key == "values" else "n"]
+            if key in ("s_values", "values"):
                 raw["sweep"][key] = [value]
             else:
                 raw["system"][key] = value
@@ -414,7 +437,7 @@ class TestNonFiniteInput:
             assert as_int[1] == as_float[1]
         code, text, err = run(10**400)
         assert (code, text) == (1, None)
-        if key == "s_values":
+        if key in ("s_values", "values"):
             words = "values and s_values must be finite: int too large to convert to float"
         else:
             words = f"{key} must be finite, got inf"
@@ -854,7 +877,7 @@ def test_value_error_other_than_too_big_propagates(tmp_path, capsys, monkeypatch
     "command, message",
     [
         (["solve"], "the design is not finite: m, lambda, worst_case_terms, objective"),
-        (["sweep", "--kind", "snr"], "NMSE is not finite at snr 10, s 1e+300"),
+        (["sweep", "--kind", "snr"], "NMSE is not finite at snr 10.0, s 1e+300"),
     ],
     ids=["solve", "sweep"],
 )

@@ -95,24 +95,44 @@ def test_root_exports_the_table_functions_and_classes():
     assert exported == named
 
 
-def test_readme_internal_names_exist():
-    """Every backticked `module.name` in README whose module is one of the
-    package's names an attribute of that module, and every backticked
-    `_UPPER_CASE` constant one of some package module, so a rename cannot
-    leave README behind. A file name such as `config.py` is no name, nor is
-    a prefix phrase such as `_SPLIT_`."""
-    modules = {
+def package_modules():
+    """The package's modules by name."""
+    return {
         info.name: import_module(f"aircomp_ris.{info.name}")
         for info in pkgutil.iter_modules(aircomp_ris.__path__)
     }
-    dotted = {
-        (module, name)
-        for module, name in re.findall(r"`(\w+)\.(\w+)`", README)
-        if module in modules and name != "py"
-    }
+
+
+def test_module_table_names_every_module():
+    """README's "What's in the box" table has a row for every package
+    module, and none for a module that is gone."""
+    named = [
+        module
+        for modules, _ in table("| Module | Contents |")
+        for module in re.findall(r"`(?:aircomp_ris\.)?(\w+)`", modules)
+    ]
+    assert sorted(named) == sorted(package_modules())
+
+
+# prefixes of backticked `x.y` in README that are no package module
+OTHER_PREFIXES = {"aircomp_ris", "json", "np", "os", "pyproject", "r", "system"}
+
+
+def test_readme_internal_names_exist():
+    """Every backticked `module.name` in README names a package module and
+    an attribute of it, and every backticked `_UPPER_CASE` constant one of
+    some package module, so a rename or a deleted module cannot leave README
+    behind. A file name such as `config.py` is no name, nor is a number such
+    as `0.5`, a prefix of OTHER_PREFIXES or a prefix phrase such as
+    `_SPLIT_`."""
+    modules = package_modules()
+    found = set(re.findall(r"`(\w+)\.(\w+)`", README))
+    dotted = {(m, n) for m, n in found if m in modules and n != "py"}
+    unknown = {m for m, _ in found} - set(modules) - OTHER_PREFIXES
+    missing = [m for m in unknown if not m.isdigit()]
     constants = set(re.findall(r"`(_[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)*)`", README))
     assert dotted and constants
-    missing = [f"{m}.{n}" for m, n in dotted if not hasattr(modules[m], n)]
+    missing += [f"{m}.{n}" for m, n in dotted if not hasattr(modules[m], n)]
     missing += [
         name
         for name in constants

@@ -18,7 +18,7 @@ from oracles import (
 )
 
 from aircomp_ris.model import SystemConfig
-from aircomp_ris.worst_case import certificate
+from aircomp_ris.optimizer import certificate
 
 RTOL = 1e-12
 

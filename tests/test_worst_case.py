@@ -22,17 +22,16 @@ from oracles import (
 from aircomp_ris import verify
 from aircomp_ris.errors import AirCompError
 from aircomp_ris.experiments import design_for_scheme
-from aircomp_ris.model import Design, SystemConfig, synthesize_instance
-from aircomp_ris.optimizer import cophased_gains
+from aircomp_ris.model import SystemConfig, synthesize_instance
+from aircomp_ris.optimizer import Design, certificate, cophased_gains
+from aircomp_ris.optimizer import mse_at_error as realized_score
+from aircomp_ris.optimizer import worst_case_objective as score_from_gains
 from aircomp_ris.verify import (
     _delta_worst,
     _lagrangian,
     _lagrangian_gradient,
     _sampled_worst,
 )
-from aircomp_ris.worst_case import certificate
-from aircomp_ris.worst_case import mse_at_error as realized_score
-from aircomp_ris.worst_case import worst_case_objective as score_from_gains
 
 
 # the shipped evaluators' messages for operands without K entries per trial
