@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 config or usage error, 2 solver error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -163,6 +164,7 @@ def cmd_verify(suite, trials, seed):
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
+@functools.cache  # parse_args makes a fresh namespace per call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="aircomp",

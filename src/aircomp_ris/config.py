@@ -101,7 +101,7 @@ def load_config(path, kind="snr"):
             raw = json.load(
                 fh, parse_constant=_reject_constant, object_pairs_hook=_unique_keys
             )
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(raw, kind)
 

@@ -123,6 +123,18 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_deeply_nested_config_exits_1_with_one_line(self, tmp_path, capsys):
+        """json's decoder stops at the recursion limit: a config too deeply
+        nested to read exits 1 with one line, not a traceback."""
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100000 + "]" * 100000)
+        out = tmp_path / "design.json"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {cfg}: ")
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+
     def test_unknown_key_rejected(self, tmp_path):
         raw = golden_solve_config()
         raw["extra_key"] = 1
@@ -277,6 +289,11 @@ class TestSolve:
 
 _P = [1.0, -0.5]
 _EPS = [0.1, 0.2]
+_BAD_H = "error: instance h_hat must be numbers of shape (2, 2, 2)\n"
+_BAD_EPS = "error: instance eps must be numbers of shape (2,)\n"
+_HUGE_H = "error: instance h_hat: int too large to convert to float\n"
+_HUGE_EPS = "error: instance eps: int too large to convert to float\n"
+_NOT_A_LIST = "error: invalid config: instance.{} must be of type list\n"
 
 
 class TestNonFiniteInput:
@@ -302,27 +319,31 @@ class TestNonFiniteInput:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "h_hat, eps",
+        "h_hat, eps, message",
         [
-            ([[[True, 0.0], _P], [_P, _P]], _EPS),
-            ([[["1.0", 0.0], _P], [_P, _P]], _EPS),
-            ([[[None, 0.0], _P], [_P, _P]], _EPS),
-            ([[[[1.0], 0.0], _P], [_P, _P]], _EPS),
-            ([[[1.0], _P], [_P, _P]], _EPS),
-            ([[[1.0, 0.0, 0.0], _P], [_P, _P]], _EPS),
-            ([[], [_P, _P]], _EPS),
-            ([[_P, _P], [_P]], _EPS),
-            ([[_P, _P]], _EPS),
-            ([[_P, _P], [_P, _P], [_P, _P]], _EPS),
-            ([[_P, _P, _P], [_P, _P, _P]], _EPS),
-            ([_P, _P], _EPS),
-            ([[_P, _P], [_P, _P]], [0.1]),
-            ([[_P, _P], [_P, _P]], [0.1, -0.2]),
-            ([[_P, _P], [_P, _P]], [0.1, True]),
-            ([[_P, _P], [_P, _P]], [[0.1], [0.2]]),
+            ([[[True, 0.0], _P], [_P, _P]], _EPS, _BAD_H),
+            ([[["1.0", 0.0], _P], [_P, _P]], _EPS, _BAD_H),
+            ([[[None, 0.0], _P], [_P, _P]], _EPS, _BAD_H),
+            ([[[[1.0], 0.0], _P], [_P, _P]], _EPS, _BAD_H),
+            ([[[1.0], _P], [_P, _P]], _EPS, _BAD_H),
+            ([[[1.0, 0.0, 0.0], _P], [_P, _P]], _EPS, _BAD_H),
+            ([[], [_P, _P]], _EPS, _BAD_H),
+            ([[_P, _P], [_P]], _EPS, _BAD_H),
+            ([[_P, _P]], _EPS, _BAD_H),
+            ([[_P, _P], [_P, _P], [_P, _P]], _EPS, _BAD_H),
+            ([[_P, _P, _P], [_P, _P, _P]], _EPS, _BAD_H),
+            ([_P, _P], _EPS, _BAD_H),
+            ([[_P, _P], [_P, _P]], [0.1], _BAD_EPS),
+            ([[_P, _P], [_P, _P]], [0.1, -0.2], "error: instance eps must be >= 0\n"),
+            ([[_P, _P], [_P, _P]], [0.1, True], _BAD_EPS),
+            ([[_P, _P], [_P, _P]], [[0.1], [0.2]], _BAD_EPS),
             # integers too large for a double
-            ([[[10**400, 0.0], _P], [_P, _P]], _EPS),
-            ([[_P, _P], [_P, _P]], [0.1, 10**400]),
+            ([[[10**400, 0.0], _P], [_P, _P]], _EPS, _HUGE_H),
+            ([[_P, _P], [_P, _P]], [0.1, 10**400], _HUGE_EPS),
+            # the section's own shape rule: each array is a list
+            (1.0, _EPS, _NOT_A_LIST.format("h_hat")),
+            ({"re": 1.0}, _EPS, _NOT_A_LIST.format("h_hat")),
+            ([[_P, _P], [_P, _P]], 0.1, _NOT_A_LIST.format("eps")),
         ],
         ids=[
             "true_entry",
@@ -343,9 +364,14 @@ class TestNonFiniteInput:
             "nested_eps",
             "huge_int_h_hat",
             "huge_int_eps",
+            "number_h_hat",
+            "object_h_hat",
+            "number_eps",
         ],
     )
-    def test_solve_rejects_malformed_instance(self, tmp_path, capsys, h_hat, eps):
+    def test_solve_rejects_malformed_instance(
+        self, tmp_path, capsys, h_hat, eps, message
+    ):
         raw = golden_solve_config()
         raw["system"].update(K=2, N=2)
         raw["instance"] = {"h_hat": h_hat, "eps": eps}
@@ -353,7 +379,7 @@ class TestNonFiniteInput:
         out = tmp_path / "design.json"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
         assert not out.exists()
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == message
 
     def test_sweep_rejects_overflowing_value(self, tmp_path, capsys):
         text = json.dumps(sweep_config(values=[10.0]))
@@ -1392,14 +1418,46 @@ def test_solve_probe_is_the_exact_design(tmp_path, x, noise_var):
             assert abs(g - float(w)) <= SOLVE_ULPS * ulp, (key, g, w)
 
 
-def test_solve_example_design_bytes(tmp_path):
+def design_sha256(path):
+    """The sha256 OUTPUT_SHA256["solve_example"] pins, of the design file at
+    path. CI calls it on the installed console script's design."""
+    design = json.loads(Path(path).read_text())
+    del design["v_phases"]
+    return sha256((json.dumps(design, indent=2) + "\n").encode())
+
+
+def solve_example_sha256(tmp_path):
+    """Solve configs/solve_example.json; the sha256 its OUTPUT_SHA256 pins."""
     out = tmp_path / "design.json"
     config = str(CONFIGS / "solve_example.json")
     assert main(["solve", "--config", config, "--out", str(out)]) == 0
-    design = json.loads(out.read_text())
-    del design["v_phases"]
-    text = json.dumps(design, indent=2) + "\n"
-    assert sha256(text.encode()) == OUTPUT_SHA256["solve_example"]
+    return design_sha256(out)
+
+
+def test_solve_example_design_bytes(tmp_path):
+    assert solve_example_sha256(tmp_path) == OUTPUT_SHA256["solve_example"]
+
+
+def test_reused_parser_keeps_no_state(tmp_path, capsys):
+    """One parser serves every main call in a process: a usage error, a
+    --help and a solve leave nothing in it for the next command to read."""
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["sweep", "--kind", "x", "--config", "c.json", "--out", "r.csv"]) == 1
+    assert "invalid choice: 'x'" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: aircomp [-h]")
+    assert solve_example_sha256(tmp_path) == OUTPUT_SHA256["solve_example"]
+    cfg = write_json(tmp_path / "cfg.json", sweep_config(values=[3, 4]))
+    out, svg = tmp_path / "r.csv", tmp_path / "r.svg"
+    argv = ["sweep", "--kind", "n", "--config", cfg, "--out", str(out)]
+    assert main([*argv, "--plot", str(svg)]) == 0
+    assert out.read_text().split("\n")[1].startswith("n,3,")
+    assert svg.read_text().startswith("<svg")
+    svg.unlink()
+    argv[2] = "snr"
+    assert main(argv) == 0
+    assert out.read_text().split("\n")[1].startswith("snr,3.0,")
+    assert not svg.exists()
 
 
 def _instance_config(K, N, P, zero_eps):
