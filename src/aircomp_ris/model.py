@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -28,17 +29,16 @@ EVAL_MODES = ("worst", "realized")
 ERROR_SAMPLING_MODES = ("surface", "interior")
 
 # Doubles drawn per synthesis chunk: bounds the temporaries at large K*N.
-# Serial blocks drawn in _SPLIT_PLANE planes instead ran the example sweep
-# 1.16x slower (paired in-process A/B, 2-CPU VM, 150 pairs, CI [1.15, 1.16]).
+# Serial blocks drawn in _SPLIT_PLANE planes instead, from kept buffers, ran
+# the example sweep in 0.972x of the time but fig_snr in 1.038x (paired
+# in-process A/B, 2-CPU VM, 300 pairs, CIs [0.961, 0.982], [1.029, 1.048]).
 _DRAW_BLOCK = 1 << 14
 # Doubles of draws each range of a block split across CPUs must get.
 _SPLIT_BLOCK = 2 * _DRAW_BLOCK
 # Doubles per (rows, N) plane of a chunk drawn beside others on threads,
 # max(1, _SPLIT_PLANE // N) rows: its fewer, larger ufunc calls hand the
 # GIL between the threads less often, and each 96 KiB temporary stays
-# under glibc's 128 KiB mmap threshold, so none is mapped and unmapped per
-# call. The chunk buffer itself (parts * 96 KiB) is still allocated per
-# range and per call, and it page-faults at N = 64.
+# under glibc's 128 KiB mmap threshold, so none is mapped and unmapped per call.
 _SPLIT_PLANE = 12288
 # Doubles per generator call below which threads drawing a block's trials
 # spend more time handing each other the GIL than they save. It pays only
@@ -117,36 +117,46 @@ def _trial_ranges(trials, doubles_per_trial, doubles_per_call):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+@functools.cache
+def _pool():
+    """The workers that draw split blocks' ranges, made on the first split."""
+    from concurrent.futures import ThreadPoolExecutor  # ~7 ms to import
+
+    return ThreadPoolExecutor(os.cpu_count())  # a range per CPU at most
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of its threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+_chunks = threading.local()  # the chunk buffer each thread keeps, as .z
+
+
 def _run_ranges(fn, ranges):
-    """Call fn(lo, hi) for every range: the first on this thread, each other
-    on a thread of its own in a copy of this thread's context (numpy's error
-    state with it), or here if that thread cannot start. Returns once all
-    have finished, raising the first exception a range raised."""
-    errors = [None] * len(ranges)
+    """Call fn(lo, hi) once for every range: the first on this thread, each
+    other on a worker of the pool in a copy of this thread's context
+    (numpy's error state with it), or here if the pool cannot take it.
+    Returns once all have finished, raising an exception a range raised."""
+    here, futures, submitting = [ranges[0]], [], threading.Lock()
 
-    def run(i, lo, hi):
-        try:
-            fn(lo, hi)
-        except BaseException as exc:  # raised again on the calling thread
-            errors[i] = exc
+    def run(lo, hi):
+        with submitting:  # a submit that raised still queues its range
+            if (lo, hi) in here:  # drawn on the calling thread instead
+                return
+        fn(lo, hi)
 
-    started = []
     try:
-        for i, (lo, hi) in enumerate(ranges[1:], 1):
-            thread = threading.Thread(target=copy_context().run, args=(run, i, lo, hi))
-            try:
-                thread.start()
-            except RuntimeError:  # no thread to spare: draw the range here
-                run(i, lo, hi)
-            else:
-                started.append(thread)
-        run(0, *ranges[0])
+        with submitting:
+            for lo, hi in ranges[1:]:
+                try:
+                    futures.append(_pool().submit(copy_context().run, run, lo, hi))
+                except RuntimeError:  # no worker to spare: draw the range here
+                    here.append((lo, hi))
+        for lo, hi in here:
+            fn(lo, hi)
     finally:
-        for thread in started:
-            thread.join()  # every range writes the caller's arrays
-    for error in errors:
-        if error is not None:
-            raise error
+        for future in futures:
+            future.exception()  # wait: every range writes the caller's arrays
+    for future in futures:
+        future.result()
 
 
 def synthesize_instance(config, rng, gains_only=False):
@@ -169,19 +179,19 @@ def synthesize_instance(config, rng, gains_only=False):
     direction, then one uniform for an interior error's radius
     (gen.random(), the double gen.uniform() gives). The rows are drawn in
     chunks of _DRAW_BLOCK doubles, or in a block split across CPUs (below)
-    of _SPLIT_PLANE doubles per (rows, N) plane; a trial's rows
-    without uniforms take one call, which fills in that same order, rows
-    with them one normal call and one random() each. The arithmetic
-    runs on real planes, one ufunc per real multiply, add, divide or sqrt,
-    and np.vecdot: unlike complex multiply and abs, they round alike at
-    every numpy SIMD dispatch level.
+    of _SPLIT_PLANE doubles per (rows, N) plane, into a buffer each thread
+    keeps between calls; a trial's rows without uniforms take one call,
+    which fills in that same order, rows with them one normal call and one
+    random() each. The arithmetic runs on real planes, one ufunc per real
+    multiply, add, divide or sqrt, and np.vecdot: unlike complex multiply
+    and abs, they round alike at every numpy SIMD dispatch level.
 
     A block large enough (see _trial_ranges) is split into contiguous
-    ranges of trials, one per CPU, drawn at once on threads into disjoint
-    rows; each row's draws and arithmetic are those of the serial draw, so
-    the output does not depend on the CPU count. Trials whose generators
-    share a bit generator, or are one generator, share its stream: they
-    are drawn in order on one thread."""
+    ranges of trials, one per CPU, drawn at once by _run_ranges into
+    disjoint rows; each row's draws and arithmetic are those of the serial
+    draw, so the output does not depend on the CPU count. Trials whose
+    generators share a bit generator, or are one generator, share its
+    stream: they are drawn in order on one thread."""
     batched = isinstance(rng, (list, tuple))
     rngs = list(rng) if batched else [rng]
     K, N = config.K, config.N
@@ -210,7 +220,10 @@ def synthesize_instance(config, rng, gains_only=False):
     def draw(trial_lo, trial_hi):
         """Draw trials [trial_lo, trial_hi) into their rows, chunk by chunk."""
         start, stop = trial_lo * K, trial_hi * K
-        z = np.empty((min(step, stop - start), parts, N))
+        shape = (min(step, stop - start), parts, N)
+        if getattr(_chunks, "z", np.empty(0)).size < math.prod(shape):
+            _chunks.z = np.empty(shape)  # shaped: numpy says if it is too big
+        z = np.ndarray(shape, buffer=_chunks.z)
         radius = np.ones(len(z))
         for lo in range(start, stop, step):
             hi = min(lo + step, stop)

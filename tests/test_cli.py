@@ -959,7 +959,7 @@ class TestLazyRandom:
         )
 
     def test_importing_cli_does_not_load_concurrent_futures(self):
-        # ~7 ms of start-up; synthesis splits a block on plain threads
+        # ~7 ms of start-up; synthesis imports it on its first split
         self.run_fresh(
             "import sys, aircomp_ris.cli\n"
             "assert 'concurrent.futures' not in sys.modules"

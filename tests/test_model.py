@@ -1,6 +1,9 @@
 import copy
+import os
+import signal
 import sys
 import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -589,9 +592,10 @@ def test_a_failing_range_raises_its_error(monkeypatch, bad):
 
 
 def test_a_range_whose_thread_cannot_start_is_drawn_here(monkeypatch):
-    """When the second range's thread cannot start, the calling thread draws
-    that range as well, the first range's thread is joined, and the bytes
-    are those of one range."""
+    """When a fresh pool cannot start the second range's worker, the calling
+    thread draws that range as well, the worker that started draws nothing
+    more once it is idle (the failed submit left the range queued), and the
+    bytes are those of one range."""
     cpus(monkeypatch, 3)
     used = spy_ranges(monkeypatch)
     started = []
@@ -603,10 +607,15 @@ def test_a_range_whose_thread_cannot_start_is_drawn_here(monkeypatch):
         start(thread)
         started.append(thread)
 
-    monkeypatch.setattr(model.threading.Thread, "start", start_one)
+    model._pool.cache_clear()
+    monkeypatch.setattr(threading.Thread, "start", start_one)
     split = synthesize_instance(split_config(), split_rngs())
-    assert used == [SPLIT_RANGES]
-    assert len(started) == 1 and not started[0].is_alive()
+    assert used == [SPLIT_RANGES] and len(started) == 1
+    # the worker runs what is left queued, then stops
+    model._pool().shutdown(wait=False)
+    model._pool.cache_clear()
+    started[0].join(timeout=60)
+    assert not started[0].is_alive()
     cpus(monkeypatch, 1)
     serial = synthesize_instance(split_config(), split_rngs())
     for one, many in zip(serial, split):
@@ -623,13 +632,91 @@ class CountingThread(threading.Thread):
         super().start()
 
 
+def test_split_draws_start_workers_once(monkeypatch):
+    """The pool's workers start on the first split draw and draw the next."""
+    monkeypatch.setattr(CountingThread, "started", 0)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    cpus(monkeypatch, 3)
+    used = spy_ranges(monkeypatch)
+    model._pool.cache_clear()
+    first = synthesize_instance(split_config(), split_rngs())
+    started = CountingThread.started
+    second = synthesize_instance(split_config(), split_rngs())
+    assert used == [SPLIT_RANGES] * 2
+    assert started > 0 and CountingThread.started == started
+    for one, two in zip(first, second):
+        assert one.tobytes() == two.tobytes()
+
+
+def test_callers_on_many_threads_share_the_pool(monkeypatch):
+    """Split draws from four threads at once, on one pool and with the GIL
+    handed over as often as the interpreter allows, each give the bytes of
+    one range: no thread draws into another's chunk buffer or rows."""
+    used = spy_ranges(monkeypatch)
+    cpus(monkeypatch, 1)
+    serial = synthesize_instance(split_config(), split_rngs())
+    cpus(monkeypatch, 3)
+    draws = []
+
+    def draw():
+        for _ in range(3):
+            draws.append(synthesize_instance(split_config(), split_rngs()))
+
+    callers = [threading.Thread(target=draw) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert used == [[(0, SPLIT_TRIALS)]] + [SPLIT_RANGES] * 12
+    for split in draws:
+        for one, many in zip(serial, split):
+            assert one.tobytes() == many.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_draws_split_blocks(monkeypatch):
+    """After a split draw here, a forked child draws a split block to the
+    same bytes and exits: it starts workers of its own, as it has none of
+    this process's threads."""
+    cpus(monkeypatch, 3)
+    used = spy_ranges(monkeypatch)
+    here = synthesize_instance(split_config(), split_rngs())
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns that a fork of a threaded process may deadlock
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            child = synthesize_instance(split_config(), split_rngs())
+            same = all(a.tobytes() == b.tobytes() for a, b in zip(here, child))
+            status = 0 if same and used == [SPLIT_RANGES] * 2 else 1
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's split draw did not finish in 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
 def test_small_blocks_stay_on_the_calling_thread(monkeypatch):
     def trial_rngs(trials):
         return [seeded_rng((2, trial)) for trial in range(trials)]
 
     monkeypatch.setattr(CountingThread, "started", 0)
-    monkeypatch.setattr(model.threading, "Thread", CountingThread)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
     cpus(monkeypatch, 64)
+    used = spy_ranges(monkeypatch)
     # the example SNR sweep's cells: 50 trials of 10 sensors at N=16
     for s in (0.0, 0.4, 0.6):
         config = SystemConfig(K=10, N=16, P=10.0, noise_var=1.0, s=s)
@@ -647,7 +734,8 @@ def test_small_blocks_stay_on_the_calling_thread(monkeypatch):
     )
     synthesize_instance(fine, trial_rngs(40), gains_only=True)
     assert CountingThread.started == 0
+    assert used == [[(0, 50)]] * 3 + [[(0, 40)]]
     # a cell of the large K sweep, 10 trials of 25 sensors at N=256, is
     # split into a range per trial
     synthesize_instance(replace(fine, N=256), trial_rngs(10), gains_only=True)
-    assert CountingThread.started == 9
+    assert used[-1] == [(trial, trial + 1) for trial in range(10)]
