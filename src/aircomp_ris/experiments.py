@@ -2,11 +2,11 @@
 versus SNR, RIS size N or sensor count K, from reproducible per-trial seeds.
 SweepSpec lays a sweep out once: its (value, s) cells in order, each cell's
 config and its rows' labels; run_sweep executes the cells. Cells of equal K
-run stacked, in blocks of trials: per cell and block one call draws the
-(T, K) per-sensor scalars a co-phased score needs (gain, radius, and in
-realized mode the error's projection and norm); per stack and block, one
-seed_words call hashes its seeds and each scheme gets one design and one
-score."""
+run stacked, in blocks of trials: per cell and block one draw_scalars call
+draws the (T, K) per-sensor scalars a co-phased score needs (gain, radius,
+and in realized mode the error's projection and norm); per stack and block,
+one seed_words call hashes its seeds and each scheme gets one design and
+one score."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import AirCompError, ConfigError
-from .model import MAX_DIMENSION, SystemConfig, synthesize_instance
+from .model import MAX_DIMENSION, SystemConfig, draw_scalars
 from .optimizer import mse_at_error, robust_scalars, worst_case_objective
 
 SWEEP_KINDS = ("snr", "n", "k")
@@ -126,9 +126,9 @@ def trials_per_block(config):
 
 def design_for_scheme(config, scheme, draw):
     """Design a scheme on a block of trials with robust_scalars. draw is
-    what synthesis gave the block with gains_only, whose (..., K) gains and
-    radii (a, eps) fix m and t; every scheme co-phases. config is a
-    SystemConfig or run_sweep's stand-in for stacked (C, T, K) cells."""
+    what draw_scalars gave the block, whose (..., K) gains and radii
+    (a, eps) fix m and t; every scheme co-phases. config is a SystemConfig
+    or run_sweep's stand-in for stacked (C, T, K) cells."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     # multistart and robust_exact: two historical names of the closed-form
@@ -241,7 +241,7 @@ def run_sweep(spec):
     trials_per_block trials, _STACK_ROWS NMSEs and _BLOCK_ROWS seeds a block
     (one cell, if more), so memory stays bounded whatever the number of
     cells and trials. Per stack and block, one seed_words call hashes the
-    seeds; per cell, one synthesis call draws the block from the cell's
+    seeds; per cell, one draw_scalars call draws the block from the cell's
     config, a generator per trial; per scheme, one design and one score
     call take the stacked (C, T, K) scalars. Per stack, one mean and one
     std over the trials of its (cells, schemes, trials) NMSE array give its
@@ -270,10 +270,7 @@ def run_sweep(spec):
             for lo in range(0, trials, block):
                 hi = min(lo + block, trials)
                 words = seed_words(prefixes[cells], np.arange(lo, hi))
-                draws = [
-                    synthesize_instance(config, trial_generators(rows), gains_only=True)
-                    for config, rows in zip(stack, words)
-                ]
+                draws = list(map(draw_scalars, stack, map(trial_generators, words)))
                 draw = tuple(map(np.stack, zip(*draws)))
                 for j, scheme in enumerate(spec.schemes):
                     nmses[:, j, lo:hi] = _design_and_score(cfg, scheme, draw)

@@ -159,63 +159,97 @@ def _run_ranges(fn, ranges):
         future.result()
 
 
-def synthesize_instance(config, rng, gains_only=False):
+def _draw_rows(rngs, K, lo, hi, z, radius, interior):
+    """Draw rows [lo, hi) of trials of K rows into z, (rows, parts, N), each
+    trial's from rngs[trial] in stream order: in one normal call, or with
+    interior errors one per row and its radius's uniform."""
+    power = 1.0 / (2 * z.shape[-1])  # U^(1/(2N)): uniform over the 2N-dim ball
+    for trial in range(lo // K, (hi - 1) // K + 1):
+        first, last = max(lo, trial * K) - lo, min(hi, trial * K + K) - lo
+        if not interior:
+            rngs[trial].standard_normal(out=z[first:last])
+            continue
+        normal, uniform = rngs[trial].standard_normal, rngs[trial].random
+        for i in range(first, last):
+            normal(out=z[i])
+            radius[i] = uniform() ** power
+
+
+def _planes(s, z, radius):
+    """h_hat's real and imaginary planes and eps from drawn rows z and their
+    first radius factors, and for s > 0 the error's planes, scale and norm."""
+    g_re, g_im, r_re, r_im = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
+    # h = g * conj(r) for CN(0, 1/2) segments, half their normals; a power
+    # of two scales the product with the same rounding
+    h_re = (g_re * r_re + g_im * r_im) * 0.25
+    h_im = (g_im * r_re - g_re * r_im) * 0.25
+    eps = s * np.sqrt(np.vecdot(h_re, h_re) + np.vecdot(h_im, h_im))
+    if s == 0:
+        return h_re, h_im, eps, None
+    d_re, d_im = z[:, 4], z[:, 5]
+    norm = np.sqrt(np.vecdot(d_re, d_re) + np.vecdot(d_im, d_im))
+    scale = (eps * radius[: len(z)] / norm)[:, None]
+    del_re, del_im = d_re * scale, d_im * scale
+    h_re -= del_re  # h_hat = h - conj(delta)
+    h_im += del_im
+    return h_re, h_im, eps, (del_re, del_im, scale, norm)
+
+
+def synthesize_instance(config, rng):
     """Draw what the designer sees, (h_hat, eps): Rayleigh segments g_k
     (RIS->receiver) and r_k (sensor->RIS) of i.i.d. CN(0, 1/2) entries give
     true channels row(h_k) = conj(g_k) * r_k, and estimates row(h_hat_k) =
     row(h_k) - delta_k for a bounded error delta_k of radius eps_k = s*||h_k||.
 
-    With gains_only, return instead the per-sensor scalars that score the
-    co-phased designs of config.eval_mode, v_k = h_hat_k/|h_hat_k| (1 where
-    an entry is zero): (a, eps) in worst mode, the gains a_k = h_hat_k^H v_k
-    = ||h_hat_k||_1 and the radii, and (a, eps, c, ||delta||) in realized
-    mode, with c_k = delta_k @ v_k and the errors' norms.
+    Sensor by sensor, the Generator rng yields N normals each for re(g_k),
+    im(g_k), re(r_k), im(r_k), and when s > 0 (even where eps_k underflows
+    to 0) for the real and imaginary parts of the error direction, then one
+    uniform for an interior error's radius (rng.random(), the double
+    rng.uniform() gives). Rows are drawn in chunks of _DRAW_BLOCK doubles,
+    or one row if a row is larger; the arithmetic runs on real planes, one
+    ufunc per real multiply, add, divide or sqrt, and np.vecdot: unlike
+    complex multiply and abs, they round alike at every SIMD dispatch level."""
+    K, N, parts = config.K, config.N, 6 if config.s > 0 else 4
+    interior = parts == 6 and config.error_sampling == "interior"
+    step = max(1, _DRAW_BLOCK // (parts * N))
+    eps, h_hat = np.empty(K), np.empty((K, N), dtype=complex)
+    z, radius = np.empty((min(step, K), parts, N)), np.ones(min(step, K))
+    for lo in range(0, K, step):
+        hi = min(lo + step, K)
+        _draw_rows([rng], K, lo, hi, z, radius, interior)
+        h_re, h_im, eps[lo:hi], _ = _planes(config.s, z[: hi - lo], radius)
+        h_hat.real[lo:hi], h_hat.imag[lo:hi] = h_re, h_im
+    return h_hat, eps
 
-    rng is one Generator, or a sequence of T Generators for a block of
-    trials with (T, K, N) arrays; trial t is drawn from rng[t] exactly as
-    it would be alone. Sensor by sensor, a stream yields N normals each for
-    re(g_k), im(g_k), re(r_k), im(r_k), and when s > 0 (even where eps_k
-    underflows to 0) for the real and imaginary parts of the error
-    direction, then one uniform for an interior error's radius
-    (gen.random(), the double gen.uniform() gives). The rows are drawn in
-    chunks of _DRAW_BLOCK doubles, or in a block split across CPUs (below)
-    of _SPLIT_PLANE doubles per (rows, N) plane, into a buffer each thread
-    keeps between calls; a trial's rows without uniforms take one call,
-    which fills in that same order, rows with them one normal call and one
-    random() each. The arithmetic runs on real planes, one ufunc per real
-    multiply, add, divide or sqrt, and np.vecdot: unlike complex multiply
-    and abs, they round alike at every numpy SIMD dispatch level.
 
-    A block large enough (see _trial_ranges) is split into contiguous
-    ranges of trials, one per CPU, drawn at once by _run_ranges into
-    disjoint rows; each row's draws and arithmetic are those of the serial
-    draw, so the output does not depend on the CPU count. Trials whose
-    generators share a bit generator, or are one generator, share its
-    stream: they are drawn in order on one thread."""
-    batched = isinstance(rng, (list, tuple))
-    rngs = list(rng) if batched else [rng]
-    K, N = config.K, config.N
-    rows = len(rngs) * K
-    robust = config.s > 0
+def draw_scalars(config, rngs):
+    """The per-sensor scalars that score config.eval_mode's co-phased
+    designs on a block of trials, trial t drawn from rngs[t] as
+    synthesize_instance draws it: (T, K) gains a_k = h_hat_k^H v_k =
+    ||h_hat_k||_1 for v_k = h_hat_k/|h_hat_k| (1 where an entry is zero) and
+    radii eps, and in realized mode c_k = delta_k @ v_k and ||delta_k||.
+
+    Chunks go to a buffer each thread keeps. A block large enough (see
+    _trial_ranges) is split into contiguous ranges of trials, one per CPU,
+    drawn at once by _run_ranges into disjoint rows in chunks of
+    _SPLIT_PLANE doubles per (rows, N) plane. Each row's draws and
+    arithmetic are the serial draw's, so the output does not depend on the
+    CPU count. Trials whose generators share a bit generator, or are one
+    generator, share its stream: they are drawn in order on one thread."""
+    K, N, trials, robust = config.K, config.N, len(rngs), config.s > 0
     interior = robust and config.error_sampling == "interior"
     parts = 6 if robust else 4
-    # a generator call draws one row with interior errors, else a trial's
-    # rows (two calls where a chunk's edge splits them)
+    # a generator call draws one row with interior errors, else a trial's rows
     per_call = parts * N * (1 if interior else K)
-    ranges = _trial_ranges(len(rngs), K * parts * N, per_call)
+    ranges = _trial_ranges(trials, K * parts * N, per_call)
     if len(ranges) > 1:  # a stream shared by trials draws them in order
-        if len({id(getattr(gen, "bit_generator", gen)) for gen in rngs}) < len(rngs):
-            ranges = [(0, len(rngs))]
+        if len({id(getattr(gen, "bit_generator", gen)) for gen in rngs}) < trials:
+            ranges = [(0, trials)]
     step = max(1, _DRAW_BLOCK // (parts * N) if len(ranges) == 1 else _SPLIT_PLANE // N)
-    radius_power = 1.0 / (2 * N)  # U^(1/(2N)): uniform over the 2N-dim ball
-    eps = np.empty(rows)
+    gains, eps = np.empty((2, trials * K))
     realized = config.eval_mode == "realized"
-    if gains_only:
-        gains = np.empty(rows)
-        if realized:  # c and ||delta|| stay zero without errors (s = 0)
-            c, delta_norms = np.zeros(rows, dtype=complex), np.zeros(rows)
-    else:
-        h_hat = np.empty((rows, N), dtype=complex)
+    if realized:  # c and ||delta|| stay zero without errors (s = 0)
+        c, delta_norms = np.zeros(trials * K, dtype=complex), np.zeros(trials * K)
 
     def draw(trial_lo, trial_hi):
         """Draw trials [trial_lo, trial_hi) into their rows, chunk by chunk."""
@@ -227,53 +261,22 @@ def synthesize_instance(config, rng, gains_only=False):
         radius = np.ones(len(z))
         for lo in range(start, stop, step):
             hi = min(lo + step, stop)
-            zb = z[: hi - lo]
-            for trial in range(lo // K, (hi - 1) // K + 1):
-                gen = rngs[trial]
-                first, last = max(lo, trial * K) - lo, min(hi, trial * K + K) - lo
-                if interior:
-                    normal, uniform = gen.standard_normal, gen.random
-                    for i in range(first, last):
-                        normal(out=zb[i])
-                        radius[i] = uniform() ** radius_power
-                else:
-                    gen.standard_normal(out=zb[first:last])
-            g_re, g_im, r_re, r_im = zb[:, 0], zb[:, 1], zb[:, 2], zb[:, 3]
-            # h = g * conj(r) for CN(0, 1/2) segments, half their normals; a
-            # power of two scales the product with the same rounding
-            h_re = (g_re * r_re + g_im * r_im) * 0.25
-            h_im = (g_im * r_re - g_re * r_im) * 0.25
-            eps[lo:hi] = config.s * np.sqrt(
-                np.vecdot(h_re, h_re) + np.vecdot(h_im, h_im)
-            )
-            if robust:
-                d_re, d_im = zb[:, 4], zb[:, 5]
-                norm = np.sqrt(np.vecdot(d_re, d_re) + np.vecdot(d_im, d_im))
-                scale = (eps[lo:hi] * radius[: hi - lo] / norm)[:, None]
-                del_re, del_im = d_re * scale, d_im * scale
-                # h_hat = h - conj(delta)
-                h_re -= del_re
-                h_im += del_im
-            if gains_only:
-                mag = np.sqrt(h_re * h_re + h_im * h_im)
-                gains[lo:hi] = mag.sum(axis=-1)
-                if realized and robust:
-                    if not mag.all():
-                        # v_i = 1 where h_hat_i = 0, as co-phasing sets it
-                        zero = mag == 0
-                        h_re, mag = np.where(zero, 1.0, h_re), np.where(zero, 1.0, mag)
-                    # c = delta @ v for v = h_hat / |h_hat|
-                    w = 1.0 / mag
-                    c.real[lo:hi] = np.vecdot(del_re * h_re - del_im * h_im, w)
-                    c.imag[lo:hi] = np.vecdot(del_re * h_im + del_im * h_re, w)
-                    delta_norms[lo:hi] = scale[:, 0] * norm  # squaring could overflow
-                continue
-            h_hat.real[lo:hi], h_hat.imag[lo:hi] = h_re, h_im
+            _draw_rows(rngs, K, lo, hi, z, radius, interior)
+            h_re, h_im, eps[lo:hi], errors = _planes(config.s, z[: hi - lo], radius)
+            mag = np.sqrt(h_re * h_re + h_im * h_im)
+            gains[lo:hi] = mag.sum(axis=-1)
+            if realized and robust:
+                del_re, del_im, scale, norm = errors
+                delta_norms[lo:hi] = scale[:, 0] * norm  # squaring could overflow
+                if not mag.all():
+                    # v_i = 1 where h_hat_i = 0, as co-phasing sets it
+                    zero = mag == 0
+                    h_re, mag = np.where(zero, 1.0, h_re), np.where(zero, 1.0, mag)
+                # c = delta @ v for v = h_hat / |h_hat|
+                w = 1.0 / mag
+                c.real[lo:hi] = np.vecdot(del_re * h_re - del_im * h_im, w)
+                c.imag[lo:hi] = np.vecdot(del_re * h_im + del_im * h_re, w)
 
     _run_ranges(draw, ranges)
-    lead = (len(rngs), K) if batched else (K,)
-    eps = eps.reshape(lead)
-    if gains_only:
-        more = (c.reshape(lead), delta_norms.reshape(lead)) if realized else ()
-        return gains.reshape(lead), eps, *more
-    return h_hat.reshape(*lead, N), eps
+    more = (c.reshape(trials, K), delta_norms.reshape(trials, K)) if realized else ()
+    return gains.reshape(trials, K), eps.reshape(trials, K), *more

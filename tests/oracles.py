@@ -2,7 +2,8 @@
 inner product and a complex Gaussian sampler, numpy's own seeding of a
 trial's generator, a stand-in generator of fixed normals, channel
 synthesis drawn sensor by sensor in complex numpy, which also gives the
-true channels and errors that synthesize_instance does not return, one
+true channels and errors that synthesize_instance does not return, the
+scalars a realized-mode sweep scores drawn from the model as written, one
 sweep trial run alone, a sweep run cell by cell, co-phasing RIS vectors, a Design that carries RIS
 vectors and the designs of the scalar core with them, the per-sensor
 worst-case term, the worst-case objective and the MSE at given errors evaluated on the full channel arrays
@@ -29,7 +30,7 @@ from aircomp_ris.experiments import (
     snr_to_noise_var,
     trials_per_block,
 )
-from aircomp_ris.model import synthesize_instance
+from aircomp_ris.model import draw_scalars
 from aircomp_ris.optimizer import Design, robust_scalars, t_exact
 
 
@@ -105,6 +106,41 @@ def reference_synthesis(config, rng):
     return g, r, h, h - np.conj(deltas), eps, deltas
 
 
+def model_sampler(config, rng, trials):
+    """The per-sensor scalars a realized-mode sweep scores, (a, eps, c,
+    ||delta||), each (trials, K), drawn slowly from the system model as the
+    paper states it, in complex arithmetic and sharing no code with the
+    package: segments g and r of i.i.d. CN(0, 1/2) entries, the channel
+    h = g * conj(r), an error delta of radius eps = s ||h|| in a uniform
+    direction of C^N, on the sphere ("surface") or uniform in the ball
+    ("interior"), the estimate h_hat = h - conj(delta), RIS phases v
+    co-phased to h_hat, a = h_hat^H v and c = delta @ v.
+
+    Frozen: it is the law a change to the package's draw is judged by, so
+    no such change may edit it."""
+    K, N, s = config.K, config.N, config.s
+    shape = (trials, K, N)
+
+    def complex_normal(variance):
+        parts = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return np.sqrt(variance / 2) * parts
+
+    g, r = complex_normal(0.5), complex_normal(0.5)
+    h = g * np.conj(r)
+    eps = s * np.linalg.norm(h, axis=-1)
+    direction = complex_normal(1.0)
+    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    radius = eps
+    if config.error_sampling == "interior":  # uniform in the 2N-dimensional ball
+        radius = eps * rng.uniform(size=(trials, K)) ** (1 / (2 * N))
+    delta = radius[..., None] * direction
+    h_hat = h - np.conj(delta)
+    v = np.exp(1j * np.angle(h_hat))  # angle 0, so v = 1, where h_hat is 0
+    a = np.sum(np.conj(h_hat) * v, axis=-1).real
+    c = np.sum(delta * v, axis=-1)
+    return a, eps, c, np.linalg.norm(delta, axis=-1)
+
+
 def channel_seed(master_seed, kind, value_index, s_index, trial):
     """Seed tuple of one sweep cell trial's channel draw, as README documents
     it: (master_seed, kind code, value index, s index, 4, trial)."""
@@ -116,7 +152,7 @@ def run_trial(config, scheme, seed):
     """One Monte Carlo trial as a sweep runs it, a block of one trial drawn
     from numpy's own seeding of the seed tuple as the per-sensor scalars of
     the config's eval_mode; returns its NMSE."""
-    draw = synthesize_instance(config, [seeded_rng(seed)], gains_only=True)
+    draw = draw_scalars(config, [seeded_rng(seed)])
     return float(_design_and_score(config, scheme, draw)[0])
 
 
@@ -140,7 +176,7 @@ def reference_run_sweep(spec):
                     seeded_rng(channel_seed(spec.master_seed, spec.kind, vi, si, trial))
                     for trial in range(lo, hi)
                 ]
-                draw = synthesize_instance(config, rngs, gains_only=True)
+                draw = draw_scalars(config, rngs)
                 for j, scheme in enumerate(spec.schemes):
                     nmses[j, lo:hi] = _design_and_score(config, scheme, draw)
             if not np.isfinite(nmses).all():

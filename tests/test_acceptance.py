@@ -24,7 +24,7 @@ from aircomp_ris.experiments import (
     snr_to_noise_var,
     trial_generators,
 )
-from aircomp_ris.model import SystemConfig, synthesize_instance
+from aircomp_ris.model import SystemConfig, draw_scalars, synthesize_instance
 from aircomp_ris.optimizer import t_exact
 from aircomp_ris.verify import run_suite
 
@@ -213,7 +213,7 @@ def test_criterion_13_realized_gain_and_loss():
         vi, si = divmod(i, len(spec.s_values))
         prefix = channel_seed(spec.master_seed, "snr", vi, si, None)[:-1]
         words = seed_words([prefix], np.arange(trials))[0]  # the sweep's draws
-        draw = synthesize_instance(config, trial_generators(words), gains_only=True)
+        draw = draw_scalars(config, trial_generators(words))
         diff = _design_and_score(config, "multistart", draw) - _design_and_score(
             config, "nonrobust", draw
         )

@@ -27,7 +27,7 @@ from aircomp_ris.experiments import (
     trial_generators,
     trials_per_block,
 )
-from aircomp_ris.model import SystemConfig, synthesize_instance
+from aircomp_ris.model import SystemConfig, draw_scalars, synthesize_instance
 
 
 def base_config(**kw):
@@ -274,15 +274,15 @@ def test_one_synthesis_per_trial_block_shared_by_schemes(monkeypatch):
     real = {
         name: getattr(experiments, name)
         for name in (
-            "synthesize_instance",
+            "draw_scalars",
             "design_for_scheme",
             "worst_case_objective",
             "mse_at_error",
         )
     }
 
-    def counting_synth(config, rngs, **kwargs):
-        draw = real["synthesize_instance"](config, rngs, **kwargs)
+    def counting_synth(config, rngs):
+        draw = real["draw_scalars"](config, rngs)
         events.append(("synth", config, len(rngs), draw))
         return draw
 
@@ -298,7 +298,7 @@ def test_one_synthesis_per_trial_block_shared_by_schemes(monkeypatch):
 
         return score
 
-    monkeypatch.setattr(experiments, "synthesize_instance", counting_synth)
+    monkeypatch.setattr(experiments, "draw_scalars", counting_synth)
     monkeypatch.setattr(experiments, "design_for_scheme", recording_design)
     for name in ("worst_case_objective", "mse_at_error"):
         monkeypatch.setattr(experiments, name, recording_score(name))
@@ -570,7 +570,7 @@ def test_realized_gap_is_the_silenced_sensors_at_zero_noise(sampling):
         K=10, N=16, s=0.8, noise_var=0.0, eval_mode="realized", error_sampling=sampling
     )
     words = seed_words([(11, 0, 0, 0, 4)], np.arange(4000))[0]
-    draw = synthesize_instance(config, trial_generators(words), gains_only=True)
+    draw = draw_scalars(config, trial_generators(words))
     a, eps, c, _ = draw
     live = a > eps * np.sqrt(config.N)
     robust, plain = (
@@ -594,7 +594,7 @@ def test_block_scores_match_single_trials(scheme, eval_mode, sampling):
     config = base_config(K=5, N=6, eval_mode=eval_mode, error_sampling=sampling)
     seeds = [channel_seed(7, "snr", 0, 0, trial) for trial in range(9)]
     rngs = [seeded_rng(seed) for seed in seeds]
-    draw = synthesize_instance(config, rngs, gains_only=True)
+    draw = draw_scalars(config, rngs)
     values = _design_and_score(config, scheme, draw)
     for t, seed in enumerate(seeds):
         assert values[t] == run_trial(config, scheme, seed)
@@ -603,7 +603,7 @@ def test_block_scores_match_single_trials(scheme, eval_mode, sampling):
 def test_unknown_scheme_rejected():
     """A name outside SCHEMES is refused, not designed at the robust radius."""
     config = base_config()
-    draw = synthesize_instance(config, np.random.default_rng(0), gains_only=True)
+    draw = draw_scalars(config, [np.random.default_rng(0)])
     with pytest.raises(ValueError, match="^unknown scheme 'mmse'$"):
         design_for_scheme(config, "mmse", draw)
 

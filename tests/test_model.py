@@ -29,7 +29,7 @@ from oracles import (
 from aircomp_ris import model
 from aircomp_ris.errors import ConfigError
 from aircomp_ris.experiments import trials_per_block
-from aircomp_ris.model import SystemConfig, synthesize_instance
+from aircomp_ris.model import SystemConfig, draw_scalars, synthesize_instance
 
 
 @pytest.fixture
@@ -45,7 +45,8 @@ def draw_errors(rng, **kw):
     """The radii and the realized-mode scalars of the errors, (eps, c,
     ||delta||)."""
     config = replace(small_config(**kw), eval_mode="realized")
-    return synthesize_instance(config, rng, gains_only=True)[1:]
+    _, (eps,), (c,), (delta_norms,) = draw_scalars(config, [rng])
+    return eps, c, delta_norms
 
 
 def draw_with_reference(rng, **kw):
@@ -54,6 +55,14 @@ def draw_with_reference(rng, **kw):
     config = small_config(**kw)
     reference = reference_synthesis(config, copy.deepcopy(rng))
     return synthesize_instance(config, rng), reference
+
+
+def instance_scalars(config, rng):
+    """The gains ||h_hat_k||_1 and radii of synthesize_instance's draw, the
+    gains summed from its planes as draw_scalars sums them."""
+    h_hat, eps = synthesize_instance(config, rng)
+    re, im = h_hat.real, h_hat.imag
+    return np.sqrt(re * re + im * im).sum(axis=-1), eps
 
 
 def assert_errors_match(c, delta_norms, h_hat, deltas):
@@ -128,7 +137,7 @@ class TestEpsilon:
 
     def test_zero_coefficient(self, rng):
         config = SystemConfig(K=3, N=4, P=1.0, noise_var=0.1, s=0.0)
-        _, eps = synthesize_instance(config, rng, gains_only=True)
+        _, eps = draw_scalars(config, [rng])
         assert np.all(eps == 0)
 
     def test_scaling(self):
@@ -136,8 +145,8 @@ class TestEpsilon:
         config = SystemConfig(s=0.4, **self.unit)
         normals = 2 * np.array([0.0, 1.0, 2.0, 0.0, 1.0, 0.0])
         assert synthesize_instance(config, FixedNormals(normals))[1][0] == 0.8
-        _, eps = synthesize_instance(config, FixedNormals(normals), gains_only=True)
-        assert eps[0] == 0.8
+        _, eps = draw_scalars(config, [FixedNormals(normals)])
+        assert eps[0, 0] == 0.8
 
     def test_monotone_in_s(self):
         def radii(s):
@@ -332,8 +341,8 @@ def test_synthesis_matches_per_sensor_draws(K, N, s, sampling):
     # both streams end at the same point
     assert rng.uniform() == ref_rng.uniform()
     realized = replace(config, eval_mode="realized")
-    a, _, c, delta_norms = synthesize_instance(
-        realized, np.random.default_rng(K * 1000 + N), gains_only=True
+    (a,), _, (c,), (delta_norms,) = draw_scalars(
+        realized, [np.random.default_rng(K * 1000 + N)]
     )
     np.testing.assert_allclose(a, np.abs(h_hat).sum(axis=-1), rtol=1e-13, atol=0)
     assert_errors_match(c, delta_norms, h_hat, deltas)
@@ -344,21 +353,23 @@ def test_synthesis_matches_per_sensor_draws(K, N, s, sampling):
     [(0.0, "surface", 1), (0.4, "surface", 3), (0.4, "interior", 3)],
 )
 def test_gains_only_match_the_instance(s, sampling, trials):
+    """draw_scalars of a block gives, bit for bit, the gains and radii of
+    synthesize_instance run trial by trial, in both modes."""
     # draw blocks of 3 rows split the 9-sensor trials
     config = SystemConfig(
         K=9, N=700, P=1.0, noise_var=0.1, s=s, error_sampling=sampling
     )
     seeds = [(6, trial) for trial in range(trials)]
 
-    def draw(config, gains_only):
-        rngs = [seeded_rng(seed) for seed in seeds]
-        return synthesize_instance(config, rngs, gains_only=gains_only)
+    def rngs():
+        return [seeded_rng(seed) for seed in seeds]
 
-    h_hat, radii = draw(config, False)
-    a, eps = draw(config, True)
-    realized = draw(replace(config, eval_mode="realized"), True)
+    instances = [synthesize_instance(config, rng) for rng in rngs()]
+    h_hat, radii = map(np.stack, zip(*instances))
     re, im = h_hat.real, h_hat.imag
     l1 = np.sqrt(re * re + im * im).sum(axis=-1)
+    a, eps = draw_scalars(config, rngs())
+    realized = draw_scalars(replace(config, eval_mode="realized"), rngs())
     assert {x.shape for x in (a, eps, *realized)} == {(trials, config.K)}
     # both modes draw the same gains and radii, bit for bit
     for got in (a, realized[0]):
@@ -366,9 +377,7 @@ def test_gains_only_match_the_instance(s, sampling, trials):
     for got in (eps, realized[1]):
         assert got.tobytes() == radii.tobytes()
     np.testing.assert_allclose(a, np.abs(h_hat).sum(axis=-1), rtol=1e-14)
-    *_, ref_h_hat, _, deltas = reference_synthesis(
-        config, [seeded_rng(seed) for seed in seeds]
-    )
+    *_, ref_h_hat, _, deltas = reference_synthesis(config, rngs())
     assert_errors_match(*realized[2:], ref_h_hat, deltas)
 
 
@@ -410,18 +419,16 @@ def test_trial_block_matches_per_trial_draws(K, N, s, sampling, trials):
     trials = trials or trials_per_block(config)
     seeds = [(5, K, N, trial) for trial in range(trials)]
     realized = replace(config, eval_mode="realized")
-
-    def draw(rng):
-        """(h_hat, eps) and the realized-mode (a, eps, c, ||delta||)."""
-        scalars = synthesize_instance(realized, copy.deepcopy(rng), gains_only=True)
-        return (*synthesize_instance(config, rng), *scalars)
-
-    names = ("h_hat", "eps", "a", "eps", "c", "delta_norms")
-    block = draw([seeded_rng(seed) for seed in seeds])
-    assert [x.shape for x in block] == [(trials, K, N)] + [(trials, K)] * 5
+    names = ("a", "eps", "c", "delta_norms")
+    block = draw_scalars(realized, [seeded_rng(seed) for seed in seeds])
+    assert [x.shape for x in block] == [(trials, K)] * 4
     for t, seed in enumerate(seeds):
-        alone = draw(seeded_rng(seed))
-        for name, got, want in zip(names, block, alone):
+        alone = draw_scalars(realized, [seeded_rng(seed)])
+        for name, got, (want,) in zip(names, block, alone):
+            assert got[t].tobytes() == want.tobytes(), (name, t)
+        # the block's gains and radii are those of the trial's instance
+        instance = instance_scalars(config, seeded_rng(seed))
+        for name, got, want in zip(names, block, instance):
             assert got[t].tobytes() == want.tobytes(), (name, t)
 
 
@@ -475,15 +482,16 @@ def split_rngs(seed=9):
     "s, sampling", [(0.0, "surface"), (0.4, "surface"), (0.4, "interior")]
 )
 def test_split_block_matches_one_range(monkeypatch, output, s, sampling):
-    """Trial ranges drawn on threads give the bytes one range gives, with
-    more ranges than this machine may have CPUs and the GIL handed over as
-    often as the interpreter allows."""
+    """Trial ranges drawn on threads give the bytes one range gives, and
+    for "instance" the gains and radii of each trial's instance drawn alone,
+    with more ranges than this machine may have CPUs and the GIL handed over
+    as often as the interpreter allows."""
     eval_mode = "worst" if output == "instance" else output
     config = split_config(s, sampling, eval_mode)
     used = spy_ranges(monkeypatch)
 
     def draw():
-        return synthesize_instance(config, split_rngs(), gains_only=output != "instance")
+        return draw_scalars(config, split_rngs())
 
     cpus(monkeypatch, 1)
     serial = draw()
@@ -499,6 +507,10 @@ def test_split_block_matches_one_range(monkeypatch, output, s, sampling):
     assert len(serial) == len(split) == arrays
     for one, many in zip(serial, split):
         assert one.tobytes() == many.tobytes()
+    if output == "instance":
+        alone = [instance_scalars(config, rng) for rng in split_rngs()]
+        for many, want in zip(split, zip(*alone)):
+            assert many.tobytes() == np.stack(want).tobytes()
 
 
 def test_split_block_draws_under_the_callers_error_state(monkeypatch):
@@ -510,9 +522,7 @@ def test_split_block_draws_under_the_callers_error_state(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="ignore"):
-            a, eps = synthesize_instance(
-                split_config(s=1e300), split_rngs(), gains_only=True
-            )
+            a, eps = draw_scalars(split_config(s=1e300), split_rngs())
     assert used == [[(0, 6), (6, SPLIT_TRIALS)]]
     assert np.isinf(a).all() and np.isfinite(eps).all()
 
@@ -523,7 +533,7 @@ def test_generator_shared_by_trials_draws_them_in_order(monkeypatch):
     for n in (1, 3):
         cpus(monkeypatch, n)
         rng = seeded_rng(4)
-        draws.append(synthesize_instance(split_config(), [rng] * SPLIT_TRIALS))
+        draws.append(draw_scalars(split_config(), [rng] * SPLIT_TRIALS))
     assert used == [[(0, SPLIT_TRIALS)]] * 2
     assert draws[0][0].tobytes() == draws[1][0].tobytes()
 
@@ -534,14 +544,14 @@ def test_bit_generator_shared_by_trials_draws_them_in_order(monkeypatch):
     them, with the GIL handed over as often as the interpreter allows."""
     used = spy_ranges(monkeypatch)
     cpus(monkeypatch, 1)
-    shared = synthesize_instance(split_config(), [seeded_rng(4)] * SPLIT_TRIALS)
+    shared = draw_scalars(split_config(), [seeded_rng(4)] * SPLIT_TRIALS)
     cpus(monkeypatch, 3)
     bit_generator = seeded_rng(4).bit_generator
     rngs = [np.random.Generator(bit_generator) for _ in range(SPLIT_TRIALS)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        draw = synthesize_instance(split_config(), rngs)
+        draw = draw_scalars(split_config(), rngs)
     finally:
         sys.setswitchinterval(interval)
     assert used == [[(0, SPLIT_TRIALS)]] * 2
@@ -581,13 +591,13 @@ def test_a_failing_range_raises_its_error(monkeypatch, bad):
     rngs = split_rngs()
     failing = rngs[bad] = FailingGenerator()
     with pytest.raises(RuntimeError) as info:
-        synthesize_instance(split_config(), rngs)
+        draw_scalars(split_config(), rngs)
     assert info.value is failing.error
     assert (failing.thread is threading.main_thread()) == (bad == 0)
-    again = synthesize_instance(split_config(), split_rngs())
+    again = draw_scalars(split_config(), split_rngs())
     assert used == [SPLIT_RANGES] * 2
     cpus(monkeypatch, 1)
-    alone = synthesize_instance(split_config(), split_rngs())
+    alone = draw_scalars(split_config(), split_rngs())
     assert again[0].tobytes() == alone[0].tobytes()
 
 
@@ -609,7 +619,7 @@ def test_a_range_whose_thread_cannot_start_is_drawn_here(monkeypatch):
 
     model._pool.cache_clear()
     monkeypatch.setattr(threading.Thread, "start", start_one)
-    split = synthesize_instance(split_config(), split_rngs())
+    split = draw_scalars(split_config(), split_rngs())
     assert used == [SPLIT_RANGES] and len(started) == 1
     # the worker runs what is left queued, then stops
     model._pool().shutdown(wait=False)
@@ -617,7 +627,7 @@ def test_a_range_whose_thread_cannot_start_is_drawn_here(monkeypatch):
     started[0].join(timeout=60)
     assert not started[0].is_alive()
     cpus(monkeypatch, 1)
-    serial = synthesize_instance(split_config(), split_rngs())
+    serial = draw_scalars(split_config(), split_rngs())
     for one, many in zip(serial, split):
         assert one.tobytes() == many.tobytes()
 
@@ -639,9 +649,9 @@ def test_split_draws_start_workers_once(monkeypatch):
     cpus(monkeypatch, 3)
     used = spy_ranges(monkeypatch)
     model._pool.cache_clear()
-    first = synthesize_instance(split_config(), split_rngs())
+    first = draw_scalars(split_config(), split_rngs())
     started = CountingThread.started
-    second = synthesize_instance(split_config(), split_rngs())
+    second = draw_scalars(split_config(), split_rngs())
     assert used == [SPLIT_RANGES] * 2
     assert started > 0 and CountingThread.started == started
     for one, two in zip(first, second):
@@ -654,13 +664,13 @@ def test_callers_on_many_threads_share_the_pool(monkeypatch):
     one range: no thread draws into another's chunk buffer or rows."""
     used = spy_ranges(monkeypatch)
     cpus(monkeypatch, 1)
-    serial = synthesize_instance(split_config(), split_rngs())
+    serial = draw_scalars(split_config(), split_rngs())
     cpus(monkeypatch, 3)
     draws = []
 
     def draw():
         for _ in range(3):
-            draws.append(synthesize_instance(split_config(), split_rngs()))
+            draws.append(draw_scalars(split_config(), split_rngs()))
 
     callers = [threading.Thread(target=draw) for _ in range(4)]
     interval = sys.getswitchinterval()
@@ -686,7 +696,7 @@ def test_a_forked_child_draws_split_blocks(monkeypatch):
     this process's threads."""
     cpus(monkeypatch, 3)
     used = spy_ranges(monkeypatch)
-    here = synthesize_instance(split_config(), split_rngs())
+    here = draw_scalars(split_config(), split_rngs())
     with warnings.catch_warnings():
         # Python >= 3.12 warns that a fork of a threaded process may deadlock
         warnings.simplefilter("ignore", DeprecationWarning)
@@ -694,7 +704,7 @@ def test_a_forked_child_draws_split_blocks(monkeypatch):
     if pid == 0:
         status = 1
         try:
-            child = synthesize_instance(split_config(), split_rngs())
+            child = draw_scalars(split_config(), split_rngs())
             same = all(a.tobytes() == b.tobytes() for a, b in zip(here, child))
             status = 0 if same and used == [SPLIT_RANGES] * 2 else 1
         finally:
@@ -720,7 +730,7 @@ def test_small_blocks_stay_on_the_calling_thread(monkeypatch):
     # the example SNR sweep's cells: 50 trials of 10 sensors at N=16
     for s in (0.0, 0.4, 0.6):
         config = SystemConfig(K=10, N=16, P=10.0, noise_var=1.0, s=s)
-        synthesize_instance(config, trial_rngs(50), gains_only=True)
+        draw_scalars(config, trial_rngs(50))
     # large, but drawn in calls of one 384-double row: handing the GIL
     # between threads that often costs more than it saves
     fine = SystemConfig(
@@ -732,10 +742,13 @@ def test_small_blocks_stay_on_the_calling_thread(monkeypatch):
         eval_mode="realized",
         error_sampling="interior",
     )
-    synthesize_instance(fine, trial_rngs(40), gains_only=True)
+    draw_scalars(fine, trial_rngs(40))
     assert CountingThread.started == 0
     assert used == [[(0, 50)]] * 3 + [[(0, 40)]]
     # a cell of the large K sweep, 10 trials of 25 sensors at N=256, is
     # split into a range per trial
-    synthesize_instance(replace(fine, N=256), trial_rngs(10), gains_only=True)
+    draw_scalars(replace(fine, N=256), trial_rngs(10))
     assert used[-1] == [(trial, trial + 1) for trial in range(10)]
+    # solve's instance, however large, is drawn here and never split
+    synthesize_instance(replace(fine, K=250, N=256), seeded_rng(3))
+    assert CountingThread.started == 0 and len(used) == 5

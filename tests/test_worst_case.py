@@ -22,7 +22,7 @@ from oracles import (
 from aircomp_ris import verify
 from aircomp_ris.errors import AirCompError
 from aircomp_ris.experiments import design_for_scheme
-from aircomp_ris.model import SystemConfig, synthesize_instance
+from aircomp_ris.model import SystemConfig, draw_scalars, synthesize_instance
 from aircomp_ris.optimizer import Design, certificate, cophased_gains
 from aircomp_ris.optimizer import mse_at_error as realized_score
 from aircomp_ris.optimizer import worst_case_objective as score_from_gains
@@ -295,7 +295,7 @@ class TestScoreFromGains:
 
 class TestRealizedScore:
     """The sweeps' realized-mode score: each scheme's design and MSE from
-    the per-sensor scalars synthesis gives, a_k, eps_k, c_k = delta_k @ v_k
+    the per-sensor scalars draw_scalars gives, a_k, eps_k, c_k = delta_k @ v_k
     and ||delta_k||, against the same scheme designed on the channel arrays
     reference_synthesis draws from the same stream and scored by the oracle
     on its RIS vectors."""
@@ -323,9 +323,7 @@ class TestRealizedScore:
         config = self.config(s=s, error_sampling=sampling)
         seeds = [(11, trial) for trial in range(8)]
         reference = reference_synthesis(config, [seeded_rng(seed) for seed in seeds])
-        draw = synthesize_instance(
-            config, [seeded_rng(seed) for seed in seeds], gains_only=True
-        )
+        draw = draw_scalars(config, [seeded_rng(seed) for seed in seeds])
         assert [x.shape for x in draw] == [(8, config.K)] * 4
         scalar = self.check(config, scheme, reference, draw)
         if s == 0:
@@ -344,7 +342,7 @@ class TestRealizedScore:
         crafted = 2 * np.array([[0, 1], [1, 0], [3, 4], [0, 0], [0, 0], [-1, 0]])
         normals = [crafted, np.random.default_rng(2).normal(size=(6, 2))]
         h_hat, _ = synthesize_instance(config, FixedNormals(normals))
-        draw = synthesize_instance(config, FixedNormals(normals), gains_only=True)
+        draw = [x[0] for x in draw_scalars(config, [FixedNormals(normals)])]
         assert h_hat[0, 0] == 0 and h_hat[0, 1] == 4
         a, eps, c, delta_norms = draw
         # v_0 = 1 on the zero entry, so c_0 = delta_0 @ v_0 = -3j
@@ -356,8 +354,8 @@ class TestRealizedScore:
     def test_out_of_ball_rejected(self):
         config = self.config(K=3, s=0.4)
         seeds = [(12, trial) for trial in range(5)]
-        a, eps, c, delta_norms = synthesize_instance(
-            config, [seeded_rng(seed) for seed in seeds], gains_only=True
+        a, eps, c, delta_norms = draw_scalars(
+            config, [seeded_rng(seed) for seed in seeds]
         )
         design = design_for_scheme(config, "multistart", (a, eps))
         # the slack admits roundoff, not an error past the ball
